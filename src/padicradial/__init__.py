@@ -29,7 +29,6 @@ from .laplace import (
     symbol_identity_residual,
 )
 from .operators import (
-    MomentTable,
     OperatorMatrix,
     apply_D_alpha,
     apply_D_alpha_O,
@@ -40,7 +39,6 @@ from .operators import (
     moment_a,
     moment_b,
     moment_m0,
-    moment_table,
     operator_matrix,
 )
 from .spectral import (

@@ -22,6 +22,8 @@ from .operators import (
 )
 from .serialize import (
     SchemaError,
+    _fmt,
+    _pair,
     dump_radial,
     dump_transform,
     load_radial,
@@ -62,17 +64,6 @@ def _read(path: str) -> str:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _fmt17(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # canonicalize the sign of zero
-    return format(x, ".17g")
-
-
-def _pair(z: complex) -> str:
-    return f"[{_fmt17(z.real)}, {_fmt17(z.imag)}]"
-
-
 def cmd_apply(args) -> int:
     u = load_radial(_read(args.input))
     if args.q is not None or args.alpha is not None:
@@ -101,7 +92,7 @@ def cmd_spectrum(args) -> int:
     worst = max(
         min(abs(z - q ** float(-m)) for z in eig.eigenvalues) for m in range(1, args.dim)
     )
-    lines.append(f'], "max_gap_to_analytic": {_fmt17(worst)}}}')
+    lines.append(f'], "max_gap_to_analytic": {_fmt(worst)}}}')
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -119,8 +110,8 @@ def cmd_charfn(args) -> int:
         names[(a, b)]: order_certificate(params, coeffs[a, b]) for a in range(2) for b in range(2)
     }
     cert_parts = ", ".join(
-        f'"{k}": {{"fitted_C": {_fmt17(v["fitted_C"])}, '
-        f'"max_order_estimate": {_fmt17(v["max_order_estimate"])}}}'
+        f'"{k}": {{"fitted_C": {_fmt(v["fitted_C"])}, '
+        f'"max_order_estimate": {_fmt(v["max_order_estimate"])}}}'
         for k, v in certs.items()
     )
     parts.append(f'"order_certificate": {{{cert_parts}}}')

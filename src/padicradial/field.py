@@ -51,8 +51,8 @@ class FieldParams:
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 2:
             raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
     @property
     def ln_q(self) -> float:
@@ -69,15 +69,15 @@ class FieldParams:
         return (1.0 - q) / (q * self.ln_q)
 
 
-def _sum_exp_upto(J: int, q: float, a: float = 1.0) -> float:
-    """Closed form of ``sum_{j <= J} q^(a j)`` for ``a > 0``."""
-    return q ** (a * J) / (1.0 - q ** (-a))
+def _sum_exp_upto(J: int, q: float) -> float:
+    """Closed form of ``sum_{j <= J} q^j``."""
+    return q ** float(J) / (1.0 - q**-1.0)
 
 
-def _sum_j_exp_upto(J: int, q: float, a: float = 1.0) -> float:
-    """Closed form of ``sum_{j <= J} j * q^(a j)`` for ``a > 0``."""
-    y = q ** (-a)
-    return q ** (a * J) * (J / (1.0 - y) - y / (1.0 - y) ** 2)
+def _sum_j_exp_upto(J: int, q: float) -> float:
+    """Closed form of ``sum_{j <= J} j * q^j``."""
+    y = q**-1.0
+    return q ** float(J) * (J / (1.0 - y) - y / (1.0 - y) ** 2)
 
 
 @dataclass(frozen=True, eq=False)

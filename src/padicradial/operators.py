@@ -18,8 +18,6 @@ from .field import (
     FieldParams,
     KRadialFunction,
     _require_o,
-    _sum_exp_upto,
-    _sum_j_exp_upto,
     expand,
     make_basis,
     o_integral,
@@ -34,8 +32,6 @@ __all__ = [
     "apply_resolvent_D1O",
     "OperatorMatrix",
     "operator_matrix",
-    "MomentTable",
-    "moment_table",
     "d_constant",
     "moment_a",
     "moment_b",
@@ -44,6 +40,57 @@ __all__ = [
 ]
 
 OPERATOR_NAMES = ("D1O", "I1", "I01", "J", "resolvent")
+
+# smallest normal double: a scaled value below it may have lost precision
+_TINY = np.finfo(float).tiny
+
+
+def _decay(w: np.ndarray, base: float, seed: complex = 0j, upward: bool = False) -> np.ndarray:
+    """Geometric shell sums of ``w`` for every shell of its window.
+
+    Downward: ``s[i] = sum_{j<i} w[j] base^(j-i)``, where ``seed`` is the
+    sum over the shells below the window (so ``s[0] = seed``).  Upward, the
+    mirror: ``s[i] = sum_{j>i} w[j] base^(i-j)`` with ``seed`` the sum over
+    the shells above it.  Both run the first-order recurrence
+    ``s <- (s + w) / base``, so only relative powers of ``q`` are ever
+    formed and nothing overflows however deep the window.  Dividing by
+    ``base`` rather than multiplying by its rounded reciprocal keeps the
+    error of each step at one rounding.  ``base = 1`` gives running sums.
+    """
+    ws = w.tolist()
+    if upward:
+        ws.reverse()
+    out = []
+    s = complex(seed)
+    for x in ws:
+        out.append(s)
+        s = (s + x) / base
+    if upward:
+        out.reverse()
+    return np.array(out, dtype=complex)
+
+
+def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarray:
+    """``bracket * q^(a n)`` on the shells ``ns``.
+
+    The exponent ``a n`` is formed exactly: ``a`` splits into a 24-bit head,
+    whose products with shell indices are exact, and a small remainder (a
+    single rounded ``a n`` would cost ``n eps log q`` relative).  Where the
+    product is not a normal double, the factor alone may have left the
+    range, so it is applied again as two half-powers; ``OverflowError`` is
+    raised only when a value itself cannot be represented.
+    """
+    head = float(np.float32(a))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        out = bracket * (np.power(q, head * ns) * np.power(q, (a - head) * ns))
+        redo = ~(np.abs(out) >= _TINY) | np.isinf(out)
+        if redo.any():
+            ns = ns[redo]
+            half = np.power(q, head * ns / 2.0) * np.power(q, (a - head) * ns / 2.0)
+            out[redo] = bracket[redo] * half * half
+    if np.any(~np.isfinite(out) & np.isfinite(bracket)):
+        raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
+    return out
 
 
 def apply_D_alpha(
@@ -55,12 +102,15 @@ def apply_D_alpha(
     ``q^k``, a diagonal term, and an upward sum weighted by ``q^(-alpha l)``.
     Constants are annihilated, so the formula is evaluated on the deviation
     ``u - t`` from the inner tail: the deviation vanishes below the window
-    and equals ``-t`` above it (closed-form geometric stretch), which keeps
-    every term at the scale of the result.  (Evaluating the three terms on
+    and equals ``-t`` above it (a closed-form geometric tail past the top
+    shell), which keeps every term at the scale of the result.  (Evaluating the three terms on
     ``u`` directly is exact too, but their ``q^(-alpha n)`` growth toward the
-    origin cancels catastrophically on shells below the structure.)  The
-    output is constant below the input window, and that constant becomes the
-    output tail, so the result is exact.
+    origin cancels catastrophically on shells below the structure.)  With the
+    growth factored out, the value is ``q^(-alpha n)`` times
+    ``theta (1-1/q) (down + up) + diag dev``, where ``down`` and ``up`` are
+    the relative shell sums of ``_decay``.  The output is constant below the
+    input window, and that constant becomes the output tail, so the result
+    is exact.
 
     ``out_window`` defaults to the input window and must not start above it
     (otherwise the constant-tail representation of the output would be
@@ -79,42 +129,17 @@ def apply_D_alpha(
             f"output window must start at or below the input window ({lo} > {u.n_lo})"
         )
 
-    theta = p.theta_alpha
-    unit = 1.0 - 1.0 / q
-    diag_c = (q**a + q - 2.0) / (1.0 - q ** (-a - 1.0))
+    qa = q**a
     t = u.inner_tail
-    ks = np.arange(u.n_lo, u.n_hi + 1)
-    dev = u.values - t  # deviation on the window; zero below, -t above
-
-    out = np.empty(hi - lo + 1, dtype=complex)
-    for i, n in enumerate(range(lo, hi + 1)):
-        down = 0j
-        k_hi = min(n - 1, u.n_hi)
-        if k_hi >= u.n_lo:
-            sel = ks <= k_hi
-            down += np.sum(np.power(q, ks[sel].astype(float)) * dev[sel])
-        if n - 1 > u.n_hi:  # the -t stretch between the window top and n
-            down -= t * (q ** float(n) - q ** (u.n_hi + 1.0)) / (q - 1.0)
-
-        up = 0j
-        l_lo = max(n + 1, u.n_lo)
-        if l_lo <= u.n_hi:
-            sel = ks >= l_lo
-            up += np.sum(np.power(q, -a * ks[sel].astype(float)) * dev[sel])
-        L0 = max(n + 1, u.n_hi + 1)
-        up -= t * q ** (-a * L0) / (1.0 - q ** (-a))
-
-        w_n = (u.value_at(n) - t) if n <= u.n_hi else -t
-        diag = q ** (-a * n - 1.0) * diag_c * w_n
-        out[i] = theta * unit * q ** (-(a + 1.0) * n) * down + diag + theta * unit * up
-
-    # below the input window the derivative is the constant
-    #   theta (1-1/q) sum_{l >= n_lo} q^(-alpha l) (u(q^l) - t)
-    tail = theta * unit * (
-        np.sum(np.power(q, -a * ks.astype(float)) * dev)
-        - t * q ** (-a * (u.n_hi + 1.0)) / (1.0 - q ** (-a))
-    )
-    return KRadialFunction(p, lo, hi, out, tail)
+    # shells n_lo-1 .. top; n_lo-1 lies below the input window and carries the tail
+    m, top = u.n_lo - 1, max(hi, u.n_lo)
+    dev = u.values_on(m, max(top, u.n_hi)) - t  # zero below the window, -t above
+    down_up = _decay(dev, q) + _decay(dev, qa, -t / (qa - 1.0), upward=True)
+    diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
+    bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
+    out = _scaled(bracket[: top - m + 1], q, -a, np.arange(m, top + 1.0))
+    image = KRadialFunction(p, u.n_lo, top, out[1:], out[0])
+    return KRadialFunction(p, lo, hi, image.values_on(lo, hi), out[0])
 
 
 def apply_D_alpha_O(u: KRadialFunction) -> KRadialFunction:
@@ -128,119 +153,87 @@ def apply_D_alpha_O(u: KRadialFunction) -> KRadialFunction:
     return apply_D_alpha(u, (u.n_lo, 0))
 
 
+def _volterra_sums(vals: np.ndarray, t: complex, q: float, qa: float) -> np.ndarray:
+    """``G(n) = sum_{k<n} K(n-k) q^(k-n) u_k`` on every shell of ``vals``
+    with the divided difference ``K(m) = (r^m - 1) / (r - 1)``,
+    ``r = q / qa = q^(1-alpha)``, which tends to ``K(m) = m`` at ``alpha = 1``.
+
+    ``G`` runs as two recurrences, ``S(n) = sum_{k<n} q^(k-n) u_k`` and
+    ``G(n) = S(n) + G(n-1) / q^alpha``, each seeded with the closed-form sum
+    over the constant ``t`` on every shell below ``vals``.
+    """
+    tail_s = t / (q - 1.0)
+    s = _decay(vals, q, tail_s)
+    return s + _decay(s, qa, tail_s / (qa - 1.0))
+
+
 def apply_I_alpha(u: KRadialFunction, out_hi: int = 0) -> KRadialFunction:
     """Right inverse of the fractional derivative, on ball-supported input.
 
     The diagonal term ``q^-alpha |x|^alpha u(|x|)`` plus the kernel integral
-    over ``|y| < |x|``; the constant tail closes the downward kernel sums as
-    geometric series.  Below the input window the input is constant in every
-    shell the integral sees, and constants are annihilated, so the output
-    tail is exactly zero.  With ``out_hi > 0`` the same formulas produce the
-    values on shells outside the ball (needed to compose with the derivative
-    over the whole field).
-
-    The order ``alpha = 1`` is dispatched by exact comparison to the
-    logarithmic kernel; the power kernel has a pole there and is never used
-    for it.
+    over ``|y| < |x|``.  The kernel ``pre (q^((alpha-1)n) - q^((alpha-1)k))``,
+    ``pre = (1-q^-alpha)/(1-q^(alpha-1))``, is summed as the divided
+    difference of ``_volterra_sums``, which is continuous through
+    ``alpha = 1`` (where it is the logarithmic kernel) and has no pole
+    there.  Below the input window the input is constant in every shell the
+    integral sees, and constants are annihilated, so the output tail is
+    exactly zero.  With ``out_hi > 0`` the same formulas produce the values
+    on shells outside the ball (needed to compose with the derivative over
+    the whole field).
     """
     _require_o(u, "apply_I_alpha")
+    if out_hi < 0:
+        raise ValueError("out_hi must be >= 0")
     p = u.params
     q = float(p.q)
     a = p.alpha
-    t = u.inner_tail
-    lo = u.n_lo
-    if out_hi < 0:
-        raise ValueError("out_hi must be >= 0")
-
-    unit = 1.0 - 1.0 / q
-    out = np.empty(out_hi - lo + 1, dtype=complex)
-    ks = np.arange(u.n_lo, u.n_hi + 1)
-    mus = unit * np.power(q, ks.astype(float))
-    if a == 1.0:
-        c = p.c_volterra
-        lnq = p.ln_q
-        for i, n in enumerate(range(lo, out_hi + 1)):
-            sel = ks <= n - 1
-            ker = np.sum((n - ks[sel]) * lnq * u.values[sel] * mus[sel])
-            J = min(n - 1, u.n_lo - 1)
-            ker += t * lnq * unit * (n * _sum_exp_upto(J, q) - _sum_j_exp_upto(J, q))
-            out[i] = q ** (n - 1.0) * u.value_at(n) + c * ker
-    else:
-        pre = (1.0 - q ** (-a)) / (1.0 - q ** (a - 1.0))
-        for i, n in enumerate(range(lo, out_hi + 1)):
-            sel = ks <= n - 1
-            ker = np.sum(
-                (q ** (n * (a - 1.0)) - np.power(q, (a - 1.0) * ks[sel].astype(float)))
-                * u.values[sel]
-                * mus[sel]
-            )
-            J = min(n - 1, u.n_lo - 1)
-            ker += t * unit * (
-                q ** (n * (a - 1.0)) * _sum_exp_upto(J, q) - _sum_exp_upto(J, q, a)
-            )
-            out[i] = q ** (-a) * q ** (a * n) * u.value_at(n) + pre * ker
-    return KRadialFunction(p, lo, out_hi, out)
+    qa = q**a
+    vals = u.values_on(u.n_lo, out_hi)
+    # (1-1/q) (1-q^-alpha) q^(1-alpha)
+    coef = (1.0 - 1.0 / q) * (qa - 1.0) * q / (qa * qa)
+    bracket = vals / qa - coef * _volterra_sums(vals, u.inner_tail, q, qa)
+    out = _scaled(bracket, q, a, np.arange(u.n_lo, out_hi + 1.0))
+    return KRadialFunction(p, u.n_lo, out_hi, out)
 
 
 def apply_I01(u: KRadialFunction, out_lo: int | None = None) -> KRadialFunction:
     """Volterra part of the order-one integral: logarithmic kernel only.
 
     The kernel weight on the shell pair ``(n, j)``, ``j < n``, is
-    ``c (n - j) log q`` times the shell measure.  Acting on the constant 1
-    the output is ``-|x|/q``, so for input with tail ``t`` the true values
-    below ``out_lo`` decay like ``-t q^(n-1)``; the stored tail is their
-    limit 0, exact whenever ``t = 0``.
+    ``c (n - j) log q`` times the shell measure, so the value is
+    ``-(1-1/q)^2 q^n G(n)`` with ``G`` from ``_volterra_sums`` at
+    ``alpha = 1``: the order-one integral without its diagonal term.  Acting
+    on the constant 1 the output is ``-|x|/q``, so for input with tail ``t``
+    the true values below ``out_lo`` decay like ``-t q^(n-1)``; the stored
+    tail is their limit 0, exact whenever ``t = 0``.
     """
     _require_o(u, "apply_I01")
     p = u.params
     q = float(p.q)
-    c = p.c_volterra
-    lnq = p.ln_q
-    unit = 1.0 - 1.0 / q
     lo = u.n_lo if out_lo is None else out_lo
     if lo > 0:
         raise ValueError("out_lo must be <= 0")
-
-    t = u.inner_tail
-    ks = np.arange(u.n_lo, u.n_hi + 1)
-    mus = unit * np.power(q, ks.astype(float))
-    out = np.empty(1 - lo, dtype=complex)
-    for i, n in enumerate(range(lo, 1)):
-        sel = ks <= n - 1
-        ker = np.sum((n - ks[sel]) * lnq * u.values[sel] * mus[sel])
-        J = min(n - 1, u.n_lo - 1)
-        # tail: c log q (1-1/q) t sum_{j <= J} (n - j) q^j
-        ker += t * lnq * unit * (n * _sum_exp_upto(J, q) - _sum_j_exp_upto(J, q))
-        out[i] = c * ker
-    return KRadialFunction(p, lo, 0, out)
-
-
-def _log_kernel(params: FieldParams, m: int) -> float:
-    """Resolvent kernel value on the shell ``q^m``: ``c m log q - 1/q``."""
-    return params.c_volterra * m * params.ln_q - 1.0 / params.q
-
-
-def _log_kernel_ball_integral(params: FieldParams, J: int) -> float:
-    """Integral of the resolvent kernel over the ball ``|x| <= q^J``."""
-    q = float(params.q)
-    c = params.c_volterra
-    return (
-        c * params.ln_q * (1.0 - 1.0 / q) * _sum_j_exp_upto(J, q)
-        - (1.0 / q) * q ** float(J)
-    )
+    start = min(lo, u.n_lo)
+    g = _volterra_sums(u.values_on(start, 0), u.inner_tail, q, q)
+    out = _scaled(-((1.0 - 1.0 / q) ** 2) * g, q, 1.0, np.arange(start, 1.0))
+    return KRadialFunction(p, lo, 0, out[lo - start :])
 
 
 def apply_resolvent_D1O(u: KRadialFunction) -> KRadialFunction:
     """Inverse of the order-one derivative on the unit ball.
 
-    Radial convolution with the logarithmic kernel plus the projection term
+    Radial convolution with the logarithmic kernel
+    ``k(q^m) = c m log q - 1/q = -(1-1/q) m - 1/q`` plus the projection term
     with the inverse first eigenvalue ``(q+1)/q``.  Off the equal-radius
-    shell the ultrametric gives ``|x - xi| = max(|x|, |xi|)``; on it the
-    difference sweeps the sub-shells with measure ``(1-1/q) q^m`` below and
-    ``(1-2/q) q^n`` on the shell itself (zero when q = 2, a valid degenerate
-    case).  Below the input window the output is constant; it is evaluated
-    once at ``n_lo - 1`` and stored as the tail, which realizes the value at
-    the origin.
+    shell the ultrametric gives ``|x - xi| = max(|x|, |xi|)``: the kernel at
+    ``|xi|`` weights the mass above ``|x|``, the kernel at ``|x|`` the mass
+    below, both running sums of ``_decay`` with base 1.  On the shell the
+    difference sweeps the sub-shells with measure ``(1-1/q) q^m`` below,
+    whose kernel integral over the ball ``|x| <= q^J`` is
+    ``-(1-1/q) J q^J``, and ``(1-2/q) q^n`` on the shell itself (zero when
+    q = 2, a valid degenerate case).  Below the input window the output is
+    constant; it is evaluated at ``n_lo - 1`` and stored as the tail, which
+    realizes the value at the origin.
     """
     _require_o(u, "apply_resolvent_D1O")
     p = u.params
@@ -248,37 +241,18 @@ def apply_resolvent_D1O(u: KRadialFunction) -> KRadialFunction:
         raise ValueError("the resolvent is defined for alpha = 1 only")
     q = float(p.q)
     unit = 1.0 - 1.0 / q
-    mu0_inv = (q + 1.0) / q
-
-    ks = np.arange(u.n_lo, 1)
-    vals = u.values_on(u.n_lo, 0)
-    mus = unit * np.power(q, ks.astype(float))
-    total = np.sum(vals * mus) + u.inner_tail * q ** (u.n_lo - 1.0)
-
-    def at(n: int) -> complex:
-        # |xi| > |x|
-        above = 0j
-        if n + 1 <= 0:
-            sel = ks >= n + 1
-            kker = np.array([_log_kernel(p, int(b)) for b in ks[sel]])
-            above = np.sum(kker * vals[sel] * mus[sel])
-        # |xi| < |x|, kernel frozen at |x|
-        if n - 1 >= u.n_lo:
-            sel = ks <= n - 1
-            below_mass = np.sum(vals[sel] * mus[sel]) + u.inner_tail * q ** (u.n_lo - 1.0)
-        else:
-            below_mass = u.inner_tail * q ** (n - 1.0)
-        below = _log_kernel(p, n) * below_mass
-        # |xi| = |x|: sub-shell decomposition
-        onshell = (
-            _log_kernel_ball_integral(p, n - 1)
-            + _log_kernel(p, n) * (1.0 - 2.0 / q) * q ** float(n)
-        ) * u.value_at(n)
-        return above + below + onshell + mu0_inv * total
-
-    out = np.array([at(n) for n in range(u.n_lo, 1)], dtype=complex)
-    tail = at(u.n_lo - 1)
-    return KRadialFunction(p, u.n_lo, 0, out, tail)
+    lo = u.n_lo - 1
+    ns = np.arange(lo, 1.0)
+    qn = np.power(q, ns)
+    vals = u.values_on(lo, 0)
+    kern = -(unit * ns + 1.0 / q)
+    mass = vals * unit * qn
+    below = _decay(mass, 1.0, u.inner_tail * q ** (lo - 1.0))
+    above = _decay(kern * mass, 1.0, upward=True)
+    total = below[-1] + mass[-1]
+    onshell = -unit * (ns - 1.0) * qn / q + kern * (1.0 - 2.0 / q) * qn
+    out = above + kern * below + onshell * vals + (q + 1.0) / q * total
+    return KRadialFunction(p, u.n_lo, 0, out[1:], out[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,25 +355,3 @@ def moment_m0(params: FieldParams, n: int) -> float:
         raise ValueError("n must be >= 0")
     q = float(params.q)
     return (1.0 - 1.0 / q) / (1.0 - q ** (-(n + 1.0)))
-
-
-@dataclass(frozen=True, eq=False)
-class MomentTable:
-    """Cached moment sequences used by the iterated integration operator."""
-
-    params: FieldParams
-    d: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    m0: np.ndarray
-
-
-def moment_table(params: FieldParams, count: int) -> MomentTable:
-    idx = range(count)
-    return MomentTable(
-        params,
-        np.array([d_constant(params, m) for m in idx]),
-        np.array([moment_a(params, n) for n in idx]),
-        np.array([moment_b(params, n) for n in idx]),
-        np.array([moment_m0(params, n) for n in idx]),
-    )

@@ -45,16 +45,13 @@ class I1Spectrum:
     """Eigen-decomposition of the truncated integral operator.
 
     ``eigenvalues`` are sorted by modulus, descending; ``eigenvectors[:, k]``
-    is the matching unit coordinate vector in the e-family.  ``analytic``
-    holds the closed-form pairs ``(q^-m, e_0 - (1 - 1/q)^(-1/2) q^(-m/2) e_m)``,
-    normalized, for comparison.
+    is the matching unit coordinate vector in the e-family.
     """
 
     params: FieldParams
     dim: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    analytic: tuple
 
 
 def i1_eigenpairs(params: FieldParams, dim: int) -> I1Spectrum:
@@ -65,16 +62,7 @@ def i1_eigenpairs(params: FieldParams, dim: int) -> I1Spectrum:
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigen-decomposition failed at dim={dim}") from exc
     order = np.argsort(-np.abs(ev))
-    ev, vec = ev[order], vec[:, order]
-
-    q = float(params.q)
-    analytic = []
-    for m in range(1, dim):
-        coords = np.zeros(dim, dtype=complex)
-        coords[0] = 1.0
-        coords[m] = -((1.0 - 1.0 / q) ** -0.5) * q ** (-m / 2.0)
-        analytic.append((q ** (-m), coords / np.linalg.norm(coords)))
-    return I1Spectrum(mat.params, dim, ev, vec, tuple(analytic))
+    return I1Spectrum(mat.params, dim, ev[order], vec[:, order])
 
 
 def volterra_check(params: FieldParams, dim: int) -> dict:

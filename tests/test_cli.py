@@ -96,6 +96,14 @@ def test_cli_apply_precondition_violation_exits_3(tmp_path, capsys):
     assert "unit ball" in capsys.readouterr().err
 
 
+def test_cli_apply_infinite_alpha_exits_2(tmp_path, capsys):
+    # json.loads accepts the literal Infinity; the field parameters must not
+    src = tmp_path / "inf.json"
+    src.write_text(dump_radial(make_basis(P2, "f", 1)).replace('"alpha": 1', '"alpha": Infinity'))
+    assert main(["apply", "Dalpha", str(src)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_cli_missing_input_exits_2(tmp_path):
     assert main(["apply", "Dalpha", str(tmp_path / "absent.json")]) == 2
 

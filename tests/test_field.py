@@ -41,6 +41,9 @@ def test_field_params_constants():
         FieldParams(1)
     with pytest.raises(ValueError):
         FieldParams(2, -1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            FieldParams(2, bad)
 
 
 def test_shell_measure_examples():

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicradial.field import (
     FieldParams,
@@ -22,7 +25,6 @@ from padicradial.operators import (
     moment_a,
     moment_b,
     moment_m0,
-    moment_table,
     operator_matrix,
 )
 
@@ -71,6 +73,15 @@ def test_derivative_matches_direct_summation_oracle():
     assert got.value_at(0) == pytest.approx(4.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
 
 
+def test_derivative_below_the_input_window_is_its_tail():
+    # however far below the input the output window starts
+    f0 = make_basis(P2, "f", 0)
+    tail = apply_D_alpha(f0).inner_tail
+    deep = apply_D_alpha(f0, (-2000, 0))
+    assert deep.inner_tail == tail
+    assert np.all(deep.values_on(-2000, -1) == tail)
+
+
 def test_derivative_rejects_window_above_input():
     with pytest.raises(ValueError):
         apply_D_alpha(make_basis(P2, "f", 3), (-1, 0))
@@ -115,15 +126,16 @@ def test_integral_on_e1_closed_form():
     assert max_shell_difference(apply_I_alpha(e1), want, -8, 0) < 1e-14
 
 
-def test_integral_pole_guard_at_alpha_one():
-    # exact dispatch: alpha = 1 must take the log kernel, nearby alphas the power kernel
-    u = make_basis(FieldParams(2, 1.0), "f", 1)
-    out_exact = apply_I_alpha(u)
-    u_near = make_basis(FieldParams(2, 1.0 + 1e-12), "f", 1)
-    out_near = apply_I_alpha(u_near)
-    assert np.all(np.isfinite(out_near.values))
-    assert max_shell_difference(out_exact, KRadialFunction(P2, out_near.n_lo, out_near.n_hi,
-                                                           out_near.values), -5, 0) < 1e-3
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("delta", [-1e-13, 1e-13])
+def test_integral_pole_guard_at_alpha_one(q, delta):
+    # the kernel is continuous through alpha = 1: orders next to 1 agree with 1
+    rng = np.random.default_rng(q)
+    vals = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+    exact = apply_I_alpha(KRadialFunction(FieldParams(q, 1.0), -12, 0, vals, 0.5 - 1j))
+    near = apply_I_alpha(KRadialFunction(FieldParams(q, 1.0 + delta), -12, 0, vals, 0.5 - 1j))
+    scale = np.abs(exact.values).max()
+    assert max_shell_difference(exact, near) / scale <= 1e-9
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -304,8 +316,8 @@ def test_moment_values():
 
 
 def test_moment_decay_ratio():
-    table = moment_table(P2, 30)
-    ratios = table.d[2:] / table.d[1:-1]
+    d = np.array([d_constant(P2, m) for m in range(30)])
+    ratios = d[2:] / d[1:-1]
     assert np.all(ratios <= 0.5 * (1.0 + 1e-6))
 
 
@@ -315,3 +327,92 @@ def test_constant_annihilation_under_integral_any_alpha():
         one = KRadialFunction(p, 0, 0, [1.0], 1.0)
         image = apply_I_alpha(one, out_hi=0)
         assert np.abs(image.values).max() < 1e-13
+
+
+def _mp_exact(u, terms):
+    """``q``, ``alpha`` and the shell values of ``u`` on its window widened by ``terms``, in mpmath."""
+    vals = {k: mpmath.mpc(u.value_at(k)) for k in range(u.n_lo - terms, u.n_hi + terms + 1)}
+    return mpmath.mpf(u.params.q), mpmath.mpf(u.params.alpha), vals
+
+
+def mp_I_alpha(u, n, terms=200):
+    """Direct mpmath sum of the power kernel at one shell, and its term mass."""
+    with mpmath.workdps(40):
+        q, a, val = _mp_exact(u, terms)
+        pre = (1 - q**-a) / (1 - q ** (a - 1))
+        local = q**-a * q ** (a * n) * val[n]
+        kernel = [pre * (q ** ((a - 1) * n) - q ** ((a - 1) * k)) * val[k] * (1 - 1 / q) * q**k
+                  for k in range(u.n_lo - terms, n)]
+        return local + mpmath.fsum(kernel), abs(local) + mpmath.fsum(abs(x) for x in kernel)
+
+
+def mp_D_alpha(u, n, terms=300):
+    """Direct mpmath sum of the derivative's defining formula at one shell, and its term mass."""
+    with mpmath.workdps(40):
+        q, a, val = _mp_exact(u, terms)
+        theta = (1 - q**a) / (1 - q ** (-a - 1))
+        down = [(val[k] - val[n]) * q ** (k - (a + 1) * n) for k in range(u.n_lo - terms, n)]
+        up = [(val[k] - val[n]) * q ** (-a * k) for k in range(n + 1, u.n_hi + terms + 1)]
+        unit = theta * (1 - 1 / q)
+        return unit * mpmath.fsum(down + up), abs(unit) * mpmath.fsum(abs(x) for x in down + up)
+
+
+def _random_ball_function(params, width, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    return KRadialFunction(params, 1 - width, 0, vals, complex(*rng.standard_normal(2)))
+
+
+@pytest.mark.parametrize(
+    "op, oracle, q, alpha, width",
+    [(apply_I_alpha, mp_I_alpha, 7, 0.5, 400), (apply_D_alpha, mp_D_alpha, 2, 0.5, 1600)],
+)
+def test_deep_window_against_direct_sums(op, oracle, q, alpha, width):
+    # the shell measures of the deepest shells and the powers q^(-(alpha+1)n)
+    # leave the double range; the values themselves do not
+    u = _random_ball_function(FieldParams(q, alpha), width, 5)
+    out = op(u)
+    for n in (u.n_lo, u.n_lo + 1, u.n_lo + 10, u.n_lo + 30, u.n_lo + 60, -width // 2, 0):
+        exact, mass = oracle(u, n)
+        assert float(abs(mpmath.mpc(out.value_at(n)) - exact) / mass) < 1e-12
+
+
+# orders clustered around the old pole, plus the whole working range
+ORDERS = st.one_of(
+    st.sampled_from([1.0, 1.0 - 1e-13, 1.0 + 1e-13, 1.0 - 1e-8, 1.0 + 1e-8]),
+    st.floats(0.9, 1.1),
+    st.floats(0.3, 2.5),
+)
+
+
+def _overlap_gap(a, b, log_scale, tol=1e-12):
+    """Largest overlap gap of two outputs in units of ``tol`` times the shell
+    scale ``exp(log_scale(n))``; gaps below the smallest normal double pass."""
+    worst = 0.0
+    for n in range(max(a.n_lo, b.n_lo), min(a.n_hi, b.n_hi) + 1):
+        gap = abs(a.value_at(n) - b.value_at(n))
+        if gap > 2.0**-1022:
+            worst = max(worst, math.exp(math.log(gap / tol) - log_scale(n)))
+    return worst
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(2, 7), alpha=ORDERS, width=st.integers(1, 400), shift=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_window_invariance(q, alpha, width, shift, seed):
+    # widening the input window by constant-tail shells leaves every output alone
+    u = _random_ball_function(FieldParams(q, alpha), width, seed)
+    u1 = KRadialFunction(FieldParams(q, 1.0), u.n_lo, 0, u.values, u.inner_tail)
+    ln_m = math.log(max(np.abs(u.values).max(), abs(u.inner_tail)))
+    lnq = math.log(q)
+    cases = [
+        (apply_I_alpha, u, lambda n: alpha * n * lnq + ln_m),
+        (apply_I01, u1, lambda n: n * lnq + ln_m),
+        (apply_resolvent_D1O, u1, lambda n: ln_m),
+    ]
+    if alpha * width * math.log10(q) < 290:  # beyond, the derivative overflows
+        cases.append((apply_D_alpha, u, lambda n: -alpha * n * lnq + ln_m))
+    for op, v, log_scale in cases:
+        out = op(v)
+        wide = op(v.with_window(v.n_lo - shift, 0))
+        assert _overlap_gap(out, wide, log_scale) <= 1.0, op.__name__

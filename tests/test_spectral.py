@@ -39,10 +39,23 @@ def test_i1_leading_eigenvector_direction():
     want /= np.linalg.norm(want)
     overlap = abs(np.vdot(want, vec))
     assert overlap == pytest.approx(1.0, abs=1e-11)
-    # and it agrees with the attached analytic pair
-    lam, coords = spec.analytic[0]
-    assert lam == 0.5
-    assert abs(np.vdot(coords, vec)) == pytest.approx(1.0, abs=1e-11)
+
+
+def i1_analytic_eigenvector(q, dim, m):
+    """Closed-form eigenvector of I1 for ``q^-m``: ``e_0 - (1 - 1/q)^(-1/2) q^(-m/2) e_m``, normalized."""
+    coords = np.zeros(dim, dtype=complex)
+    coords[0] = 1.0
+    coords[m] = -((1.0 - 1.0 / q) ** -0.5) * float(q) ** (-m / 2.0)
+    return coords / np.linalg.norm(coords)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_i1_eigenvectors_match_closed_form(q):
+    spec = i1_eigenpairs(FieldParams(q), 20)
+    for m in range(1, 20):
+        k = int(np.argmin(np.abs(spec.eigenvalues - float(q) ** -m)))
+        coords = i1_analytic_eigenvector(q, 20, m)
+        assert abs(np.vdot(coords, spec.eigenvectors[:, k])) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_i1_two_by_two_truncation():
