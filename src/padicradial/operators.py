@@ -77,8 +77,10 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
     whose products with shell indices are exact, and a small remainder (a
     single rounded ``a n`` would cost ``n eps log q`` relative).  Where the
     product is not a normal double, the factor alone may have left the
-    range, so it is applied again as two half-powers; ``OverflowError`` is
-    raised only when a value itself cannot be represented.
+    range, so it is applied again as two half-powers.  ``OverflowError`` is
+    raised when a value itself overflows, and when a subnormal bracket would
+    be scaled up to a normal value (its lost bits would show as a wrong
+    result).
     """
     head = float(np.float32(a))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -90,6 +92,10 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
             out[redo] = bracket[redo] * half * half
     if np.any(~np.isfinite(out) & np.isfinite(bracket)):
         raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
+    # a subnormal bracket has lost its low bits; scaled up to a normal value
+    # it would pass them off as an accurate result
+    if np.any((np.abs(bracket) < _TINY) & (np.abs(out) >= _TINY)):
+        raise OverflowError(f"operator value lost to underflow (scale q^({a!r} n), q={q:g})")
     return out
 
 
@@ -109,8 +115,8 @@ def apply_D_alpha(
     growth factored out, the value is ``q^(-alpha n)`` times
     ``theta (1-1/q) (down + up) + diag dev``, where ``down`` and ``up`` are
     the relative shell sums of ``_decay``.  The output is constant below the
-    input window, and that constant becomes the output tail, so the result
-    is exact.
+    lowest shell where the input differs from its tail, and that constant
+    becomes the output tail, so the result is exact.
 
     ``out_window`` defaults to the input window and must not start above it
     (otherwise the constant-tail representation of the output would be
@@ -131,14 +137,18 @@ def apply_D_alpha(
 
     qa = q**a
     t = u.inner_tail
-    # shells n_lo-1 .. top; n_lo-1 lies below the input window and carries the tail
-    m, top = u.n_lo - 1, max(hi, u.n_lo)
-    dev = u.values_on(m, max(top, u.n_hi)) - t  # zero below the window, -t above
+    # the recurrence starts at the lowest shell whose value differs from the
+    # tail: below it the input is constant, so the output is the constant
+    # ``out[0]`` there, however far the input or output window reaches
+    moved = np.flatnonzero(u.values != t)
+    first = u.n_lo + (int(moved[0]) if moved.size else len(u.values) - 1)
+    m, top = first - 1, max(hi, first)
+    dev = u.values_on(m, max(top, u.n_hi)) - t  # zero below ``first``, -t above the window
     down_up = _decay(dev, q) + _decay(dev, qa, -t / (qa - 1.0), upward=True)
     diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
     bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
     out = _scaled(bracket[: top - m + 1], q, -a, np.arange(m, top + 1.0))
-    image = KRadialFunction(p, u.n_lo, top, out[1:], out[0])
+    image = KRadialFunction(p, first, top, out[1:], out[0])
     return KRadialFunction(p, lo, hi, image.values_on(lo, hi), out[0])
 
 

@@ -73,13 +73,27 @@ def test_derivative_matches_direct_summation_oracle():
     assert got.value_at(0) == pytest.approx(4.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
 
 
-def test_derivative_below_the_input_window_is_its_tail():
-    # however far below the input the output window starts
-    f0 = make_basis(P2, "f", 0)
-    tail = apply_D_alpha(f0).inner_tail
-    deep = apply_D_alpha(f0, (-2000, 0))
-    assert deep.inner_tail == tail
+@pytest.mark.parametrize("q, alpha", [(2, 1.0), (2, 0.5), (3, 2.0), (7, 1.0)])
+def test_derivative_below_the_input_window_is_its_tail(q, alpha):
+    # however far below the input the output window starts, and however far
+    # the input window is padded with tail shells (q^(-alpha n) overflows there)
+    v1 = make_basis(FieldParams(q, alpha), "v", 1)
+    tail = apply_D_alpha(v1).inner_tail
+    deep = apply_D_alpha(v1, (-2000, 0))
+    padded = apply_D_alpha(v1.with_window(-2000, 0))
+    assert deep.inner_tail == padded.inner_tail == tail != 0
     assert np.all(deep.values_on(-2000, -1) == tail)
+    assert np.array_equal(padded.values, deep.values)
+
+
+def test_derivative_raises_where_a_shell_sum_underflows():
+    # 1100 tail shells between a tiny deep value and the top shell: the
+    # bracket of the shells in between underflows while q^(-n) times it does not
+    vals = np.zeros(1101, dtype=complex)
+    vals[0], vals[-1] = 2.0**-1000, 1.0
+    u = KRadialFunction(P2, -1100, 0, vals)
+    with pytest.raises(OverflowError, match="underflow"):
+        apply_D_alpha(u)
 
 
 def test_derivative_rejects_window_above_input():
@@ -396,8 +410,12 @@ def _overlap_gap(a, b, log_scale, tol=1e-12):
     return worst
 
 
+# a few shells of padding, or enough to take q^(+-alpha n) out of the double range
+SHIFTS = st.one_of(st.integers(1, 5), st.integers(1100, 2500))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(q=st.integers(2, 7), alpha=ORDERS, width=st.integers(1, 400), shift=st.integers(1, 5),
+@given(q=st.integers(2, 7), alpha=ORDERS, width=st.integers(1, 400), shift=SHIFTS,
        seed=st.integers(0, 2**32 - 1))
 def test_window_invariance(q, alpha, width, shift, seed):
     # widening the input window by constant-tail shells leaves every output alone
