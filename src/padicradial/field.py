@@ -74,10 +74,42 @@ def _sum_exp_upto(J: int, q: float) -> float:
     return q ** float(J) / (1.0 - q**-1.0)
 
 
-def _sum_j_exp_upto(J: int, q: float) -> float:
-    """Closed form of ``sum_{j <= J} j * q^j``."""
-    y = q**-1.0
-    return q ** float(J) * (J / (1.0 - y) - y / (1.0 - y) ** 2)
+def _root_measure(q: float, lo: int) -> tuple[np.ndarray, float]:
+    """Square roots of the measures of the shells ``lo..0`` and of the ball below.
+
+    The shell ``q^j`` has measure ``(1 - 1/q) q^j`` and the ball
+    ``|x| <= q^(lo-1)`` has measure ``q^(lo-1)``.  Every pairing over the
+    unit ball weights each factor by one root, so a deep basis element
+    (whose values grow like ``q^(N/2)``) is scaled back before it is
+    squared, and nothing overflows.
+    """
+    js = np.arange(lo, 1.0)
+    return math.sqrt(1.0 - 1.0 / q) * np.power(q, js / 2.0), q ** ((lo - 1.0) / 2.0)
+
+
+def _decay(w: np.ndarray, base: float, seed: complex = 0j, upward: bool = False) -> np.ndarray:
+    """Geometric shell sums of ``w`` for every shell of its window.
+
+    Downward: ``s[i] = sum_{j<i} w[j] base^(j-i)``, where ``seed`` is the
+    sum over the shells below the window (so ``s[0] = seed``).  Upward, the
+    mirror: ``s[i] = sum_{j>i} w[j] base^(i-j)`` with ``seed`` the sum over
+    the shells above it.  Both run the first-order recurrence
+    ``s <- (s + w) / base``, so only relative powers of ``q`` are ever
+    formed and nothing overflows however deep the window.  Dividing by
+    ``base`` rather than multiplying by its rounded reciprocal keeps the
+    error of each step at one rounding.  ``base = 1`` gives running sums.
+    """
+    ws = w.tolist()
+    if upward:
+        ws.reverse()
+    out = []
+    s = complex(seed)
+    for x in ws:
+        out.append(s)
+        s = (s + x) / base
+    if upward:
+        out.reverse()
+    return np.array(out, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,14 +225,10 @@ def inner_product(u: KRadialFunction, v: KRadialFunction) -> complex:
         raise ValueError("mismatched field parameters")
     _require_o(u, "inner_product")
     _require_o(v, "inner_product")
-    q = float(u.params.q)
     lo = min(u.n_lo, v.n_lo)
-    js = np.arange(lo, 1)
-    mu = (1.0 - 1.0 / q) * np.power(q, js.astype(float))
-    window = np.sum(u.values_on(lo, 0) * np.conj(v.values_on(lo, 0)) * mu)
-    # ball of radius q^(lo-1) has measure q^(lo-1)
-    tail = u.inner_tail * np.conj(v.inner_tail) * q ** (lo - 1.0)
-    return complex(window + tail)
+    r, h = _root_measure(float(u.params.q), lo)
+    window = np.sum(u.values_on(lo, 0) * r * np.conj(v.values_on(lo, 0) * r))
+    return complex(window + u.inner_tail * h * np.conj(v.inner_tail * h))
 
 
 def norm(u: KRadialFunction) -> float:
@@ -210,22 +238,23 @@ def norm(u: KRadialFunction) -> float:
 def o_integral(u: KRadialFunction) -> complex:
     """Integral of ``u`` over the unit ball."""
     _require_o(u, "o_integral")
-    q = float(u.params.q)
-    js = np.arange(u.n_lo, 1)
-    mu = (1.0 - 1.0 / q) * np.power(q, js.astype(float))
-    return complex(np.sum(u.values_on(u.n_lo, 0) * mu) + u.inner_tail * q ** (u.n_lo - 1.0))
+    r, h = _root_measure(float(u.params.q), u.n_lo)
+    return complex(np.sum(u.values_on(u.n_lo, 0) * r * r) + u.inner_tail * h * h)
 
 
 def o_log_integral(u: KRadialFunction) -> complex:
-    """Integral of ``u(|x|) log|x|`` over the unit ball."""
+    """Integral of ``u(|x|) log|x|`` over the unit ball.
+
+    Below the window, ``sum_{j <= J} j (1 - 1/q) q^j = q^J (J - 1/(q-1))``
+    with ``J = n_lo - 1``.
+    """
     _require_o(u, "o_log_integral")
     q = float(u.params.q)
-    lnq = u.params.ln_q
+    r, h = _root_measure(q, u.n_lo)
     js = np.arange(u.n_lo, 1)
-    mu = (1.0 - 1.0 / q) * np.power(q, js.astype(float))
-    window = np.sum(u.values_on(u.n_lo, 0) * js * lnq * mu)
-    tail = u.inner_tail * lnq * (1.0 - 1.0 / q) * _sum_j_exp_upto(u.n_lo - 1, q)
-    return complex(window + tail)
+    window = np.sum(u.values_on(u.n_lo, 0) * r * r * js)
+    tail = u.inner_tail * h * h * (u.n_lo - 1.0 - 1.0 / (q - 1.0))
+    return complex((window + tail) * u.params.ln_q)
 
 
 _BASIS_TAGS = ("v", "e", "f", "monomial", "u0", "h1", "h2")
@@ -313,14 +342,39 @@ def make_basis(
 
 
 def expand(u: KRadialFunction, family: str, count: int) -> np.ndarray:
-    """First ``count`` coefficients of ``u`` against the e- or f-family."""
+    """First ``count`` coefficients of ``u`` against the e- or f-family.
+
+    In root-measure coordinates ``w_j = u_j sqrt(mu_j)`` (shells below the
+    window carry the tail) the coefficient on ``f_n`` is ``w_(-n)``.  The
+    coefficient on ``e_N`` pairs ``u`` with ``v_N``: the ball mass below
+    ``q^-N`` minus the shell ``q^(-N+1)``.  With
+    ``B(n) = sum_{j <= n} w_j q^((j-n)/2)``, one downward recurrence in base
+    ``sqrt(q)`` seeded by the closed-form tail sum, it is
+    ``(1-1/q) B(-N) - w_(-N+1) / sqrt(q)``, and ``sqrt(1-1/q) B(0)`` for
+    ``e_0``.  Only relative powers of ``q`` are formed, so deep indices stay
+    finite, and the cost is one pass over the window and the ``count``
+    shells.
+    """
     if family not in ("e", "f"):
         raise ValueError(f"family must be 'e' or 'f', got {family!r}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     _require_o(u, "expand")
-    return np.array(
-        [inner_product(u, make_basis(u.params, family, k)) for k in range(count)],
-        dtype=complex,
-    )
+    q = float(u.params.q)
+    lo = min(u.n_lo, 1 - count)
+    r, h = _root_measure(q, lo)
+    w = u.values_on(lo, 0) * r
+    down = w[::-1][:count]  # w_(-n) for n = 0 .. count-1
+    if family == "f":
+        return down
+    root_q = math.sqrt(q)
+    # sum_{j < lo} w_j q^((j-lo)/2) with w_j = t sqrt(1-1/q) q^(j/2)
+    seed = u.inner_tail * h / math.sqrt(q - 1.0)
+    ball = (w + _decay(w, root_q, seed))[::-1][:count]  # B(-N)
+    out = np.empty(count, dtype=complex)
+    out[:1] = math.sqrt(1.0 - 1.0 / q) * ball[:1]
+    out[1:] = (1.0 - 1.0 / q) * ball[1:] - down[:-1] / root_q
+    return out
 
 
 def _gram_matrix_float(params: FieldParams, L: int) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 from .field import (
     FieldParams,
     KRadialFunction,
+    _decay,
     _require_o,
     expand,
     make_basis,
@@ -43,31 +44,6 @@ OPERATOR_NAMES = ("D1O", "I1", "I01", "J", "resolvent")
 
 # smallest normal double: a scaled value below it may have lost precision
 _TINY = np.finfo(float).tiny
-
-
-def _decay(w: np.ndarray, base: float, seed: complex = 0j, upward: bool = False) -> np.ndarray:
-    """Geometric shell sums of ``w`` for every shell of its window.
-
-    Downward: ``s[i] = sum_{j<i} w[j] base^(j-i)``, where ``seed`` is the
-    sum over the shells below the window (so ``s[0] = seed``).  Upward, the
-    mirror: ``s[i] = sum_{j>i} w[j] base^(i-j)`` with ``seed`` the sum over
-    the shells above it.  Both run the first-order recurrence
-    ``s <- (s + w) / base``, so only relative powers of ``q`` are ever
-    formed and nothing overflows however deep the window.  Dividing by
-    ``base`` rather than multiplying by its rounded reciprocal keeps the
-    error of each step at one rounding.  ``base = 1`` gives running sums.
-    """
-    ws = w.tolist()
-    if upward:
-        ws.reverse()
-    out = []
-    s = complex(seed)
-    for x in ws:
-        out.append(s)
-        s = (s + x) / base
-    if upward:
-        out.reverse()
-    return np.array(out, dtype=complex)
 
 
 def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicradial.field import (
     BasisKind,
@@ -196,6 +198,39 @@ def test_expand_unit_coordinates():
     want = np.zeros(10)
     want[2] = 1.0
     assert np.abs(coords - want).max() < 1e-12
+
+
+def pairing_expand(u, family, count):
+    """Reference: one pairing with a freshly built basis element per coefficient."""
+    return np.array([inner_product(u, make_basis(u.params, family, k)) for k in range(count)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(2, 7), family=st.sampled_from(["e", "f"]), width=st.integers(1, 120),
+       count=st.integers(1, 80), tail=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_expand_matches_the_pairing_definition(q, family, width, count, tail, seed):
+    # the closed forms against one inner product per coefficient, for windows
+    # shallower and deeper than the expansion and with or without a tail
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    t = complex(*rng.standard_normal(2)) if tail else 0j
+    u = KRadialFunction(FieldParams(q), 1 - width, 0, vals, t)
+    want = pairing_expand(u, family, count)
+    assert np.abs(expand(u, family, count) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_expand_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="count"):
+        expand(make_basis(P2, "e", 1), "e", -1)
+
+
+@pytest.mark.parametrize("q, N", [(2, 1100), (3, 700), (5, 480), (7, 400)])
+def test_deep_basis_element_has_unit_norm(q, N):
+    # the values of e_N grow like q^(N/2): squared before the measure scales
+    # them back, they overflow and the norm came out nan
+    e = make_basis(FieldParams(q), "e", N)
+    assert abs(norm(e) - 1.0) <= 1e-14
+    assert abs(expand(e, "e", N + 2)[N] - 1.0) <= 1e-14
 
 
 def test_parseval_for_f1_across_e_family():

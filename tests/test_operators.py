@@ -8,14 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padicradial.field
+import padicradial.operators
 from padicradial.field import (
     FieldParams,
     KRadialFunction,
     inner_product,
     make_basis,
     max_shell_difference,
+    o_integral,
+    o_log_integral,
 )
 from padicradial.operators import (
+    OPERATOR_NAMES,
     apply_D_alpha,
     apply_D_alpha_O,
     apply_I01,
@@ -275,6 +280,61 @@ def test_i01_matrix_triangular_entries():
                 assert mat[j, n] == pytest.approx(want, abs=1e-14)
             else:
                 assert mat[j, n] == 0.0
+
+
+def pairing_matrix(params, name, basis, dim):
+    """Reference: every entry as one pairing of an image with a basis element."""
+    members = [make_basis(params, basis, k) for k in range(dim)]
+    if name == "J":
+        # J u = kappa (<u, 1> log|x| - <u, log|x|>), log|x| on a window deep
+        # enough that its frozen tail is invisible to the pairings
+        q = float(params.q)
+        kap = (1.0 - q) / (2j * q * params.ln_q)
+        log = -1.0 * make_basis(params, "h2", window=(-600, 0))
+        one = make_basis(params, "v", 0)
+        images = [kap * (o_integral(b) * log - o_log_integral(b) * one) for b in members]
+    else:
+        op = {"D1O": apply_D_alpha_O, "I1": apply_I_alpha, "I01": apply_I01,
+              "resolvent": apply_resolvent_D1O}[name]
+        images = [op(b) for b in members]
+    return np.array([[inner_product(img, b) for img in images] for b in members])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("basis", ["e", "f"])
+@pytest.mark.parametrize("name", OPERATOR_NAMES)
+def test_operator_matrix_matches_pairings(q, basis, name):
+    got = operator_matrix(FieldParams(q), name, basis, 40).entries
+    want = pairing_matrix(FieldParams(q), name, basis, 40)
+    # column by column: the entries of the D1O e-matrix span twelve decades
+    assert np.all(np.abs(got - want).max(axis=0) <= 1e-14 * np.abs(want).max(axis=0))
+
+
+def test_i01_f_matrix_is_exactly_strictly_triangular():
+    mat = operator_matrix(P2, "I01", "f", 60).entries
+    assert np.all(np.tril(mat) == 0.0)
+    assert np.all(np.diag(mat, 1) != 0.0)
+
+
+def test_operator_matrix_makes_no_pairings(monkeypatch):
+    # each column is one operator application and one closed-form expansion
+    calls = {"inner_product": 0, "make_basis": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(padicradial.field, "inner_product",
+                        counted("inner_product", padicradial.field.inner_product))
+    basis = counted("make_basis", padicradial.field.make_basis)
+    monkeypatch.setattr(padicradial.field, "make_basis", basis)
+    monkeypatch.setattr(padicradial.operators, "make_basis", basis)
+    dim = 160
+    operator_matrix(P2, "I1", "e", dim)
+    assert calls["inner_product"] == 0
+    assert calls["make_basis"] <= dim
 
 
 def test_j_matrix_small_display():
