@@ -13,6 +13,7 @@ import sys
 from .field import FieldParams, KRadialFunction
 from .laplace import laplace_invert, laplace_transform
 from .operators import (
+    OPERATOR_NAMES,
     apply_D_alpha,
     apply_D_alpha_O,
     apply_I01,
@@ -22,8 +23,7 @@ from .operators import (
 )
 from .serialize import (
     SchemaError,
-    _fmt,
-    _pair,
+    dump,
     dump_radial,
     dump_transform,
     load_radial,
@@ -66,9 +66,9 @@ def _read(path: str) -> str:
 
 def cmd_apply(args) -> int:
     u = load_radial(_read(args.input))
-    if args.q is not None or args.alpha is not None:
-        params = FieldParams(args.q or u.params.q, args.alpha or u.params.alpha)
-        u = KRadialFunction(params, u.n_lo, u.n_hi, u.values, u.inner_tail)
+    q = u.params.q if args.q is None else args.q
+    alpha = u.params.alpha if args.alpha is None else args.alpha
+    u = KRadialFunction(FieldParams(q, alpha), u.n_lo, u.n_hi, u.values, u.inner_tail)
     image = APPLY_OPS[args.op](u)
     _write(dump_radial(image), args.out)
     return EXIT_OK
@@ -82,18 +82,10 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    eig = i1_eigenpairs(FieldParams(args.q), args.dim)
-    q = float(args.q)
-    lines = [f'{{"q": {args.q}, "dim": {args.dim}, "eigenvalues": [']
-    rows = []
-    for lam in eig.eigenvalues:
-        rows.append("  " + _pair(complex(lam)))
-    lines.append(",\n".join(rows))
-    worst = max(
-        min(abs(z - q ** float(-m)) for z in eig.eigenvalues) for m in range(1, args.dim)
-    )
-    lines.append(f'], "max_gap_to_analytic": {_fmt(worst)}}}')
-    _write("\n".join(lines) + "\n", args.out)
+    ev = i1_eigenpairs(FieldParams(args.q), args.dim).eigenvalues
+    worst = max(min(abs(z - float(args.q) ** -m) for z in ev) for m in range(1, args.dim))
+    doc = {"q": args.q, "dim": args.dim, "eigenvalues": ev, "max_gap_to_analytic": worst}
+    _write(dump(doc), args.out)
     return EXIT_OK
 
 
@@ -101,22 +93,12 @@ def cmd_charfn(args) -> int:
     params = FieldParams(args.q)
     series = characteristic_function(params, args.terms)
     coeffs = series.w_coefficients()
-    names = {(0, 0): "g11", (0, 1): "g12", (1, 0): "g21", (1, 1): "g22"}
-    parts = [f'"q": {args.q}, "terms": {args.terms}']
-    for (a, b), key in names.items():
-        seq = ", ".join(_pair(complex(z)) for z in series.g[a, b])
-        parts.append(f'"{key}": [{seq}]')
-    certs = {
-        names[(a, b)]: order_certificate(params, coeffs[a, b]) for a in range(2) for b in range(2)
-    }
-    cert_parts = ", ".join(
-        f'"{k}": {{"fitted_C": {_fmt(v["fitted_C"])}, '
-        f'"max_order_estimate": {_fmt(v["max_order_estimate"])}}}'
-        for k, v in certs.items()
-    )
-    parts.append(f'"order_certificate": {{{cert_parts}}}')
-    parts.append(f'"underflowed": {str(series.underflowed).lower()}')
-    _write("{" + ", ".join(parts) + "}\n", args.out)
+    entries = {"g11": (0, 0), "g12": (0, 1), "g21": (1, 0), "g22": (1, 1)}
+    doc = {"q": args.q, "terms": args.terms}
+    doc |= {key: series.g[ab] for key, ab in entries.items()}
+    doc["order_certificate"] = {key: order_certificate(params, coeffs[ab]) for key, ab in entries.items()}
+    doc["underflowed"] = series.underflowed
+    _write(dump(doc), args.out)
     return EXIT_OK
 
 
@@ -132,18 +114,8 @@ def cmd_laplace_invert(args) -> int:
     tilde = load_transform(_read(args.input))
     phi1 = complex(args.phi1[0], args.phi1[1])
     down, up = laplace_invert(tilde, phi1, args.m_max)
-    down_txt = ", ".join(_pair(complex(z)) for z in down)
-    up_txt = ", ".join(_pair(complex(z)) for z in up)
-    _write(
-        "{"
-        f'"q": {tilde.params.q}, '
-        f'"phi_at_1": {_pair(phi1)}, '
-        f'"m_max": {args.m_max}, '
-        f'"phi_down": [{down_txt}], '
-        f'"phi_up": [{up_txt}]'
-        "}\n",
-        args.out,
-    )
+    doc = {"q": tilde.params.q, "phi_at_1": phi1, "m_max": args.m_max, "phi_down": down, "phi_up": up}
+    _write(dump(doc), args.out)
     return EXIT_OK
 
 
@@ -190,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_apply)
 
     p = sub.add_parser("matrix", help="operator matrix in the e- or f-family")
-    p.add_argument("op", choices=["D1O", "I1", "I01", "J", "resolvent"])
+    p.add_argument("op", choices=OPERATOR_NAMES)
     p.add_argument("basis", choices=["e", "f"])
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--alpha", type=float, default=1.0)

@@ -1,9 +1,10 @@
 """Document schemas of the command line: radial functions, transforms, matrices.
 
-Radial-function documents are flat JSON objects with a fixed key order and
-floats printed to 17 significant digits, so a parse/serialize round trip of
-a canonical document is byte identical.  Complex numbers travel as
-``[re, im]`` pairs in JSON and as ``re+imi`` in CSV cells.
+Every JSON document goes through one writer, :func:`dump`: a fixed key order
+and floats printed to 17 significant digits, so a parse/serialize round trip
+of a canonical document is byte identical.  Complex numbers travel as
+``[re, im]`` pairs in JSON and as ``re+imi`` in CSV cells.  A non-finite
+number has no JSON form; the writer refuses it, naming the field.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .operators import OperatorMatrix
 
 __all__ = [
     "SchemaError",
+    "dump",
     "dump_radial",
     "load_radial",
     "dump_transform",
@@ -32,14 +34,7 @@ class SchemaError(ValueError):
 
 
 def _fmt(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # canonicalize the sign of zero
-    return format(x, ".17g")
-
-
-def _pair(z: complex) -> str:
-    return f"[{_fmt(z.real)}, {_fmt(z.imag)}]"
+    return format(x + 0.0, ".17g")  # adding 0.0 canonicalizes -0.0 to 0.0
 
 
 def _cell(z: complex) -> str:
@@ -47,18 +42,37 @@ def _cell(z: complex) -> str:
     return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}i"
 
 
+def _numbers(obj) -> str:
+    """A float, a complex number as ``[re, im]``, or a nested list of them."""
+    if isinstance(obj, complex):
+        return f"[{_fmt(obj.real)}, {_fmt(obj.imag)}]"
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(_numbers, obj)) + "]"
+    return _fmt(obj)
+
+
+def _dumps(obj, key: str) -> str:
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f'"{k}": {_dumps(v, k)}' for k, v in obj.items()) + "}"
+    if isinstance(obj, (str, bool, int)):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    text = _numbers(obj)
+    # a finite float prints with digits, '.', 'e' and signs only: 'n' marks inf or nan
+    if "n" in text:
+        raise ValueError(f"field {key!r} holds a non-finite number, which JSON cannot carry")
+    return text
+
+
+def dump(doc: dict) -> str:
+    """The JSON text of one document, keys in insertion order."""
+    return _dumps(doc, "") + "\n"
+
+
 def dump_radial(u: KRadialFunction) -> str:
-    values = ", ".join(_pair(complex(v)) for v in u.values)
-    return (
-        "{"
-        f'"q": {u.params.q}, '
-        f'"alpha": {_fmt(u.params.alpha)}, '
-        f'"n_lo": {u.n_lo}, '
-        f'"n_hi": {u.n_hi}, '
-        f'"values": [{values}], '
-        f'"inner_tail": {_pair(u.inner_tail)}'
-        "}\n"
-    )
+    return dump({"q": u.params.q, "alpha": u.params.alpha, "n_lo": u.n_lo, "n_hi": u.n_hi,
+                 "values": u.values, "inner_tail": u.inner_tail})
 
 
 def _field(doc: dict, name: str, kinds) -> object:
@@ -118,16 +132,8 @@ def load_radial(text: str) -> KRadialFunction:
 
 
 def dump_transform(t: TransformSequence) -> str:
-    values = ", ".join(_pair(complex(v)) for v in t.values)
-    return (
-        "{"
-        f'"q": {t.params.q}, '
-        f'"alpha": {_fmt(t.params.alpha)}, '
-        f'"n_lo": {t.n_lo}, '
-        f'"n_hi": {t.n_hi}, '
-        f'"values": [{values}]'
-        "}\n"
-    )
+    return dump({"q": t.params.q, "alpha": t.params.alpha, "n_lo": t.n_lo, "n_hi": t.n_hi,
+                 "values": t.values})
 
 
 def load_transform(text: str) -> TransformSequence:
@@ -147,16 +153,5 @@ def matrix_csv(mat: OperatorMatrix) -> str:
 
 
 def matrix_json(mat: OperatorMatrix) -> str:
-    rows = []
-    for j in range(mat.dim):
-        rows.append("[" + ", ".join(_pair(complex(z)) for z in mat.entries[j]) + "]")
-    body = ", ".join(rows)
-    return (
-        "{"
-        f'"q": {mat.params.q}, '
-        f'"name": "{mat.name}", '
-        f'"basis": "{mat.basis}", '
-        f'"dim": {mat.dim}, '
-        f'"entries": [{body}]'
-        "}\n"
-    )
+    return dump({"q": mat.params.q, "name": mat.name, "basis": mat.basis, "dim": mat.dim,
+                 "entries": mat.entries})

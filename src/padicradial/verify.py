@@ -87,7 +87,6 @@ class RunConfig:
     depth: int = 60
     dim: int = 40
     terms: int = 25
-    fmt: str = "json"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):

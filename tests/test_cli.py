@@ -57,6 +57,94 @@ def test_matrix_csv_layout():
     assert complex(cell.replace("i", "j")) == pytest.approx(-0.5, abs=1e-14)
 
 
+# Exact bytes of every document kind on tiny inputs.  The input below has a
+# -0.0 imaginary part (printed as 0) and a purely imaginary shell.
+GOLDEN_INPUT = (
+    '{"q": 2, "alpha": 1, "n_lo": -2, "n_hi": 0, '
+    '"values": [[1.5, 0], [-0.25, 0], [0, 0.125]], "inner_tail": [0.75, 0]}\n'
+)
+GOLDEN_TRANSFORM = (
+    '{"q": 2, "alpha": 1, "n_lo": -3, "n_hi": 4, "values": [[0.21875, 0.0625], '
+    "[0.21875, 0.0625], [0.21875, 0.0625], [0.21875, 0.0625], [0.21875, -0.0625], "
+    "[0.34375, 0], [-0.09375, 0], [0, 0]]}\n"
+)
+GOLDEN_DOCS = {
+    "radial": (
+        ["apply", "I01", "{u}"],
+        '{"q": 2, "alpha": 1, "n_lo": -2, "n_hi": 0, '
+        '"values": [[-0.09375, 0], [-0.234375, 0], [-0.34375, 0]], "inner_tail": [0, 0]}\n',
+    ),
+    "transform": (["laplace", "{u}", "--range", "-3", "4"], GOLDEN_TRANSFORM),
+    "laplace-invert": (
+        ["laplace-invert", "{t}", "--phi1", "0", "0.125", "--m-max", "2"],
+        '{"q": 2, "phi_at_1": [0, 0.125], "m_max": 2, '
+        '"phi_down": [[-0.25, 0], [1.5, 0]], "phi_up": [[0, 0], [0, 0]]}\n',
+    ),
+    "matrix-json": (
+        ["matrix", "J", "e", "--dim", "2"],
+        '{"q": 2, "name": "J", "basis": "e", "dim": 2, "entries": '
+        "[[[0, 0], [0, 0.25000000000000011]], [[0, -0.25000000000000011], [0, 0]]]}\n",
+    ),
+    "matrix-csv": (
+        ["matrix", "J", "e", "--dim", "2", "--format", "csv"],
+        "j\\n,0,1\n0,0+0i,0+0.25000000000000011i\n1,0-0.25000000000000011i,0+0i\n",
+    ),
+    "spectrum": (
+        ["spectrum", "--dim", "3"],
+        '{"q": 2, "dim": 3, "eigenvalues": [[0.50000000000000011, 0], '
+        '[0.25000000000000006, 0], [0, 0]], "max_gap_to_analytic": 1.1102230246251565e-16}\n',
+    ),
+}
+
+
+def test_golden_input_document_bytes():
+    u = KRadialFunction(P2, -2, 0, [1.5, complex(-0.25, -0.0), 0.125j], inner_tail=0.75)
+    assert dump_radial(u) == GOLDEN_INPUT
+    t = load_transform(GOLDEN_TRANSFORM)
+    assert dump_transform(t) == GOLDEN_TRANSFORM
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DOCS))
+def test_cli_document_golden_bytes(tmp_path, kind):
+    argv, expected = GOLDEN_DOCS[kind]
+    files = {"u": tmp_path / "u.json", "t": tmp_path / "t.json"}
+    files["u"].write_text(GOLDEN_INPUT)
+    files["t"].write_text(GOLDEN_TRANSFORM)
+    dst = tmp_path / "out"
+    argv = [a.format(**{k: str(v) for k, v in files.items()}) for a in argv]
+    assert main(argv + ["--out", str(dst)]) == 0
+    assert dst.read_bytes() == expected.encode()
+
+
+def test_cli_charfn_golden_layout(tmp_path):
+    # the coefficients are transcendental, so the expected bytes are rebuilt
+    # from the parsed numbers; key order, separators and the 17-digit
+    # rendering are pinned
+    dst = tmp_path / "w.json"
+    assert main(["charfn", "--terms", "11", "--out", str(dst)]) == 0
+    text = dst.read_text()
+    doc = json.loads(text)
+
+    def num(x):
+        return format(float(x) + 0.0, ".17g")
+
+    def seq(pairs):
+        return "[" + ", ".join(f"[{num(re)}, {num(im)}]" for re, im in pairs) + "]"
+
+    keys = ("g11", "g12", "g21", "g22")
+    certs = ", ".join(
+        f'"{k}": {{"fitted_C": {num(c["fitted_C"])}, "max_order_estimate": {num(c["max_order_estimate"])}}}'
+        for k, c in doc["order_certificate"].items()
+    )
+    expected = (
+        '{"q": 2, "terms": 11, '
+        + ", ".join(f'"{k}": {seq(doc[k])}' for k in keys)
+        + f', "order_certificate": {{{certs}}}, "underflowed": false}}\n'
+    )
+    assert list(doc["order_certificate"]) == list(keys)
+    assert text == expected
+
+
 def test_cli_apply_derivative_doubles_first_step_function(tmp_path):
     v1 = make_basis(P2, "v", 1)
     src = tmp_path / "v1.json"
@@ -158,6 +246,36 @@ def test_cli_laplace_and_invert_round_trip(tmp_path):
     for m in range(1, 9):
         assert complex(*doc["phi_down"][m - 1]) == pytest.approx(phi.value_at(-m), abs=1e-12)
         assert complex(*doc["phi_up"][m - 1]) == pytest.approx(phi.value_at(m), abs=1e-12)
+
+
+def test_cli_laplace_invert_non_finite_exits_3_and_writes_nothing(tmp_path, capsys):
+    # the cumulative sums overflow to inf and then inf - inf = nan; JSON has
+    # no token for either, so the document is refused rather than written
+    src = tmp_path / "big.json"
+    big = [[1e308, 0], [-1e308, 0], [1e308, 0], [-1e308, 0], [1e308, 0]]
+    src.write_text(json.dumps({"q": 2, "alpha": 1, "n_lo": -1, "n_hi": 3, "values": big}))
+    dst = tmp_path / "inv.json"
+    argv = ["laplace-invert", str(src), "--phi1", "0", "0", "--m-max", "2", "--out", str(dst)]
+    assert main(argv) == 3
+    assert "'phi_down'" in capsys.readouterr().err
+    assert not dst.exists()
+
+
+def test_dump_refuses_non_finite_numbers():
+    with pytest.raises(ValueError, match="'values'"):
+        dump_transform(TransformSequence(P2, 0, 1, [1.0, math.nan]))
+    with pytest.raises(ValueError, match="'inner_tail'"):
+        dump_radial(KRadialFunction(P2, 0, 0, [1.0], inner_tail=complex(0, -math.inf)))
+
+
+@pytest.mark.parametrize(
+    "override, limit", [("--q", "q must be an integer >= 2"), ("--alpha", "alpha must be positive")]
+)
+def test_cli_apply_zero_override_exits_3(tmp_path, capsys, override, limit):
+    src = tmp_path / "u.json"
+    src.write_text(GOLDEN_INPUT)
+    assert main(["apply", "Ialpha", str(src), override, "0"]) == 3
+    assert limit in capsys.readouterr().err
 
 
 def test_cli_verify_corrupted_tolerance_exits_1(capsys):
