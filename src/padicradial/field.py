@@ -69,11 +69,6 @@ class FieldParams:
         return (1.0 - q) / (q * self.ln_q)
 
 
-def _sum_exp_upto(J: int, q: float) -> float:
-    """Closed form of ``sum_{j <= J} q^j``."""
-    return q ** float(J) / (1.0 - q**-1.0)
-
-
 def _root_measure(q: float, lo: int) -> tuple[np.ndarray, float]:
     """Square roots of the measures of the shells ``lo..0`` and of the ball below.
 

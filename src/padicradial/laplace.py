@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FieldParams, KRadialFunction, _sum_exp_upto
-from .operators import apply_D_alpha
+from .field import FieldParams, KRadialFunction, _decay
+from .operators import _scaled, apply_D_alpha
 
 __all__ = [
     "TransformSequence",
@@ -58,25 +58,36 @@ class TransformSequence:
 def laplace_transform(phi: KRadialFunction, n_range: tuple[int, int]) -> TransformSequence:
     """Transform of ``phi`` on an inclusive exponent range.
 
-    Only values of ``phi`` on shells ``j <= -n + 1`` enter the value at
-    ``q^n``; the constant inner tail closes the downward series, and values
-    above the window are zero by representation, so every computed value is
-    exact for the represented function.
+    With ``k = -n`` the value at ``q^n`` is
+    ``q^k [(1 - 1/q) B(k) - phi(q^(k+1))]``, where
+    ``B(k) = sum_{j <= k} phi(q^j) q^(j-k)`` is one downward ``_decay``
+    recurrence in base ``q``, seeded by the closed-form sum ``t / (q - 1)``
+    of the constant inner tail, and ``_scaled`` applies ``q^k``.  Values
+    above the window are zero by representation, so every ``n <= -n_hi``
+    shares the value at ``k = n_hi``: ``k`` is clipped there, which keeps
+    the transform exactly constant above the support.  Only relative powers
+    of ``q`` enter the sums, and every computed value is exact for the
+    represented function.
+
+    Raises ``OverflowError`` when ``q^(-n)`` at the start ``n`` of the range
+    is beyond the double range.
     """
     lo, hi = n_range
     if lo > hi:
         raise ValueError(f"empty transform range {n_range}")
     q = float(phi.params.q)
-    out = np.empty(hi - lo + 1, dtype=complex)
-    for i, n in enumerate(range(lo, hi + 1)):
-        s = 0j
-        k_hi = min(-n, phi.n_hi)
-        if k_hi >= phi.n_lo:
-            ks = np.arange(phi.n_lo, k_hi + 1)
-            s += np.sum(phi.values[ks - phi.n_lo] * np.power(q, ks.astype(float)))
-        J = min(-n, phi.n_lo - 1)
-        s += phi.inner_tail * _sum_exp_upto(J, q)
-        out[i] = (1.0 - 1.0 / q) * s - phi.value_at(-n + 1) * q ** float(-n)
+    try:
+        q ** float(-lo)
+    except OverflowError:
+        raise OverflowError(
+            f"transform range starts at n={lo}: q^(-n) = {q:g}^{-lo} is beyond the double range"
+        ) from None
+    start, top = min(-hi, phi.n_lo), min(-lo, phi.n_hi)
+    w = phi.values_on(start, top + 1)
+    ball = w + _decay(w, q, phi.inner_tail / (q - 1.0))  # B(k) from ``start`` up
+    ks = np.minimum(np.arange(-lo, -hi - 1, -1), phi.n_hi)
+    i = ks - start
+    out = _scaled((1.0 - 1.0 / q) * ball[i] - w[i + 1], q, 1.0, ks.astype(float))
     return TransformSequence(phi.params, lo, hi, out)
 
 
@@ -103,7 +114,8 @@ def laplace_invert(
     anchor at the supplied ``phi_at_1`` (the transform alone determines
     ``phi`` only up to an additive constant).  The outward recursion needs
     transform values on ``[1 - m_max, 1]`` and the inward one on
-    ``[1, m_max + 1]``.
+    ``[1, m_max + 1]``.  A sum that leaves the double range raises
+    ``ValueError`` naming ``'phi_down'`` or ``'phi_up'``.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -115,18 +127,24 @@ def laplace_invert(
             f"needed for m_max={m_max}"
         )
     q = float(tilde.params.q)
-    up = np.empty(m_max, dtype=complex)
-    acc = complex(phi_at_1)
-    for m in range(1, m_max + 1):
-        j = m - 1
-        acc += q ** float(-j) * (tilde.value_at(-j + 1) - tilde.value_at(-j))
-        up[m - 1] = acc
-    down = np.empty(m_max, dtype=complex)
-    acc = complex(phi_at_1)
-    for m in range(1, m_max + 1):
-        acc += q ** float(m) * (tilde.value_at(m) - tilde.value_at(m + 1))
-        down[m - 1] = acc
-    return down, up
+    T, i0 = tilde.values, -tilde.n_lo  # T[i0 + n] is the value at q^n
+    ms = np.arange(1, m_max + 1)
+    # Python's pow for the weights: np.power is an ulp off it on some exponents
+    down_w = np.array([q ** float(m) for m in ms])
+    up_w = np.array([q ** float(1 - m) for m in ms])
+    anchor = [complex(phi_at_1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = {
+            "phi_down": np.cumsum(np.concatenate((anchor, down_w * (T[i0 + ms] - T[i0 + ms + 1])))),
+            "phi_up": np.cumsum(np.concatenate((anchor, up_w * (T[i0 + 2 - ms] - T[i0 + 1 - ms])))),
+        }
+    for name, acc in sums.items():
+        if not np.isfinite(acc).all():
+            raise ValueError(
+                f"{name!r} is beyond the double range: a cumulative sum of q^m-weighted "
+                f"transform differences is not finite (q={q:g}, m_max={m_max})"
+            )
+    return sums["phi_down"][1:], sums["phi_up"][1:]
 
 
 def symbol_identity_residual(

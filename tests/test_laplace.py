@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicradial.field import FieldParams, KRadialFunction, make_basis
 from padicradial.laplace import (
+    TransformSequence,
     difference_identity_residual,
     laplace_invert,
     laplace_transform,
@@ -21,6 +24,107 @@ def oracle_transform(phi, n, terms=300):
     q = float(phi.params.q)
     s = sum(phi.value_at(j) * q ** float(j) for j in range(-n - terms, -n + 1))
     return (1 - 1 / q) * s - phi.value_at(-n + 1) * q ** float(-n)
+
+
+def direct_transform(phi, n_range):
+    """Reference: the defining shell sum at each n, the tail in closed form."""
+    lo, hi = n_range
+    q = float(phi.params.q)
+    out = np.empty(hi - lo + 1, dtype=complex)
+    for i, n in enumerate(range(lo, hi + 1)):
+        s = 0j
+        k_hi = min(-n, phi.n_hi)
+        if k_hi >= phi.n_lo:
+            ks = np.arange(phi.n_lo, k_hi + 1)
+            s += np.sum(phi.values[ks - phi.n_lo] * np.power(q, ks.astype(float)))
+        J = min(-n, phi.n_lo - 1)
+        s += phi.inner_tail * q ** float(J) / (1.0 - 1.0 / q)
+        out[i] = (1.0 - 1.0 / q) * s - phi.value_at(-n + 1) * q ** float(-n)
+    return out
+
+
+def term_mass(phi, n):
+    """``(1-1/q) sum_{j <= -n} |phi_j| q^j + |phi(q^(1-n))| q^(-n)``."""
+    q = float(phi.params.q)
+    ks = range(phi.n_lo, min(-n, phi.n_hi) + 1)
+    s = sum(abs(phi.value_at(k)) * q ** float(k) for k in ks)
+    s += abs(phi.inner_tail) * q ** float(min(-n, phi.n_lo - 1)) / (1.0 - 1.0 / q)
+    return (1.0 - 1.0 / q) * s + abs(phi.value_at(1 - n)) * q ** float(-n)
+
+
+def loop_invert(tilde, phi_at_1, m_max):
+    """Reference: the two recursions accumulated one index at a time."""
+    q = float(tilde.params.q)
+    up, down = np.empty(m_max, dtype=complex), np.empty(m_max, dtype=complex)
+    acc = complex(phi_at_1)
+    for m in range(1, m_max + 1):
+        acc += q ** float(1 - m) * (tilde.value_at(2 - m) - tilde.value_at(1 - m))
+        up[m - 1] = acc
+    acc = complex(phi_at_1)
+    for m in range(1, m_max + 1):
+        acc += q ** float(m) * (tilde.value_at(m) - tilde.value_at(m + 1))
+        down[m - 1] = acc
+    return down, up
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(2, 7), n_lo=st.integers(-40, 10), width=st.integers(1, 60),
+       tail=st.booleans(), lo=st.integers(-80, 60), length=st.integers(1, 80),
+       seed=st.integers(0, 2**32 - 1))
+def test_transform_matches_the_shell_sum(q, n_lo, width, tail, lo, length, seed):
+    # windows inside the ball and reaching out of it, ranges from above the
+    # support (where the value is constant) to below the window
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    t = complex(*rng.standard_normal(2)) if tail else 0j
+    phi = KRadialFunction(FieldParams(q), n_lo, n_lo + width - 1, vals, t)
+    hi = lo + length - 1
+    got = laplace_transform(phi, (lo, hi)).values
+    want = direct_transform(phi, (lo, hi))
+    for i, n in enumerate(range(lo, hi + 1)):
+        assert abs(got[i] - want[i]) <= 1e-14 * term_mass(phi, n), n
+    above = got[: max(0, -phi.n_hi - lo + 1)]
+    assert np.all(above == got[0])
+
+
+def test_transform_domain_ends_where_q_to_minus_n_overflows():
+    # 7^364 is a double and 7^365 is not, so at q = 7 the range may start at
+    # n = -364 and no lower
+    W = 400
+    m = W - 1
+    rng = np.random.default_rng(17)
+    phi = KRadialFunction(FieldParams(7), 1 - W, 0, rng.standard_normal(W), 0.5)
+    with pytest.raises(OverflowError, match="n=-398"):
+        laplace_transform(phi, (1 - m, m + 1))
+    with pytest.raises(OverflowError, match=r"n=-365: q\^\(-n\) = 7\^365 is beyond the double range"):
+        laplace_transform(phi, (-365, m + 1))
+    tilde = laplace_transform(phi, (-364, m + 1))
+    assert np.isfinite(tilde.values).all()
+    want = direct_transform(phi, (-364, -360))
+    for n in range(-364, -359):
+        assert abs(tilde.value_at(n) - want[n + 364]) <= 1e-14 * term_mass(phi, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_inversion_matches_the_loop_bit_for_bit(q):
+    rng = np.random.default_rng(q)
+    for m_max in (1, 2, 37, 250):
+        lo, hi = 1 - m_max - 2, m_max + 3
+        vals = rng.standard_normal(hi - lo + 1) + 1j * rng.standard_normal(hi - lo + 1)
+        vals[rng.random(vals.size) < 0.2] = complex(-0.0, -0.0)  # signed zeros too
+        tilde = TransformSequence(FieldParams(q), lo, hi, vals)
+        phi1 = complex(*rng.standard_normal(2))
+        for got, want in zip(laplace_invert(tilde, phi1, m_max), loop_invert(tilde, phi1, m_max)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_inversion_beyond_the_double_range_names_the_sum():
+    # the differences of +-1e308 overflow; the loop returned inf and nan
+    big = [1e308, -1e308, 1e308, -1e308, 1e308]
+    with pytest.raises(ValueError, match="'phi_down' is beyond the double range"):
+        laplace_invert(TransformSequence(P2, -1, 3, big), 0j, 2)
+    with pytest.raises(ValueError, match="'phi_up'"):
+        laplace_invert(TransformSequence(P2, -1, 3, [1e308, -1e308, 1.0, 1.0, 1.0]), 0j, 2)
 
 
 def test_constant_transforms_to_zero():
