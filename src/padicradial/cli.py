@@ -75,7 +75,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    mat = operator_matrix(FieldParams(args.q, args.alpha), args.op, args.basis, args.dim)
+    mat = operator_matrix(FieldParams(args.q), args.op, args.basis, args.dim)
     text = matrix_csv(mat) if args.format == "csv" else matrix_json(mat)
     _write(text, args.out)
     return EXIT_OK
@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=OPERATOR_NAMES)
     p.add_argument("basis", choices=["e", "f"])
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--dim", type=int, default=40)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)

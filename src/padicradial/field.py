@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-import mpmath
+
 import numpy as np
 
 __all__ = [
@@ -92,7 +92,7 @@ def _decay(w: np.ndarray, base: float, seed: complex = 0j, upward: bool = False)
     ``s <- (s + w) / base``, so only relative powers of ``q`` are ever
     formed and nothing overflows however deep the window.  Dividing by
     ``base`` rather than multiplying by its rounded reciprocal keeps the
-    error of each step at one rounding.  ``base = 1`` gives running sums.
+    error of each step at one rounding.
     """
     ws = w.tolist()
     if upward:
@@ -395,6 +395,8 @@ def poly_projection_residual(
     ``mpmath``, at a precision scaled to ``L`` (the inputs, being binary
     floats, convert exactly).  Beyond ``cond_limit`` the solve is refused.
     """
+    import mpmath  # imported here: it is a sizeable share of the CLI's start-up
+
     _require_o(target, "poly_projection_residual")
     if L < 1:
         raise ValueError("L must be >= 1")

@@ -114,8 +114,8 @@ def laplace_invert(
     anchor at the supplied ``phi_at_1`` (the transform alone determines
     ``phi`` only up to an additive constant).  The outward recursion needs
     transform values on ``[1 - m_max, 1]`` and the inward one on
-    ``[1, m_max + 1]``.  A sum that leaves the double range raises
-    ``ValueError`` naming ``'phi_down'`` or ``'phi_up'``.
+    ``[1, m_max + 1]``.  A weight ``q^m_max`` or a sum that leaves the
+    double range raises ``ValueError`` naming ``'phi_down'`` or ``'phi_up'``.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -130,7 +130,13 @@ def laplace_invert(
     T, i0 = tilde.values, -tilde.n_lo  # T[i0 + n] is the value at q^n
     ms = np.arange(1, m_max + 1)
     # Python's pow for the weights: np.power is an ulp off it on some exponents
-    down_w = np.array([q ** float(m) for m in ms])
+    try:
+        down_w = np.array([q ** float(m) for m in ms])
+    except OverflowError:
+        raise ValueError(
+            f"weight q^m_max = {q:g}^{m_max} of 'phi_down' is beyond the double range "
+            f"(q={q:g}, m_max={m_max})"
+        ) from None
     up_w = np.array([q ** float(1 - m) for m in ms])
     anchor = [complex(phi_at_1)]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -182,7 +182,7 @@ def apply_I_alpha(u: KRadialFunction, out_hi: int = 0) -> KRadialFunction:
     return KRadialFunction(p, u.n_lo, out_hi, out)
 
 
-def apply_I01(u: KRadialFunction, out_lo: int | None = None) -> KRadialFunction:
+def apply_I01(u: KRadialFunction) -> KRadialFunction:
     """Volterra part of the order-one integral: logarithmic kernel only.
 
     The kernel weight on the shell pair ``(n, j)``, ``j < n``, is
@@ -190,55 +190,37 @@ def apply_I01(u: KRadialFunction, out_lo: int | None = None) -> KRadialFunction:
     ``-(1-1/q)^2 q^n G(n)`` with ``G`` from ``_volterra_sums`` at
     ``alpha = 1``: the order-one integral without its diagonal term.  Acting
     on the constant 1 the output is ``-|x|/q``, so for input with tail ``t``
-    the true values below ``out_lo`` decay like ``-t q^(n-1)``; the stored
-    tail is their limit 0, exact whenever ``t = 0``.
+    the true values below the window decay like ``-t q^(n-1)``; the stored
+    tail is their limit 0, exact whenever ``t = 0``.  Widen the input window
+    (``u.with_window``) to see more of them.
     """
     _require_o(u, "apply_I01")
     p = u.params
     q = float(p.q)
-    lo = u.n_lo if out_lo is None else out_lo
-    if lo > 0:
-        raise ValueError("out_lo must be <= 0")
-    start = min(lo, u.n_lo)
-    g = _volterra_sums(u.values_on(start, 0), u.inner_tail, q, q)
-    out = _scaled(-((1.0 - 1.0 / q) ** 2) * g, q, 1.0, np.arange(start, 1.0))
-    return KRadialFunction(p, lo, 0, out[lo - start :])
+    g = _volterra_sums(u.values_on(u.n_lo, 0), u.inner_tail, q, q)
+    out = _scaled(-((1.0 - 1.0 / q) ** 2) * g, q, 1.0, np.arange(u.n_lo, 1.0))
+    return KRadialFunction(p, u.n_lo, 0, out)
 
 
 def apply_resolvent_D1O(u: KRadialFunction) -> KRadialFunction:
-    """Inverse of the order-one derivative on the unit ball.
+    """Inverse of ``D^alpha_O`` on the unit ball, for every order.
 
-    Radial convolution with the logarithmic kernel
-    ``k(q^m) = c m log q - 1/q = -(1-1/q) m - 1/q`` plus the projection term
-    with the inverse first eigenvalue ``(q+1)/q``.  Off the equal-radius
-    shell the ultrametric gives ``|x - xi| = max(|x|, |xi|)``: the kernel at
-    ``|xi|`` weights the mass above ``|x|``, the kernel at ``|x|`` the mass
-    below, both running sums of ``_decay`` with base 1.  On the shell the
-    difference sweeps the sub-shells with measure ``(1-1/q) q^m`` below,
-    whose kernel integral over the ball ``|x| <= q^J`` is
-    ``-(1-1/q) J q^J``, and ``(1-2/q) q^n`` on the shell itself (zero when
-    q = 2, a valid degenerate case).  Below the input window the output is
-    constant; it is evaluated at ``n_lo - 1`` and stored as the tail, which
-    realizes the value at the origin.
+    ``I^alpha`` inverts the derivative over the whole field; the zero
+    extension drops the part of ``I^alpha u`` outside the ball, which adds a
+    constant on it: ``D^alpha_O (I^alpha u) = u - lambda_1 c(u)``, where
+    ``D^alpha_O 1_O = lambda_1 1_O``, ``lambda_1 = (1-1/q)/(1-q^(-alpha-1))``.
+    Hence ``R u = I^alpha u + c(u)`` on the ball, with
+    ``c(u) = (1-q^-alpha) int_O u / (q-1) - (I^alpha u)(|x| = q)``, which
+    has no pole at ``alpha = 1``.  ``I^alpha`` annihilates constants below
+    the window, so ``c`` is also the exact output tail, the value at the
+    origin.
     """
     _require_o(u, "apply_resolvent_D1O")
     p = u.params
-    if p.alpha != 1.0:
-        raise ValueError("the resolvent is defined for alpha = 1 only")
     q = float(p.q)
-    unit = 1.0 - 1.0 / q
-    lo = u.n_lo - 1
-    ns = np.arange(lo, 1.0)
-    qn = np.power(q, ns)
-    vals = u.values_on(lo, 0)
-    kern = -(unit * ns + 1.0 / q)
-    mass = vals * unit * qn
-    below = _decay(mass, 1.0, u.inner_tail * q ** (lo - 1.0))
-    above = _decay(kern * mass, 1.0, upward=True)
-    total = below[-1] + mass[-1]
-    onshell = -unit * (ns - 1.0) * qn / q + kern * (1.0 - 2.0 / q) * qn
-    out = above + kern * below + onshell * vals + (q + 1.0) / q * total
-    return KRadialFunction(p, u.n_lo, 0, out[1:], out[0])
+    image = apply_I_alpha(u, out_hi=1)
+    c = (1.0 - q**-p.alpha) * o_integral(u) / (q - 1.0) - image.values[-1]
+    return KRadialFunction(p, u.n_lo, 0, image.values[:-1] + c, c)
 
 
 @dataclass(frozen=True, eq=False)

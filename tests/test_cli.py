@@ -261,6 +261,21 @@ def test_cli_laplace_invert_non_finite_exits_3_and_writes_nothing(tmp_path, caps
     assert not dst.exists()
 
 
+def test_cli_laplace_invert_weight_overflow_exits_3(tmp_path, capsys):
+    # q = 2, m = 1024: the transform fits the double range, the weight 2^1024 does not
+    m = 1024
+    src = tmp_path / "phi.json"
+    src.write_text(dump_radial(KRadialFunction(P2, -m, 0, np.linspace(-1.0, 1.0, m + 1), 0.5)))
+    tr = tmp_path / "tilde.json"
+    assert main(["laplace", str(src), "--range", str(1 - m), str(m + 1), "--out", str(tr)]) == 0
+    dst = tmp_path / "inv.json"
+    argv = ["laplace-invert", str(tr), "--phi1", "1", "0", "--m-max", str(m), "--out", str(dst)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "q=2, m_max=1024" in err
+    assert not dst.exists()
+
+
 def test_dump_refuses_non_finite_numbers():
     with pytest.raises(ValueError, match="'values'"):
         dump_transform(TransformSequence(P2, 0, 1, [1.0, math.nan]))

@@ -127,6 +127,21 @@ def test_inversion_beyond_the_double_range_names_the_sum():
         laplace_invert(TransformSequence(P2, -1, 3, [1e308, -1e308, 1.0, 1.0, 1.0]), 0j, 2)
 
 
+def test_inversion_weight_beyond_the_double_range_names_q_and_m_max():
+    # on (1-m, m+1) at q = 2 the transform needs 2^(m-1) and the inversion
+    # 2^m: m = 1024 transforms but cannot be inverted, m = 1023 still can
+    W = 1025
+    m = W - 1
+    rng = np.random.default_rng(19)
+    phi = KRadialFunction(P2, 1 - W, 0, rng.standard_normal(W), 0.5)
+    tilde = laplace_transform(phi, (1 - m, m + 1))
+    with pytest.raises(ValueError, match=r"'phi_down' is beyond the double range \(q=2, m_max=1024\)"):
+        laplace_invert(tilde, phi.value_at(0), m)
+    phi1 = phi.value_at(0)
+    for got, want in zip(laplace_invert(tilde, phi1, m - 1), loop_invert(tilde, phi1, m - 1)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_constant_transforms_to_zero():
     one = KRadialFunction(P2, 0, 20, np.ones(21), 1.0)
     tilde = laplace_transform(one, (-15, 15))

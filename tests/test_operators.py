@@ -180,14 +180,14 @@ def oracle_I01(u, n, depth=400):
 
 def test_volterra_part_of_the_constant():
     one = KRadialFunction(P2, 0, 0, [1.0], 1.0)
-    image = apply_I01(one, out_lo=-8)
+    image = apply_I01(one.with_window(-8, 0))
     for n in range(-8, 1):
         assert image.value_at(n) == pytest.approx(-0.5 * 2.0**n, abs=1e-15)
         assert image.value_at(n) == pytest.approx(oracle_I01(one, n), abs=1e-13)
 
 
 def test_volterra_annihilates_top_shell():
-    image = apply_I01(make_basis(P2, "u0"), out_lo=-10)
+    image = apply_I01(make_basis(P2, "u0").with_window(-10, 0))
     assert np.abs(image.values).max() == 0.0
 
 
@@ -216,6 +216,50 @@ def test_volterra_scaling_law_on_monomials():
                 )
 
 
+def oracle_resolvent_order_one(u):
+    """The order-one resolvent as a radial convolution, on the shells ``n_lo - 1 .. 0``.
+
+    The logarithmic kernel ``k(q^m) = c m log q - 1/q = -(1-1/q) m - 1/q``
+    plus the projection term with the inverse first eigenvalue ``(q+1)/q``.
+    Off the equal-radius shell ``|x - xi| = max(|x|, |xi|)``: the kernel at
+    ``|xi|`` weights the mass above ``|x|``, the kernel at ``|x|`` the mass
+    below, both running sums.  On the shell the difference sweeps the
+    sub-shells with measure ``(1-1/q) q^m`` below, whose kernel integral
+    over the ball ``|x| <= q^J`` is ``-(1-1/q) J q^J``, and ``(1-2/q) q^n``
+    on the shell itself.  The value at ``n_lo - 1`` is the output tail.
+    """
+    p = u.params
+    q = float(p.q)
+    unit = 1.0 - 1.0 / q
+    lo = u.n_lo - 1
+    ns = np.arange(lo, 1.0)
+    qn = np.power(q, ns)
+    vals = u.values_on(lo, 0)
+    kern = -(unit * ns + 1.0 / q)
+    mass = vals * unit * qn
+    below = np.cumsum(np.concatenate(([u.inner_tail * q ** (lo - 1.0)], mass)))[:-1]
+    above = np.cumsum(np.concatenate(([0j], (kern * mass)[::-1])))[-2::-1]
+    total = below[-1] + mass[-1]
+    onshell = -unit * (ns - 1.0) * qn / q + kern * (1.0 - 2.0 / q) * qn
+    out = above + kern * below + onshell * vals + (q + 1.0) / q * total
+    return KRadialFunction(p, u.n_lo, 0, out[1:], out[0])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_resolvent_matches_the_order_one_convolution(q):
+    p = FieldParams(q, 1.0)
+    rng = np.random.default_rng(q)
+    inputs = [make_basis(p, family, k) for family in ("e", "f") for k in range(11)]
+    for width in (1, 2, 13, 60):
+        vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        inputs.append(KRadialFunction(p, 1 - width, 0, vals, complex(*rng.standard_normal(2))))
+    for u in inputs:
+        want = oracle_resolvent_order_one(u)
+        # e_k maps to q^-k e_k: the output can be far smaller than the input
+        scale = max(np.abs(u.values_on(u.n_lo - 1, 0)).max(), np.abs(want.values).max())
+        assert max_shell_difference(apply_resolvent_D1O(u), want) <= 1e-15 * scale
+
+
 def test_resolvent_eigen_action():
     e2 = make_basis(P2, "e", 2)
     assert max_shell_difference(apply_resolvent_D1O(e2), 0.25 * e2, -8, 0) < 1e-11
@@ -223,25 +267,47 @@ def test_resolvent_eigen_action():
     assert max_shell_difference(apply_resolvent_D1O(v0), 1.5 * v0, -8, 0) < 1e-13
 
 
-def test_resolvent_requires_order_one():
-    with pytest.raises(ValueError):
-        apply_resolvent_D1O(make_basis(FieldParams(2, 0.5), "f", 1))
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_resolvent_eigen_action_any_order(q, alpha):
+    # R v_0 = v_0 / lambda_1 and R e_N = q^(-alpha N) e_N
+    p = FieldParams(q, alpha)
+    lam1 = (1.0 - 1.0 / q) / (1.0 - q ** (-alpha - 1.0))
+    v0 = make_basis(p, "v", 0)
+    assert max_shell_difference(apply_resolvent_D1O(v0), v0 * (1.0 / lam1), -8, 0) < 1e-13
+    for N in range(1, 6):
+        eN = make_basis(p, "e", N)
+        assert max_shell_difference(apply_resolvent_D1O(eN), eN * float(q) ** (-alpha * N)) < 1e-11
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 11])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_derivative_of_the_integral_is_identity_minus_a_constant(q, alpha):
+    # D^alpha_O (I^alpha u) = u - lambda_1 c(u), with c(u) = (R u)(0)
+    p = FieldParams(q, alpha)
+    lam1 = (1.0 - 1.0 / q) / (1.0 - q ** (-alpha - 1.0))
+    for family in ("e", "f"):
+        for k in range(11):
+            u = make_basis(p, family, k)
+            c = lam1 * apply_resolvent_D1O(u).inner_tail
+            back = apply_D_alpha_O(apply_I_alpha(u))
+            assert max_shell_difference(back, u - KRadialFunction(p, 0, 0, [c], c)) < 1e-10
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_local_representation_identity(q):
-    # the integral equals the resolvent minus its value at the origin
+    # the integral equals the convolution resolvent minus its value at the origin
     p = FieldParams(q, 1.0)
     for family in ("e", "f"):
         for k in range(11):
             u = make_basis(p, family, k)
-            res = apply_resolvent_D1O(u)
+            res = oracle_resolvent_order_one(u)
             origin = KRadialFunction(p, 0, 0, [res.inner_tail], res.inner_tail)
             assert max_shell_difference(apply_I_alpha(u), res - origin, -14, 0) < 1e-10
 
 
 def test_resolvent_kernel_weights_cross_check():
-    # the sub-shell weights are validated by resolvent . derivative = identity
+    # resolvent . derivative = identity on the leading block of the e-matrices
     dim = 40
     prod = (
         operator_matrix(P2, "resolvent", "e", dim).entries
@@ -486,7 +552,7 @@ def test_window_invariance(q, alpha, width, shift, seed):
     cases = [
         (apply_I_alpha, u, lambda n: alpha * n * lnq + ln_m),
         (apply_I01, u1, lambda n: n * lnq + ln_m),
-        (apply_resolvent_D1O, u1, lambda n: ln_m),
+        (apply_resolvent_D1O, u, lambda n: ln_m),
     ]
     if alpha * width * math.log10(q) < 290:  # beyond, the derivative overflows
         cases.append((apply_D_alpha, u, lambda n: -alpha * n * lnq + ln_m))
