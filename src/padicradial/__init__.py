@@ -6,7 +6,6 @@ matrix-function, and an ultrametric Laplace transform with exact inversion.
 """
 
 from .field import (
-    BasisKind,
     FieldParams,
     GramConditionError,
     KRadialFunction,
@@ -43,7 +42,6 @@ from .operators import (
 )
 from .spectral import (
     I1Spectrum,
-    LogPolynomial,
     MatrixPowerSeries,
     characteristic_function,
     i1_eigenpairs,
@@ -52,7 +50,6 @@ from .spectral import (
     j_matrix,
     order_certificate,
     volterra_check,
-    volterra_step,
 )
 from .verify import RunConfig, run_verification
 

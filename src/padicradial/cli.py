@@ -131,14 +131,7 @@ def cmd_verify(args) -> int:
             tolerances[name] = float(value)
         except ValueError as exc:
             raise SchemaError(f"tolerance {name!r} has a non-numeric value {value!r}") from exc
-    config = RunConfig(
-        q=args.q,
-        alpha=args.alpha,
-        depth=args.depth,
-        dim=args.dim,
-        terms=args.terms,
-        tolerances=tolerances,
-    )
+    config = RunConfig(q=args.q, alpha=args.alpha, tolerances=tolerances)
     ok, results = run_verification(config)
     for res in results:
         print(res.line())
@@ -198,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--depth", type=int, default=60)
-    p.add_argument("--dim", type=int, default=40)
-    p.add_argument("--terms", type=int, default=25)
     p.add_argument(
         "--tolerance",
         action="append",

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "FieldParams",
     "KRadialFunction",
-    "BasisKind",
     "GramConditionError",
     "shell_measure",
     "ball_power_integral",
@@ -255,30 +254,10 @@ def o_log_integral(u: KRadialFunction) -> complex:
 _BASIS_TAGS = ("v", "e", "f", "monomial", "u0", "h1", "h2")
 
 
-@dataclass(frozen=True)
-class BasisKind:
-    """Named element of one of the classical families.
-
-    ``v``/``e`` take an index N >= 0, ``f`` an index n >= 0, ``monomial`` an
-    exponent l >= 1; the index is ignored for ``u0``, ``h1`` and ``h2``.
-    """
-
-    tag: str
-    index: int = 0
-
-    def __post_init__(self):
-        if self.tag not in _BASIS_TAGS:
-            raise ValueError(f"unknown basis tag {self.tag!r}")
-        if self.tag in ("v", "e", "f") and self.index < 0:
-            raise ValueError(f"{self.tag}-index must be >= 0, got {self.index}")
-        if self.tag == "monomial" and self.index < 1:
-            raise ValueError(f"monomial exponent must be >= 1, got {self.index}")
-
-
 def make_basis(
     params: FieldParams,
-    kind: BasisKind | str,
-    index: int | None = None,
+    tag: str,
+    index: int = 0,
     window: tuple[int, int] | None = None,
 ) -> KRadialFunction:
     """Construct a named basis element as an exact shell function.
@@ -293,14 +272,18 @@ def make_basis(
     cut to zero (norm error below ``q^(n_lo (l + 1/2))``), and the ``h2`` tail
     is frozen at its boundary value, so both should be built with a deep
     window.
-    ``h1`` is the imaginary constant ``(q-1)/(i q log q)``.
+    ``h1`` is the imaginary constant ``(q-1)/(i q log q)``.  ``index`` is
+    N >= 0 for ``v``/``e``, n >= 0 for ``f``, the exponent l >= 1 for
+    ``monomial``, and is ignored for ``u0``, ``h1`` and ``h2``.
     """
-    if isinstance(kind, str):
-        kind = BasisKind(kind, 0 if index is None else index)
-    elif index is not None:
-        raise ValueError("pass the index inside BasisKind or with a string tag, not both")
+    if tag not in _BASIS_TAGS:
+        raise ValueError(f"unknown basis tag {tag!r}")
+    if tag in ("v", "e", "f") and index < 0:
+        raise ValueError(f"{tag}-index must be >= 0, got {index}")
+    if tag == "monomial" and index < 1:
+        raise ValueError(f"monomial exponent must be >= 1, got {index}")
     q = float(params.q)
-    tag, N = kind.tag, kind.index
+    N = index
 
     if tag in ("v", "e"):
         if N == 0:
@@ -372,19 +355,16 @@ def expand(u: KRadialFunction, family: str, count: int) -> np.ndarray:
     return out
 
 
+_GRAM_COND_LIMIT = 1e60
+
+
 def _gram_matrix_float(params: FieldParams, L: int) -> np.ndarray:
     return np.array(
         [[ball_power_integral(params, 0, l + m + 1) for m in range(1, L + 1)] for l in range(1, L + 1)]
     )
 
 
-def poly_projection_residual(
-    target: KRadialFunction,
-    L: int,
-    *,
-    cond_limit: float = 1e60,
-    dps: int = 60,
-) -> float:
+def poly_projection_residual(target: KRadialFunction, L: int) -> float:
     """Distance from ``target`` to the span of the monomials ``|x|^1 .. |x|^L``.
 
     The Gram matrix has closed-form entries but its condition number grows
@@ -393,7 +373,8 @@ def poly_projection_residual(
     decay roughly like ``q^(-L(L+1)/2)``, far below double precision beyond
     L ~ 7.  The normal equations are therefore assembled and solved with
     ``mpmath``, at a precision scaled to ``L`` (the inputs, being binary
-    floats, convert exactly).  Beyond ``cond_limit`` the solve is refused.
+    floats, convert exactly).  Beyond a condition estimate of 1e60 the
+    solve is refused.
     """
     import mpmath  # imported here: it is a sizeable share of the CLI's start-up
 
@@ -405,12 +386,12 @@ def poly_projection_residual(
     if not math.isfinite(cond):
         cond = math.inf
     cond = max(cond, float(q) ** (3 * L))
-    if cond > cond_limit:
+    if cond > _GRAM_COND_LIMIT:
         raise GramConditionError(
-            f"monomial Gram matrix at L={L} has condition estimate {cond:.3e} beyond {cond_limit:.1e}"
+            f"monomial Gram matrix at L={L} has condition estimate {cond:.3e} beyond {_GRAM_COND_LIMIT:.1e}"
         )
 
-    dps = max(dps, int(L * (L + 1) * math.log10(q)) + 30)
+    dps = max(60, int(L * (L + 1) * math.log10(q)) + 30)
     with mpmath.workdps(dps):
         one = mpmath.mpf(1)
         qm = mpmath.mpf(q)

@@ -17,7 +17,6 @@ from .field import FieldParams, KRadialFunction, o_integral, o_log_integral
 from .operators import (
     OperatorMatrix,
     d_constant,
-    moment_a,
     moment_b,
     moment_m0,
     operator_matrix,
@@ -30,8 +29,6 @@ __all__ = [
     "imaginary_part",
     "j_matrix",
     "j_diagnostics",
-    "LogPolynomial",
-    "volterra_step",
     "MatrixPowerSeries",
     "characteristic_function",
     "order_certificate",
@@ -106,83 +103,17 @@ def volterra_check(params: FieldParams, dim: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class LogPolynomial:
-    """Finite sum of ``sigma_n |x|^n log|x| + eta_n |x|^n`` on the unit ball.
-
-    This family is closed under the Volterra operator, so it carries its
-    iterates exactly.  ``terms`` is a tuple of ``(n, sigma_n, eta_n)`` with
-    distinct exponents ``n >= 0``.
-    """
-
-    params: FieldParams
-    terms: tuple
-
-    def __post_init__(self):
-        cleaned = tuple((int(n), complex(s), complex(e)) for n, s, e in self.terms)
-        exps = [n for n, _, _ in cleaned]
-        if len(set(exps)) != len(exps):
-            raise ValueError("term exponents must be distinct")
-        if any(n < 0 for n in exps):
-            raise ValueError("term exponents must be >= 0")
-        object.__setattr__(self, "terms", cleaned)
-
-    def value_at(self, j: int) -> complex:
-        q = float(self.params.q)
-        lnq = self.params.ln_q
-        return sum(
-            (s * j * lnq + e) * q ** (n * float(j)) for n, s, e in self.terms
-        ) or 0j
-
-    def to_radial(self, n_lo: int, n_hi: int = 0) -> KRadialFunction:
-        """Sample onto a shell window; the tail is frozen at the limit 0."""
-        vals = [self.value_at(j) for j in range(n_lo, n_hi + 1)]
-        return KRadialFunction(self.params, n_lo, n_hi, vals)
-
-    def pair_with_constant(self) -> complex:
-        """Integral against 1 over the unit ball."""
-        return sum(
-            s * moment_a(self.params, n) + e * moment_m0(self.params, n)
-            for n, s, e in self.terms
-        ) or 0j
-
-    def pair_with_log(self) -> complex:
-        """Integral against ``log|x|`` over the unit ball."""
-        return sum(
-            s * moment_b(self.params, n) + e * moment_a(self.params, n)
-            for n, s, e in self.terms
-        ) or 0j
-
-
-def volterra_step(p: LogPolynomial) -> LogPolynomial:
-    """One application of the Volterra operator: exponents shift by one.
-
-    ``|x|^n`` maps to ``c d_n |x|^(n+1)`` and ``|x|^n log|x|`` maps to
-    ``-c a_n |x|^(n+1) log|x| - c b_n |x|^(n+1)``.
-    """
-    c = p.params.c_volterra
-    out = []
-    for n, s, e in p.terms:
-        s2 = -c * moment_a(p.params, n) * s
-        e2 = -c * moment_b(p.params, n) * s + c * d_constant(p.params, n) * e
-        if s2 != 0 or e2 != 0:
-            out.append((n + 1, s2, e2))
-    return LogPolynomial(p.params, tuple(out))
-
-
-def imaginary_part(u: KRadialFunction) -> LogPolynomial:
+def imaginary_part(u: KRadialFunction) -> tuple[complex, complex]:
     """Skew part of the Volterra operator applied to ``u``.
 
-    A rank-2 operator: the image is a combination of ``log|x|`` and the
-    constant, returned as an exact log-polynomial (the logarithm has no
-    constant-tail shell representation).
+    A rank-2 operator: the image is ``sigma log|x| + eta``, returned as the
+    exact pair ``(sigma, eta)`` (the logarithm has no constant-tail shell
+    representation).
     """
     p = u.params
     q = float(p.q)
     kap = (1.0 - q) / (2j * q * p.ln_q)
-    return LogPolynomial(
-        p, ((0, kap * o_integral(u), -kap * o_log_integral(u)),)
-    )
+    return kap * o_integral(u), -kap * o_log_integral(u)
 
 
 def j_matrix(params: FieldParams, dim: int, basis: str = "e") -> OperatorMatrix:
@@ -237,28 +168,33 @@ class MatrixPowerSeries:
 def characteristic_function(params: FieldParams, T: int) -> MatrixPowerSeries:
     """Neumann coefficients of the characteristic function up to order ``T``.
 
-    The two channels are the imaginary constant ``(q-1)/(i q log q)`` and
-    ``-log|x|``; their Volterra iterates stay inside the log-polynomial
-    family, and all pairings reduce to the closed-form moments.  The shell
-    ``|x| = 1`` contributes nothing to the log moments.  Trailing
-    coefficients that underflow to zero set the ``underflowed`` flag.
+    The two channels are the imaginary constant ``kap1 = (q-1)/(i q log q)``
+    and ``-log|x|``.  The Volterra operator maps ``|x|^n`` to
+    ``c d_n |x|^(n+1)`` and ``|x|^n log|x|`` to
+    ``c d_n |x|^(n+1) log|x| - c b_n |x|^(n+1)``, so the n-th iterates are
+    ``kap1 P_n |x|^n`` and ``-P_n |x|^n log|x| + P_n E_n |x|^n`` with
+    ``P_n = prod_(k<n) c d_k`` and ``E_n = sum_(k<n) b_k / d_k``, and every
+    pairing is a closed-form moment.  The increment ``b_k / d_k`` is formed
+    as ``log q (1 + y) / (1 - y)``, ``y = q^-(k+1)``, because ``d_k`` itself
+    underflows for deep ``k``.  A coefficient below the smallest normal
+    double has lost precision (none is exactly zero) and sets the
+    ``underflowed`` flag.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     q = float(params.q)
     kap1 = (q - 1.0) / (1j * q * params.ln_q)
-    chans = [
-        LogPolynomial(params, ((0, 0.0, kap1),)),
-        LogPolynomial(params, ((0, -1.0, 0.0),)),
-    ]
-    g = np.zeros((2, 2, T + 1), dtype=complex)
-    for a, p in enumerate(chans):
-        for n in range(T + 1):
-            g[a, 0, n] = np.conj(kap1) * p.pair_with_constant()
-            g[a, 1, n] = -p.pair_with_log()
-            if n < T:
-                p = volterra_step(p)
-    underflowed = bool(np.any(np.all(g[:, :, : T // 2] != 0, axis=2) & (g[:, :, T] == 0)))
+    d = np.array([d_constant(params, n) for n in range(T + 1)])
+    b = np.array([moment_b(params, n) for n in range(T + 1)])
+    m0 = np.array([moment_m0(params, n) for n in range(T + 1)])
+    P = np.cumprod(np.r_[1.0, params.c_volterra * d[:-1]])
+    y = q ** -np.arange(1.0, T + 1.0)
+    E = np.cumsum(np.r_[0.0, params.ln_q * (1.0 + y) / (1.0 - y)])
+    g = np.array([
+        [abs(kap1) ** 2 * P * m0, kap1 * P * d],
+        [np.conj(kap1) * P * (d + E * m0), P * (b + E * d)],
+    ])
+    underflowed = bool(np.any(np.abs(g) < np.finfo(float).tiny))
     return MatrixPowerSeries(params, T, g, underflowed)
 
 

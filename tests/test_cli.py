@@ -230,6 +230,15 @@ def test_cli_charfn_document(tmp_path):
     assert doc["g11"][0][0] == pytest.approx((2 - 1) ** 2 / (2**2 * math.log(2.0) ** 2))
 
 
+def test_cli_charfn_flags_underflow(tmp_path):
+    # at q = 7 every entry is zero from n = 28 on, over half of the 61 terms
+    dst = tmp_path / "w.json"
+    assert main(["charfn", "--q", "7", "--terms", "60", "--out", str(dst)]) == 0
+    doc = json.loads(dst.read_text())
+    assert doc["g22"][-1] == [0.0, 0.0]
+    assert doc["underflowed"] is True
+
+
 def test_cli_laplace_and_invert_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     phi = KRadialFunction(P2, -6, 0, rng.standard_normal(7))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicradial.field import (
-    BasisKind,
     FieldParams,
     GramConditionError,
     KRadialFunction,
@@ -143,7 +142,7 @@ def test_make_basis_structure():
     with pytest.raises(ValueError):
         make_basis(P2, "monomial", 0)
     with pytest.raises(ValueError):
-        BasisKind("x", 1)
+        make_basis(P2, "x", 1)
     with pytest.raises(ValueError):
         make_basis(P2, "e", 3, window=(-1, 0))  # does not cover the structure
 

@@ -1,14 +1,14 @@
 """Eigenpairs, Volterra diagnostics, the imaginary part, the characteristic function."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from padicradial.field import FieldParams, make_basis, norm
-from padicradial.operators import operator_matrix
+from padicradial.operators import d_constant, moment_a, moment_b, moment_m0, operator_matrix
 from padicradial.spectral import (
-    LogPolynomial,
     characteristic_function,
     i1_eigenpairs,
     imaginary_part,
@@ -16,7 +16,6 @@ from padicradial.spectral import (
     j_matrix,
     order_certificate,
     volterra_check,
-    volterra_step,
 )
 
 P2 = FieldParams(2, 1.0)
@@ -99,10 +98,8 @@ def test_imaginary_part_of_top_shell():
     # J u0 = -(q-1)^2 / (2 i q^2 log q) * log|x|
     for q in (2, 3):
         p = FieldParams(q)
-        ju0 = imaginary_part(make_basis(p, "u0"))
-        ((n, sig, eta),) = ju0.terms
+        sig, eta = imaginary_part(make_basis(p, "u0"))
         want = -((q - 1.0) ** 2) / (2j * q * q * math.log(q))
-        assert n == 0
         assert sig == pytest.approx(want, abs=1e-14)
         assert abs(eta) < 1e-16
         assert abs(sig) > 0  # simplicity witness: J does not kill the kernel vector
@@ -121,15 +118,76 @@ def test_skew_identity_in_f_basis():
     assert np.abs((A - A.conj().T) / 1j - 2.0 * J).max() < 1e-12
 
 
+@dataclass(frozen=True)
+class OracleLogPolynomial:
+    """Finite sum of ``sigma_n |x|^n log|x| + eta_n |x|^n`` on the unit ball.
+
+    The family is closed under the Volterra operator, so it carries the
+    iterates of the characteristic function's channels term by term; it is
+    the recursion the closed form in ``characteristic_function`` replaces.
+    ``terms`` is a tuple of ``(n, sigma_n, eta_n)`` with distinct ``n >= 0``.
+    """
+
+    params: FieldParams
+    terms: tuple
+
+    def value_at(self, j: int) -> complex:
+        q = float(self.params.q)
+        lnq = self.params.ln_q
+        return sum((s * j * lnq + e) * q ** (n * float(j)) for n, s, e in self.terms) or 0j
+
+    def pair_with_constant(self) -> complex:
+        """Integral against 1 over the unit ball."""
+        return sum(
+            s * moment_a(self.params, n) + e * moment_m0(self.params, n) for n, s, e in self.terms
+        ) or 0j
+
+    def pair_with_log(self) -> complex:
+        """Integral against ``log|x|`` over the unit ball."""
+        return sum(
+            s * moment_b(self.params, n) + e * moment_a(self.params, n) for n, s, e in self.terms
+        ) or 0j
+
+
+def oracle_volterra_step(p):
+    """One application of the Volterra operator: exponents shift by one.
+
+    ``|x|^n`` maps to ``c d_n |x|^(n+1)`` and ``|x|^n log|x|`` maps to
+    ``-c a_n |x|^(n+1) log|x| - c b_n |x|^(n+1)``.
+    """
+    c = p.params.c_volterra
+    out = []
+    for n, s, e in p.terms:
+        s2 = -c * moment_a(p.params, n) * s
+        e2 = -c * moment_b(p.params, n) * s + c * d_constant(p.params, n) * e
+        if s2 != 0 or e2 != 0:
+            out.append((n + 1, s2, e2))
+    return OracleLogPolynomial(p.params, tuple(out))
+
+
+def oracle_characteristic_coefficients(params, T):
+    """Neumann coefficients by iterating the step on both channels."""
+    q = float(params.q)
+    kap1 = (q - 1.0) / (1j * q * params.ln_q)
+    chans = [
+        OracleLogPolynomial(params, ((0, 0.0, kap1),)),
+        OracleLogPolynomial(params, ((0, -1.0, 0.0),)),
+    ]
+    g = np.zeros((2, 2, T + 1), dtype=complex)
+    for a, p in enumerate(chans):
+        for n in range(T + 1):
+            g[a, 0, n] = np.conj(kap1) * p.pair_with_constant()
+            g[a, 1, n] = -p.pair_with_log()
+            p = oracle_volterra_step(p)
+    return g
+
+
 def test_log_polynomial_evaluation_matches_sampling():
-    p = LogPolynomial(P2, ((0, 1.0 + 2.0j, -0.5), (2, 0.25, 1.0j)))
-    sampled = p.to_radial(-12)
+    p = OracleLogPolynomial(P2, ((0, 1.0 + 2.0j, -0.5), (2, 0.25, 1.0j)))
     for j in range(-12, 1):
         q, lnq = 2.0, math.log(2.0)
         want = (1.0 + 2.0j) * j * lnq - 0.5 + (0.25 * j * lnq + 1.0j) * q ** (2.0 * j)
-        assert sampled.value_at(j) == pytest.approx(want, abs=1e-12)
-    with pytest.raises(ValueError):
-        LogPolynomial(P2, ((0, 1.0, 0.0), (0, 2.0, 0.0)))
+        assert p.value_at(j) == pytest.approx(want, abs=1e-12)
 
 
 def grid_I01(params, u, js, mu):
@@ -140,20 +198,20 @@ def grid_I01(params, u, js, mu):
 
 def test_volterra_step_rules():
     # constant -> c d_0 |x| = -|x|/q ; log -> -c a_0 |x| log|x| - c b_0 |x|
-    one = LogPolynomial(P2, ((0, 0.0, 1.0),))
-    ((n, sig, eta),) = volterra_step(one).terms
+    one = OracleLogPolynomial(P2, ((0, 0.0, 1.0),))
+    ((n, sig, eta),) = oracle_volterra_step(one).terms
     assert (n, sig) == (1, 0.0)
     assert eta == pytest.approx(-0.5, abs=1e-15)
 
-    logp = LogPolynomial(P2, ((0, 1.0, 0.0),))
-    ((n, sig, eta),) = volterra_step(logp).terms
+    logp = OracleLogPolynomial(P2, ((0, 1.0, 0.0),))
+    ((n, sig, eta),) = oracle_volterra_step(logp).terms
     c = P2.c_volterra
     b0_series = sum((k * math.log(2.0)) ** 2 * 0.5 * 2.0**-k for k in range(1, 200))
     assert n == 1
     assert sig == pytest.approx(-c * (-math.log(2.0)), abs=1e-14)  # -c a_0, a_0 = -d_0
     assert eta == pytest.approx(-c * b0_series, abs=1e-12)  # -c b_0
 
-    assert volterra_step(LogPolynomial(P2, ())).terms == ()
+    assert oracle_volterra_step(OracleLogPolynomial(P2, ())).terms == ()
 
 
 def test_volterra_step_against_grid():
@@ -161,8 +219,8 @@ def test_volterra_step_against_grid():
     depth = 200
     js = np.arange(-depth, 1)
     mu = 0.5 * np.power(2.0, js.astype(float))
-    p = LogPolynomial(P2, ((0, 1.5, -0.5j), (1, 0.0, 2.0)))
-    stepped = volterra_step(p)
+    p = OracleLogPolynomial(P2, ((0, 1.5, -0.5j), (1, 0.0, 2.0)))
+    stepped = oracle_volterra_step(p)
     ugrid = np.array([p.value_at(j) for j in js])
     ggrid = grid_I01(P2, ugrid, js, mu)
     for i, j in enumerate(js):
@@ -172,11 +230,11 @@ def test_volterra_step_against_grid():
 
 def test_log_polynomial_coefficient_decay():
     # iterates of log decay like C^n q^(-n(n-1)/2)
-    p = LogPolynomial(P2, ((0, -1.0, 0.0),))
+    p = OracleLogPolynomial(P2, ((0, -1.0, 0.0),))
     lnq = math.log(2.0)
     worst_c = 0.0
     for n in range(1, 26):
-        p = volterra_step(p)
+        p = oracle_volterra_step(p)
         ((e, sig, eta),) = p.terms
         mag = max(abs(sig), abs(eta))
         worst_c = max(worst_c, (mag * 2.0 ** (n * (n - 1) / 2.0)) ** (1.0 / n))
@@ -249,3 +307,18 @@ def test_characteristic_function_underflow_is_flagged():
     assert not characteristic_function(P2, 25).underflowed
     # coefficients sink below the double floor near n = 47
     assert characteristic_function(P2, 80).underflowed
+    # zeros from n = 45, 36 and 28, over more than half of each series
+    for q, T in ((2, 200), (3, 200), (7, 60)):
+        series = characteristic_function(FieldParams(q), T)
+        assert np.any(series.g == 0)
+        assert series.underflowed
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("T", [60, 200])
+def test_characteristic_function_matches_the_recursion(q, T):
+    params = FieldParams(q)
+    want = oracle_characteristic_coefficients(params, T)
+    got = characteristic_function(params, T).g
+    full = np.abs(want) >= 2.0**-969  # full precision, well above the subnormals
+    assert np.all(np.abs(got - want)[full] <= 1e-14 * np.abs(want)[full])
