@@ -7,9 +7,7 @@ matrix-function, and an ultrametric Laplace transform with exact inversion.
 
 from .field import (
     FieldParams,
-    GramConditionError,
     KRadialFunction,
-    ball_power_integral,
     expand,
     inner_product,
     make_basis,
@@ -18,7 +16,6 @@ from .field import (
     o_integral,
     o_log_integral,
     poly_projection_residual,
-    shell_measure,
 )
 from .laplace import (
     TransformSequence,
@@ -47,7 +44,6 @@ from .spectral import (
     i1_eigenpairs,
     imaginary_part,
     j_diagnostics,
-    j_matrix,
     order_certificate,
     volterra_check,
 )

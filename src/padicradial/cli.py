@@ -66,9 +66,8 @@ def _read(path: str) -> str:
 
 def cmd_apply(args) -> int:
     u = load_radial(_read(args.input))
-    q = u.params.q if args.q is None else args.q
     alpha = u.params.alpha if args.alpha is None else args.alpha
-    u = KRadialFunction(FieldParams(q, alpha), u.n_lo, u.n_hi, u.values, u.inner_tail)
+    u = KRadialFunction(FieldParams(u.params.q, alpha), u.n_lo, u.n_hi, u.values, u.inner_tail)
     image = APPLY_OPS[args.op](u)
     _write(dump_radial(image), args.out)
     return EXIT_OK
@@ -149,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="apply an operator to a radial-function document")
     p.add_argument("op", choices=sorted(APPLY_OPS))
     p.add_argument("input", help="radial-function JSON document")
-    p.add_argument("--q", type=int, default=None, help="override the document's q")
     p.add_argument("--alpha", type=float, default=None, help="override the document's alpha")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_apply)

@@ -20,9 +20,6 @@ import numpy as np
 __all__ = [
     "FieldParams",
     "KRadialFunction",
-    "GramConditionError",
-    "shell_measure",
-    "ball_power_integral",
     "inner_product",
     "norm",
     "o_integral",
@@ -190,24 +187,6 @@ class KRadialFunction:
     __rmul__ = __mul__
 
 
-class GramConditionError(RuntimeError):
-    """Raised when a monomial Gram system is too ill-conditioned to solve."""
-
-
-def shell_measure(params: FieldParams, n: int) -> float:
-    """Haar measure of the shell ``|x| = q^n``, i.e. ``(1 - 1/q) q^n``."""
-    q = float(params.q)
-    return (1.0 - 1.0 / q) * q ** float(n)
-
-
-def ball_power_integral(params: FieldParams, n: int, a: float) -> float:
-    """Integral of ``|x|^(a-1)`` over the ball ``|x| <= q^n``."""
-    if not a > 0:
-        raise ValueError(f"exponent parameter must be positive, got {a!r}")
-    q = float(params.q)
-    return (1.0 - 1.0 / q) / (1.0 - q ** (-a)) * q ** (a * n)
-
-
 def _require_o(u: KRadialFunction, what: str) -> None:
     if not u.o_supported:
         raise ValueError(f"{what} requires a function supported on the unit ball (n_hi <= 0)")
@@ -355,78 +334,66 @@ def expand(u: KRadialFunction, family: str, count: int) -> np.ndarray:
     return out
 
 
-_GRAM_COND_LIMIT = 1e60
-
-
-def _gram_matrix_float(params: FieldParams, L: int) -> np.ndarray:
-    return np.array(
-        [[ball_power_integral(params, 0, l + m + 1) for m in range(1, L + 1)] for l in range(1, L + 1)]
-    )
-
-
 def poly_projection_residual(target: KRadialFunction, L: int) -> float:
     """Distance from ``target`` to the span of the monomials ``|x|^1 .. |x|^L``.
 
-    The Gram matrix has closed-form entries but its condition number grows
-    like ``q^(3L)`` (the float SVD estimate saturates near 1e19, so the
-    geometric model is folded into the estimate), and the exact residuals
-    decay roughly like ``q^(-L(L+1)/2)``, far below double precision beyond
-    L ~ 7.  The normal equations are therefore assembled and solved with
-    ``mpmath``, at a precision scaled to ``L`` (the inputs, being binary
-    floats, convert exactly).  Beyond a condition estimate of 1e60 the
-    solve is refused.
+    The Gram matrix's condition grows like ``q^(3L)`` while the residual
+    decays like ``q^(-L(L+2)/2)``, far below double precision, so the normal
+    equations are solved exactly.  Every input is rational: the Gram
+    entries are ``m0(l+m) = (q-1) q^(l+m) / (q^(l+m+1) - 1)``, the shell
+    values are binary floats (scaled to integers by one power of two) and
+    the tails are geometric sums.  Each pairing ``sum_j u_j q^(j(l+1))`` is
+    one Horner sum over integers.  ``G`` is symmetric positive definite, so
+    ``[G | b_re | b_im]`` is eliminated without pivoting, and
+    ``resid^2 = |u|^2 - sum_k (y_re,k^2 + y_im,k^2) / d_k`` over the pivots
+    ``d_k`` needs no back substitution.  Nothing is rounded before the
+    final square root.
     """
-    import mpmath  # imported here: it is a sizeable share of the CLI's start-up
+    from fractions import Fraction  # imported here: it adds to the CLI's start-up
 
     _require_o(target, "poly_projection_residual")
     if L < 1:
         raise ValueError("L must be >= 1")
-    q = target.params.q
-    cond = float(np.linalg.cond(_gram_matrix_float(params=target.params, L=L)))
-    if not math.isfinite(cond):
-        cond = math.inf
-    cond = max(cond, float(q) ** (3 * L))
-    if cond > _GRAM_COND_LIMIT:
-        raise GramConditionError(
-            f"monomial Gram matrix at L={L} has condition estimate {cond:.3e} beyond {_GRAM_COND_LIMIT:.1e}"
-        )
+    q, K = target.params.q, -target.n_lo
+    u = target.values_on(target.n_lo, 0)[::-1]  # shells 0, -1, .., n_lo
+    t = target.inner_tail
+    parts = [*u.real.tolist(), *u.imag.tolist(), t.real, t.imag]
+    if not all(map(math.isfinite, parts)):
+        raise ValueError("poly_projection_residual requires finite shell values and tail")
+    ratios = [x.as_integer_ratio() for x in parts]
+    scale = max(d for _, d in ratios)  # a power of two: every part times scale is an integer
+    ints = [n * (scale // d) for n, d in ratios]
+    re, im, (t_re, t_im) = ints[: K + 1], ints[K + 1 : -2], ints[-2:]
 
-    dps = max(60, int(L * (L + 1) * math.log10(q)) + 30)
-    with mpmath.workdps(dps):
-        one = mpmath.mpf(1)
-        qm = mpmath.mpf(q)
-        unit = one - one / qm
+    def horner(coeffs, x):  # sum_k c_k x^(K-k)
+        acc = 0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
 
-        def m0(k):  # integral of |x|^k over the unit ball
-            return unit / (one - qm ** (-(k + 1)))
-
-        G = mpmath.matrix(L, L)
-        for l in range(1, L + 1):
-            for m in range(1, L + 1):
-                G[l - 1, m - 1] = m0(l + m)
-
-        js = list(range(target.n_lo, 1))
-        vals = [mpmath.mpc(v) for v in target.values_on(target.n_lo, 0)]
-        tail = mpmath.mpc(target.inner_tail)
-
-        def pair_with_monomial(l):
-            s = mpmath.mpc(0)
-            for j, v in zip(js, vals):
-                s += v * qm ** (j * l) * unit * qm**j
-            # tail: sum_{j <= n_lo - 1} q^(j (l+1)) in closed form
-            s += tail * unit * qm ** ((target.n_lo - 1) * (l + 1)) / (one - qm ** (-(l + 1)))
-            return s
-
-        b = mpmath.matrix([pair_with_monomial(l) for l in range(1, L + 1)])
-        norm2 = mpmath.mpf(0)
-        for j, v in zip(js, vals):
-            norm2 += (v * mpmath.conj(v)).real * unit * qm**j
-        norm2 += (tail * mpmath.conj(tail)).real * qm ** (target.n_lo - 1)
-
-        coeff = mpmath.lu_solve(G, b)
-        proj2 = sum((mpmath.conj(coeff[i]) * b[i]).real for i in range(L))
-        resid2 = norm2 - proj2
-        return float(mpmath.sqrt(resid2)) if resid2 > 0 else 0.0
+    rows = []
+    for l in range(1, L + 1):
+        x = q ** (l + 1)
+        den = q * x**K * (x - 1)  # tail: sum_{j < -K} x^j = x^(-K) / (x - 1)
+        gram = [Fraction((q - 1) * q ** (l + m), q ** (l + m + 1) - 1) for m in range(1, L + 1)]
+        pair = [Fraction((q - 1) * (horner(c, x) * (x - 1) + tc), den) for c, tc in ((re, t_re), (im, t_im))]
+        rows.append(gram + pair)
+    squares = [a * a + b * b for a, b in zip(re, im)]
+    resid2 = Fraction((q - 1) * horner(squares, q) + t_re * t_re + t_im * t_im, q ** (K + 1))
+    for k, pivot in enumerate(rows):
+        resid2 -= (pivot[L] ** 2 + pivot[L + 1] ** 2) / pivot[k]
+        for row in rows[k + 1 :]:
+            f = row[k] / pivot[k]
+            for i in range(k + 1, L + 2):
+                row[i] -= f * pivot[i]
+    if resid2 == 0:
+        return 0.0
+    # the residual is sqrt(resid2 4^s) 2^-s / scale, with 4^s bringing the square near 1
+    s = (resid2.denominator.bit_length() - resid2.numerator.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(resid2 * Fraction(4) ** s), -s - scale.bit_length() + 1)
+    except OverflowError:
+        raise ValueError(f"the residual at L={L} is beyond the double range") from None
 
 
 def max_shell_difference(

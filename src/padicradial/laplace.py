@@ -153,17 +153,15 @@ def laplace_invert(
     return sums["phi_down"][1:], sums["phi_up"][1:]
 
 
-def symbol_identity_residual(
-    phi: KRadialFunction, alpha: float, n_range: tuple[int, int], relative: bool = False
-) -> float:
-    """Largest violation of: transform of the derivative = symbol * transform.
+def symbol_identity_residual(phi: KRadialFunction, alpha: float, n_range: tuple[int, int]) -> float:
+    """Largest relative violation of: transform of the derivative = symbol * transform.
 
     ``phi`` must be finitely supported (zero tail) so the derivative can be
     evaluated on a widened window; the transform of the derivative at
     ``q^n`` only reads shells ``j <= -n + 1``, which that window covers
-    exactly.  With ``relative=True`` each gap is divided by the larger side
-    once that exceeds 1; the symbol reaches ``q^(alpha n)``, so on wide
-    ranges the absolute gap carries that factor on top of rounding.
+    exactly.  Each gap is divided by the larger side once that exceeds 1:
+    the symbol reaches ``q^(alpha n)``, so on wide ranges the absolute gap
+    carries that factor on top of rounding.
     """
     if phi.inner_tail != 0:
         raise ValueError("symbol identity check requires a zero-tail function")
@@ -179,8 +177,5 @@ def symbol_identity_residual(
     for n in range(lo, hi + 1):
         left = lhs.value_at(n)
         right = q ** (float(alpha) * n) * rhs.value_at(n)
-        gap = abs(left - right)
-        if relative:
-            gap /= max(1.0, abs(left), abs(right))
-        worst = max(worst, gap)
+        worst = max(worst, abs(left - right) / max(1.0, abs(left), abs(right)))
     return worst

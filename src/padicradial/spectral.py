@@ -15,7 +15,6 @@ import numpy as np
 
 from .field import FieldParams, KRadialFunction, o_integral, o_log_integral
 from .operators import (
-    OperatorMatrix,
     d_constant,
     moment_b,
     moment_m0,
@@ -27,7 +26,6 @@ __all__ = [
     "i1_eigenpairs",
     "volterra_check",
     "imaginary_part",
-    "j_matrix",
     "j_diagnostics",
     "MatrixPowerSeries",
     "characteristic_function",
@@ -116,13 +114,9 @@ def imaginary_part(u: KRadialFunction) -> tuple[complex, complex]:
     return kap * o_integral(u), -kap * o_log_integral(u)
 
 
-def j_matrix(params: FieldParams, dim: int, basis: str = "e") -> OperatorMatrix:
-    """Matrix of the imaginary part; rank 2 with zero trace."""
-    return operator_matrix(params, "J", basis, dim)
-
-
 def j_diagnostics(params: FieldParams, dim: int, basis: str = "e") -> dict:
-    mat = j_matrix(params, dim, basis)
+    """Trace and singular values of the imaginary part's matrix (rank 2, zero trace)."""
+    mat = operator_matrix(params, "J", basis, dim)
     return {
         "trace": complex(np.trace(mat.entries)),
         "singular_values": np.linalg.svd(mat.entries, compute_uv=False),
@@ -202,7 +196,8 @@ def order_certificate(params: FieldParams, series) -> dict:
     """Growth certificate for an entire-function coefficient sequence.
 
     ``fitted_C`` is the smallest constant with
-    ``|coef_n| <= C^n q^(-n^2/2)`` over the computed range.  The order
+    ``|coef_n| <= C^n q^(-n^2/2)`` over the coefficients of normal
+    magnitude (subnormal ones have lost their precision).  The order
     estimate uses ``n log n / log(1/|coef_n|)``: when the per-index decay
     rate ``log|coef_n| / n`` has a clearly negative trend the decay is
     super-exponential and the implied order is reported as 0; otherwise the
@@ -211,11 +206,11 @@ def order_certificate(params: FieldParams, series) -> dict:
     """
     coefs = np.asarray(series, dtype=complex).ravel()
     mags = np.abs(coefs)
-    nz = [(n, m) for n, m in enumerate(mags) if n >= 1 and m > 0]
+    nz = [(n, m) for n, m in enumerate(mags) if n >= 1 and m >= np.finfo(float).tiny]
     if np.all(mags == 0):
         raise ValueError("all-zero coefficient sequence")
     if len(nz) < 10:
-        raise ValueError("need at least 10 nonzero coefficients")
+        raise ValueError("need at least 10 normal (not underflowed) coefficients")
 
     lnq = params.ln_q
     fitted_C = math.exp(max((math.log(m) + 0.5 * n * n * lnq) / n for n, m in nz))

@@ -239,6 +239,15 @@ def test_cli_charfn_flags_underflow(tmp_path):
     assert doc["underflowed"] is True
 
 
+def test_cli_charfn_certificate_skips_subnormal_coefficients(tmp_path):
+    # g21's fit used to peak at a subnormal coefficient (n = 28) and read 1.926
+    dst = tmp_path / "w.json"
+    assert main(["charfn", "--q", "7", "--terms", "60", "--out", str(dst)]) == 0
+    cert = json.loads(dst.read_text())["order_certificate"]["g21"]
+    assert cert["fitted_C"] == pytest.approx(1.86419497, abs=1e-8)
+    assert cert["max_order_estimate"] == 0.0
+
+
 def test_cli_laplace_and_invert_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     phi = KRadialFunction(P2, -6, 0, rng.standard_normal(7))
@@ -292,9 +301,7 @@ def test_dump_refuses_non_finite_numbers():
         dump_radial(KRadialFunction(P2, 0, 0, [1.0], inner_tail=complex(0, -math.inf)))
 
 
-@pytest.mark.parametrize(
-    "override, limit", [("--q", "q must be an integer >= 2"), ("--alpha", "alpha must be positive")]
-)
+@pytest.mark.parametrize("override, limit", [("--alpha", "alpha must be positive")])
 def test_cli_apply_zero_override_exits_3(tmp_path, capsys, override, limit):
     src = tmp_path / "u.json"
     src.write_text(GOLDEN_INPUT)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,7 @@ from hypothesis import strategies as st
 
 from padicradial.field import (
     FieldParams,
-    GramConditionError,
     KRadialFunction,
-    ball_power_integral,
     expand,
     inner_product,
     make_basis,
@@ -19,7 +18,6 @@ from padicradial.field import (
     norm,
     o_integral,
     poly_projection_residual,
-    shell_measure,
 )
 
 P2 = FieldParams(2, 1.0)
@@ -45,21 +43,6 @@ def test_field_params_constants():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             FieldParams(2, bad)
-
-
-def test_shell_measure_examples():
-    assert shell_measure(P2, 0) == 0.5
-    assert shell_measure(FieldParams(3), -1) == pytest.approx(2.0 / 9.0)
-    total = sum(shell_measure(P2, n) for n in range(-60, 1))
-    assert total == pytest.approx(1.0, abs=1e-12)  # the unit ball has measure 1
-
-
-def test_ball_power_integral_examples():
-    assert ball_power_integral(P2, 0, 1.0) == pytest.approx(1.0)
-    assert ball_power_integral(P2, 0, 2.0) == pytest.approx(2.0 / 3.0)
-    assert ball_power_integral(FieldParams(5), 1, 1.0) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        ball_power_integral(P2, 0, 0.0)
 
 
 def test_value_window_semantics():
@@ -170,11 +153,10 @@ def test_ball_pairings_against_grid_oracle():
 def test_monomial_truncation_norm_bound():
     # cutting the monomial tail at n_lo loses norm below q^(n_lo (l + 1/2))
     for q in (2, 3):
-        p = FieldParams(q)
         for l in (1, 2, 5):
             for lo in (-20, -40):
                 err2 = sum(
-                    float(q) ** (2 * l * j) * shell_measure(p, j) for j in range(lo - 300, lo)
+                    float(q) ** (2 * l * j) * (1 - 1 / q) * float(q) ** j for j in range(lo - 300, lo)
                 )
                 assert math.sqrt(err2) <= float(q) ** (lo * (l + 0.5))
 
@@ -281,9 +263,80 @@ def test_projection_residuals_strictly_decrease():
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
 
-def test_projection_condition_guard():
-    with pytest.raises(GramConditionError):
-        poly_projection_residual(make_basis(FieldParams(5), "f", 0), 60)
+def oracle_projection_residual(target, L):
+    """Oracle: the normal equations solved in mpmath at ``L(L+2) log10 q + 40`` digits.
+
+    The squared residual ``|u|^2 - proj^2`` decays like ``q^(-L(L+2))``, so
+    the subtraction cancels about ``L(L+2) log10 q`` leading digits.
+    """
+    q = target.params.q
+    with mpmath.workdps(math.ceil(L * (L + 2) * math.log10(q)) + 40):
+        qm = mpmath.mpf(q)
+        unit = 1 - 1 / qm
+        G = mpmath.matrix(
+            [[unit / (1 - qm ** -(l + m + 1)) for m in range(1, L + 1)] for l in range(1, L + 1)]
+        )
+        js = range(target.n_lo, 1)
+        vals = [mpmath.mpc(v) for v in target.values_on(target.n_lo, 0)]
+        tail = mpmath.mpc(target.inner_tail)
+        b = mpmath.matrix([
+            unit * mpmath.fsum(v * qm ** (j * (l + 1)) for j, v in zip(js, vals))
+            + tail * unit * qm ** ((target.n_lo - 1) * (l + 1)) / (1 - qm ** -(l + 1))
+            for l in range(1, L + 1)
+        ])
+        norm2 = unit * mpmath.fsum(abs(v) ** 2 * qm**j for j, v in zip(js, vals))
+        norm2 += abs(tail) ** 2 * qm ** (target.n_lo - 1)
+        coeff = mpmath.lu_solve(G, b)
+        proj2 = mpmath.fsum((mpmath.conj(coeff[i]) * b[i]).real for i in range(L))
+        return float(mpmath.sqrt(norm2 - proj2))
+
+
+@pytest.mark.parametrize("q, L", [(2, 10), (3, 34), (5, 28), (7, 23), (7, 24), (11, 19)])
+def test_projection_residual_closed_form(q, L):
+    # dist(f_0, span{|x| .. |x|^L}) = q^(-L(L+2)/2), down to the double range
+    got = poly_projection_residual(make_basis(FieldParams(q), "f", 0), L)
+    want = float(q) ** (-L * (L + 2) / 2)
+    assert abs(got - want) <= 4.4e-16 * want
+
+
+def test_projection_residual_of_the_cut_monomial():
+    # |x|^2 cut below 2^-60 is at distance ||tail|| from the span of |x|, |x|^2
+    # (at q = 2 the shell values 4^j are exact; at odd q their rounding is
+    # part of the input, and the exact residual sees it)
+    q = 2
+    x2 = make_basis(P2, "monomial", 2)
+    want = math.sqrt((1 - 1 / q) * float(q) ** -305 / (1 - float(q) ** -5))
+    assert abs(poly_projection_residual(x2, 2) - want) <= 4.4e-16 * want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_projection_residual_refuses_non_finite_input(bad):
+    u = KRadialFunction(P2, -3, 0, [1.0, bad, 0.5, 0.25])
+    with pytest.raises(ValueError, match="finite"):
+        poly_projection_residual(u, 2)
+    with pytest.raises(ValueError, match="finite"):
+        poly_projection_residual(KRadialFunction(P2, -3, 0, np.ones(4), complex(0, bad)), 2)
+
+
+def test_projection_residual_beyond_the_double_range_raises():
+    # finite values whose residual, about 2.2e308, has no double
+    v = complex(1.7e308, 1.7e308)
+    with pytest.raises(ValueError, match="double range"):
+        poly_projection_residual(KRadialFunction(P2, 0, 0, [v], -v), 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_projection_residual_matches_the_mpmath_oracle(q):
+    rng = np.random.default_rng(q)
+    p = FieldParams(q)
+    for _ in range(6):
+        W = int(rng.integers(1, 41))
+        vals = rng.standard_normal(W) + 1j * rng.standard_normal(W)
+        tail = complex(rng.standard_normal(), rng.standard_normal())
+        u = KRadialFunction(p, 1 - W, 0, vals, tail)
+        for L in (1, 4, int(rng.integers(1, 13))):
+            want = oracle_projection_residual(u, L)
+            assert abs(poly_projection_residual(u, L) - want) <= 1e-14 * want
 
 
 def test_max_shell_difference_sees_tails():

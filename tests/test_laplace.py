@@ -279,7 +279,7 @@ def test_symbol_identity_random(alpha):
     p = FieldParams(3, alpha)
     rng = np.random.default_rng(13)
     phi = KRadialFunction(p, -5, 0, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    assert symbol_identity_residual(phi, alpha, (-6, 10), relative=True) < 1e-10
+    assert symbol_identity_residual(phi, alpha, (-6, 10)) < 1e-10
 
 
 def test_symbol_identity_requires_zero_tail():

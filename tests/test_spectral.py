@@ -13,7 +13,6 @@ from padicradial.spectral import (
     i1_eigenpairs,
     imaginary_part,
     j_diagnostics,
-    j_matrix,
     order_certificate,
     volterra_check,
 )
@@ -114,7 +113,7 @@ def test_j_matrix_trace_and_rank():
 def test_skew_identity_in_f_basis():
     dim = 30
     A = operator_matrix(P2, "I01", "f", dim).entries
-    J = j_matrix(P2, dim, "f").entries
+    J = operator_matrix(P2, "J", "f", dim).entries
     assert np.abs((A - A.conj().T) / 1j - 2.0 * J).max() < 1e-12
 
 
@@ -301,6 +300,20 @@ def test_order_certificate_input_validation():
         order_certificate(P2, np.zeros(20))
     with pytest.raises(ValueError):
         order_certificate(P2, np.array([1.0, 0.5, 0.25]))
+
+
+def test_order_certificate_ignores_subnormal_coefficients():
+    # 5e-324 = 2^-1074 at n = 47 lies 2^30.5 above the envelope 2^(-n^2/2);
+    # a subnormal has lost its precision, so it must not set C = 2^(30.5/47)
+    ns = np.arange(47)
+    coefs = np.append(2.0 ** (-(ns**2) / 2.0), 5e-324)
+    assert order_certificate(P2, coefs)["fitted_C"] == pytest.approx(1.0, abs=1e-9)
+    # at q = 7 the g21 coefficient at n = 28 is subnormal: its exact magnitude is 2.06e-324
+    p7 = FieldParams(7)
+    g21 = characteristic_function(p7, 60).w_coefficients()[1, 0]
+    assert order_certificate(p7, g21)["fitted_C"] == pytest.approx(1.86419497, abs=1e-8)
+    with pytest.raises(ValueError, match="at least 10"):  # 9 normal, 20 subnormal
+        order_certificate(P2, np.append(2.0 ** -np.arange(10), np.full(20, 5e-324)))
 
 
 def test_characteristic_function_underflow_is_flagged():
