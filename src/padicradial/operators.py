@@ -17,12 +17,14 @@ import numpy as np
 from .field import (
     FieldParams,
     KRadialFunction,
+    _along,
+    _ball_integral,
     _decay,
+    _div,
+    _family_grid,
     _require_o,
     expand,
-    make_basis,
     o_integral,
-    o_log_integral,
 )
 
 __all__ = [
@@ -47,23 +49,27 @@ _TINY = np.finfo(float).tiny
 
 
 def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarray:
-    """``bracket * q^(a n)`` on the shells ``ns``.
+    """``bracket * q^(a n)`` on the shells ``ns`` (the first axis; rows, if
+    any, on a second axis share the factor of their shell).
 
     The exponent ``a n`` is formed exactly: ``a`` splits into a 24-bit head,
     whose products with shell indices are exact, and a small remainder (a
     single rounded ``a n`` would cost ``n eps log q`` relative).  Where the
     product is not a normal double, the factor alone may have left the
-    range, so it is applied again as two half-powers.  ``OverflowError`` is
-    raised when a value itself overflows, and when a subnormal bracket would
-    be scaled up to a normal value (its lost bits would show as a wrong
-    result).
+    range, so it is applied again as two half-powers; a zero bracket under a
+    finite factor is exactly 0 either way and is left alone.
+    ``OverflowError`` is raised when a value itself overflows, and when a
+    subnormal bracket would be scaled up to a normal value (its lost bits
+    would show as a wrong result).
     """
     head = float(np.float32(a))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out = bracket * (np.power(q, head * ns) * np.power(q, (a - head) * ns))
+        factor = _along(np.power(q, head * ns) * np.power(q, (a - head) * ns), bracket)
+        out = bracket * factor
         redo = ~(np.abs(out) >= _TINY) | np.isinf(out)
         if redo.any():
-            ns = ns[redo]
+            redo &= (bracket != 0) | ~np.isfinite(factor)
+            ns = np.broadcast_to(_along(ns, bracket), bracket.shape)[redo]
             half = np.power(q, head * ns / 2.0) * np.power(q, (a - head) * ns / 2.0)
             out[redo] = bracket[redo] * half * half
     if np.any(~np.isfinite(out) & np.isfinite(bracket)):
@@ -72,6 +78,43 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
     # it would pass them off as an accurate result
     if np.any((np.abs(bracket) < _TINY) & (np.abs(out) >= _TINY)):
         raise OverflowError(f"operator value lost to underflow (scale q^({a!r} n), q={q:g})")
+    return out
+
+
+def _below(grid: np.ndarray, start) -> np.ndarray:
+    """Mask of each row's shells below its ``start`` index."""
+    return np.arange(len(grid))[:, None] < start
+
+
+def _unpadded(bracket: np.ndarray, start) -> np.ndarray:
+    """``bracket`` with each row's padding below ``start`` set to 0, so that
+    the padding can neither raise nor hide an overflow in ``_scaled``."""
+    if start is not None:
+        bracket[_below(bracket, start)] = 0
+    return bracket
+
+
+# The operator cores below act on the shell values ``vals`` (or the
+# deviation ``dev``) of one function on the shells ``ns``, or on many at
+# once: a second axis of ``vals`` holds one row per function, with its tail
+# ``t`` and its window start ``start`` (an index into ``ns``) on a common
+# grid.  Every row equals the one-row result on its own window bit for bit;
+# below its window it is 0, or, for the derivative, its value at ``m``.
+
+
+def _derivative(dev: np.ndarray, t, p: FieldParams, ns: np.ndarray, m=None) -> np.ndarray:
+    """``D^alpha`` on the shells ``ns`` from the deviation ``dev = u - t``,
+    which may reach above them.  ``dev`` vanishes up to ``ns[m]``, the shell
+    below the first one where ``u`` differs from ``t`` (``ns[0]`` for one
+    row), so the downward sums start there at exactly 0."""
+    q, a = float(p.q), p.alpha
+    qa = q**a
+    down_up = _decay(dev, q) + _decay(dev, qa, _div(-t, qa - 1.0), upward=True)
+    diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
+    bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
+    out = _scaled(_unpadded(bracket[: len(ns)], m), q, -a, ns)
+    if m is not None:  # the input is constant below ns[m], so the output is too
+        np.copyto(out, out[m, np.arange(out.shape[1])], where=_below(out, m))
     return out
 
 
@@ -99,8 +142,6 @@ def apply_D_alpha(
     wrong).
     """
     p = u.params
-    q = float(p.q)
-    a = p.alpha
     if out_window is None:
         out_window = (u.n_lo, u.n_hi)
     lo, hi = out_window
@@ -111,7 +152,6 @@ def apply_D_alpha(
             f"output window must start at or below the input window ({lo} > {u.n_lo})"
         )
 
-    qa = q**a
     t = u.inner_tail
     # the recurrence starts at the lowest shell whose value differs from the
     # tail: below it the input is constant, so the output is the constant
@@ -120,10 +160,7 @@ def apply_D_alpha(
     first = u.n_lo + (int(moved[0]) if moved.size else len(u.values) - 1)
     m, top = first - 1, max(hi, first)
     dev = u.values_on(m, max(top, u.n_hi)) - t  # zero below ``first``, -t above the window
-    down_up = _decay(dev, q) + _decay(dev, qa, -t / (qa - 1.0), upward=True)
-    diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
-    bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
-    out = _scaled(bracket[: top - m + 1], q, -a, np.arange(m, top + 1.0))
+    out = _derivative(dev, t, p, np.arange(m, top + 1.0))
     image = KRadialFunction(p, first, top, out[1:], out[0])
     return KRadialFunction(p, lo, hi, image.values_on(lo, hi), out[0])
 
@@ -139,18 +176,29 @@ def apply_D_alpha_O(u: KRadialFunction) -> KRadialFunction:
     return apply_D_alpha(u, (u.n_lo, 0))
 
 
-def _volterra_sums(vals: np.ndarray, t: complex, q: float, qa: float) -> np.ndarray:
+def _volterra_sums(vals: np.ndarray, t, q: float, qa: float, start=None) -> np.ndarray:
     """``G(n) = sum_{k<n} K(n-k) q^(k-n) u_k`` on every shell of ``vals``
     with the divided difference ``K(m) = (r^m - 1) / (r - 1)``,
     ``r = q / qa = q^(1-alpha)``, which tends to ``K(m) = m`` at ``alpha = 1``.
 
     ``G`` runs as two recurrences, ``S(n) = sum_{k<n} q^(k-n) u_k`` and
     ``G(n) = S(n) + G(n-1) / q^alpha``, each seeded with the closed-form sum
-    over the constant ``t`` on every shell below ``vals``.
+    over the constant ``t`` on every shell below ``vals`` (below ``start``
+    for rows, which hold that seed on their padding).
     """
-    tail_s = t / (q - 1.0)
-    s = _decay(vals, q, tail_s)
-    return s + _decay(s, qa, tail_s / (qa - 1.0))
+    tail_s = _div(t, q - 1.0)
+    s = _decay(vals, q, tail_s, start=start)
+    return s + _decay(s, qa, _div(tail_s, qa - 1.0), start=start)
+
+
+def _integral(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray, start=None) -> np.ndarray:
+    """``I^alpha`` of the values ``vals`` with tail ``t`` on the shells ``ns``."""
+    q, a = float(p.q), p.alpha
+    qa = q**a
+    # (1-1/q) (1-q^-alpha) q^(1-alpha)
+    coef = (1.0 - 1.0 / q) * (qa - 1.0) * q / (qa * qa)
+    bracket = vals / qa - coef * _volterra_sums(vals, t, q, qa, start)
+    return _scaled(_unpadded(bracket, start), q, a, ns)
 
 
 def apply_I_alpha(u: KRadialFunction, out_hi: int = 0) -> KRadialFunction:
@@ -170,16 +218,16 @@ def apply_I_alpha(u: KRadialFunction, out_hi: int = 0) -> KRadialFunction:
     _require_o(u, "apply_I_alpha")
     if out_hi < 0:
         raise ValueError("out_hi must be >= 0")
-    p = u.params
-    q = float(p.q)
-    a = p.alpha
-    qa = q**a
     vals = u.values_on(u.n_lo, out_hi)
-    # (1-1/q) (1-q^-alpha) q^(1-alpha)
-    coef = (1.0 - 1.0 / q) * (qa - 1.0) * q / (qa * qa)
-    bracket = vals / qa - coef * _volterra_sums(vals, u.inner_tail, q, qa)
-    out = _scaled(bracket, q, a, np.arange(u.n_lo, out_hi + 1.0))
-    return KRadialFunction(p, u.n_lo, out_hi, out)
+    out = _integral(vals, u.inner_tail, u.params, np.arange(u.n_lo, out_hi + 1.0))
+    return KRadialFunction(u.params, u.n_lo, out_hi, out)
+
+
+def _volterra(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray, start=None) -> np.ndarray:
+    """``I01`` of the values ``vals`` with tail ``t`` on the shells ``ns``."""
+    q = float(p.q)
+    g = _volterra_sums(vals, t, q, q, start)
+    return _scaled(_unpadded(-((1.0 - 1.0 / q) ** 2) * g, start), q, 1.0, ns)
 
 
 def apply_I01(u: KRadialFunction) -> KRadialFunction:
@@ -195,11 +243,17 @@ def apply_I01(u: KRadialFunction) -> KRadialFunction:
     (``u.with_window``) to see more of them.
     """
     _require_o(u, "apply_I01")
-    p = u.params
+    out = _volterra(u.values_on(u.n_lo, 0), u.inner_tail, u.params, np.arange(u.n_lo, 1.0))
+    return KRadialFunction(u.params, u.n_lo, 0, out)
+
+
+def _resolvent(vals: np.ndarray, t, integral, p: FieldParams, ns: np.ndarray, start=None):
+    """The resolvent's values on ``ns[:-1]`` and its tail ``c``, from the
+    values on ``ns`` (one shell above the ball) and ``int_O u``."""
     q = float(p.q)
-    g = _volterra_sums(u.values_on(u.n_lo, 0), u.inner_tail, q, q)
-    out = _scaled(-((1.0 - 1.0 / q) ** 2) * g, q, 1.0, np.arange(u.n_lo, 1.0))
-    return KRadialFunction(p, u.n_lo, 0, out)
+    image = _integral(vals, t, p, ns, start)
+    c = _div((1.0 - q**-p.alpha) * integral, q - 1.0) - image[-1]
+    return image[:-1] + c, c
 
 
 def apply_resolvent_D1O(u: KRadialFunction) -> KRadialFunction:
@@ -216,11 +270,9 @@ def apply_resolvent_D1O(u: KRadialFunction) -> KRadialFunction:
     origin.
     """
     _require_o(u, "apply_resolvent_D1O")
-    p = u.params
-    q = float(p.q)
-    image = apply_I_alpha(u, out_hi=1)
-    c = (1.0 - q**-p.alpha) * o_integral(u) / (q - 1.0) - image.values[-1]
-    return KRadialFunction(p, u.n_lo, 0, image.values[:-1] + c, c)
+    vals, c = _resolvent(u.values_on(u.n_lo, 1), u.inner_tail, o_integral(u), u.params,
+                         np.arange(u.n_lo, 2.0))
+    return KRadialFunction(u.params, u.n_lo, 0, vals, c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,26 +298,54 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", ent)
 
 
-def _j_entries(params: FieldParams, basis: str, dim: int) -> np.ndarray:
-    """Imaginary part as a rank-2 matrix from the pairings with 1 and log."""
-    q = float(params.q)
-    kap = (1.0 - q) / (2j * q * params.ln_q)
-    ones = np.empty(dim)
-    logs = np.empty(dim)
-    for k in range(dim):
-        b = make_basis(params, basis, k)
-        ones[k] = o_integral(b).real
-        logs[k] = o_log_integral(b).real
-    return kap * (np.outer(logs, ones) - np.outer(ones, logs))
+def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
+    """The matrix of ``name`` from one pass over the basis grid."""
+    q = float(p.q)
+    lo = 1 - dim  # the window start of element dim - 1: every image lives on lo..0
+    grid, t, n_lo = _family_grid(q, basis, dim)  # shells lo-1 .. 1
+    if name == "J":  # kappa (<u, 1> log|x| - <u, log|x|>): rank 2
+        kap = (1.0 - q) / (2j * q * p.ln_q)
+        ones = _ball_integral(grid[1:-1], t, q, n_lo).real
+        logs = (_ball_integral(grid[1:-1], t, q, n_lo, log=True) * p.ln_q).real
+        return kap * (np.outer(logs, ones) - np.outer(ones, logs))
+    start = n_lo - lo  # each row's window start on the shells lo..
+    if name == "D1O":
+        # the first shell where an element differs from its tail is e_N's top
+        # shell, f_n's only one, and shell 0 for the constant e_0; m indexes
+        # the shell below it on the grid from lo - 1
+        m = (np.minimum(n_lo + 1, 0) if basis == "e" else n_lo) - lo
+        dev = np.where(_below(grid[:-1], m + 1), 0j, grid[:-1] - t)
+        out = _derivative(dev, t, p, np.arange(lo - 1, 1.0), m)
+        image, tails = out[1:], out[m, np.arange(dim)]
+    elif name == "resolvent":
+        integral = _ball_integral(grid[1:-1], t, q, n_lo)
+        image, tails = _resolvent(grid[1:], t, integral, p, np.arange(lo, 2.0), start)
+    else:
+        core = _integral if name == "I1" else _volterra
+        image, tails = core(grid[1:-1], t, p, np.arange(lo, 1.0), start), np.zeros(dim)
+    return np.column_stack([
+        expand(KRadialFunction(p, lo, 0, image[:, n], tails[n]), basis, dim) for n in range(dim)
+    ])
 
 
 def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> OperatorMatrix:
     """Matrix of one of the order-one operators in the e- or f-family.
 
-    Columns are built by applying the operator to exact basis vectors and
-    expanding the image, which keeps entries at closed-form accuracy.  All
-    five named operators are order-one objects, so the matrix is formed at
-    ``alpha = 1`` regardless of the ``alpha`` stored in ``params``.
+    Column ``n`` is the expansion of the operator's image of basis element
+    ``n``, at closed-form accuracy.  The images come from one batched pass:
+    the elements ``0 .. dim-1`` (at most two shells each) are written in
+    closed form as the rows of one grid of shell values, and the operator's
+    shell recurrence runs once over all rows, each row held at its seed
+    below its own window.  Each image then costs one closed-form ``expand``.
+    Every column is bit for bit that of the operator applied to
+    ``make_basis(params, basis, n)`` and expanded.  ``J`` is the rank-2
+    outer product of the grid's closed-form pairings with 1 and ``log|x|``.
+    All five named operators are order-one objects, so the matrix is formed
+    at ``alpha = 1`` regardless of the ``alpha`` stored in ``params``.
+    ``ValueError`` names the operator, family, ``q`` and ``dim`` where an
+    image or an entry leaves the double range: the ``D1O`` image of ``e_N``
+    or ``f_N`` has shell values of order ``q^(3N/2)``, so at q = 2 the
+    ``D1O`` matrices stop at dim 683.
     """
     if name not in OPERATOR_NAMES:
         raise ValueError(f"unknown operator {name!r}, expected one of {OPERATOR_NAMES}")
@@ -274,21 +354,18 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
     if dim < 2:
         raise ValueError("dim must be >= 2")
     p1 = replace(params, alpha=1.0)
-    if name == "J":
-        return OperatorMatrix(p1, name, basis, dim, _j_entries(p1, basis, dim))
-
-    ops = {
-        "D1O": apply_D_alpha_O,
-        "I1": apply_I_alpha,
-        "I01": apply_I01,
-        "resolvent": apply_resolvent_D1O,
-    }
-    op = ops[name]
-    cols = np.empty((dim, dim), dtype=complex)
-    for n in range(dim):
-        image = op(make_basis(p1, basis, n))
-        cols[:, n] = expand(image, basis, dim)
-    return OperatorMatrix(p1, name, basis, dim, cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            entries = _entries(p1, name, basis, dim)
+            beyond = None if np.all(np.isfinite(entries)) else "an entry is not finite"
+        except OverflowError as exc:
+            beyond = str(exc)
+    if beyond:
+        raise ValueError(
+            f"the {name} matrix in the {basis}-family at q={p1.q}, dim={dim} "
+            f"leaves the double range: {beyond}"
+        )
+    return OperatorMatrix(p1, name, basis, dim, entries)
 
 
 def d_constant(params: FieldParams, m: int) -> float:

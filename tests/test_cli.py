@@ -202,6 +202,15 @@ def test_cli_matrix_csv_matches_library(tmp_path):
     assert dst.read_text() == matrix_csv(operator_matrix(P2, "I1", "e", 4))
 
 
+def test_cli_matrix_beyond_the_double_range_exits_3(tmp_path, capsys):
+    dst = tmp_path / "m.json"
+    argv = ["matrix", "D1O", "e", "--q", "2", "--dim", "1280", "--out", str(dst)]
+    assert main(argv) == 3
+    assert not dst.exists()
+    err = capsys.readouterr().err
+    assert "D1O matrix in the e-family at q=2, dim=1280" in err and "Traceback" not in err
+
+
 def test_cli_matrix_json_parses(tmp_path):
     dst = tmp_path / "mat.json"
     assert main(["matrix", "I01", "f", "--dim", "5", "--out", str(dst)]) == 0

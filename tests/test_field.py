@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from padicradial.field import (
     FieldParams,
     KRadialFunction,
+    _decay,
     expand,
     inner_product,
     make_basis,
@@ -198,6 +199,27 @@ def test_expand_matches_the_pairing_definition(q, family, width, count, tail, se
     u = KRadialFunction(FieldParams(q), 1 - width, 0, vals, t)
     want = pairing_expand(u, family, count)
     assert np.abs(expand(u, family, count) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from([2.0, 3.0**0.7, 5.0**2.3, math.sqrt(3.0), 1.0]), upward=st.booleans(),
+       shells=st.integers(1, 40), rows=st.integers(1, 6),
+       order=st.sampled_from(["random", "ascending", "descending"]), seed=st.integers(0, 2**32 - 1))
+def test_decay_rows_are_one_row_decays_on_their_own_windows(base, upward, shells, rows, order, seed):
+    # a row held at its seed on its first ``start`` shells (in the direction
+    # of the recurrence) runs bit for bit as the one-row recurrence from there
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((shells, rows)) + 1j * rng.standard_normal((shells, rows))
+    seeds = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    start = rng.integers(0, shells + 1, rows)
+    if order != "random":
+        start = np.sort(start)[:: 1 if order == "ascending" else -1].copy()
+    out = _decay(w, base, seeds, upward=upward, start=start)
+    for r, k in enumerate(start):
+        own = slice(0, shells - k) if upward else slice(k, shells)
+        held = slice(shells - k, shells) if upward else slice(0, k)
+        assert np.array_equal(out[own, r], _decay(w[own, r], base, seeds[r], upward=upward))
+        assert np.all(out[held, r] == seeds[r])
 
 
 def test_expand_rejects_a_negative_count():
