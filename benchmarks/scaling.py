@@ -12,6 +12,11 @@ Layers (``--layer``):
   on two of them: ``i1_eigenpairs`` (the I1 e-matrix and ``eig``) and
   ``volterra_check`` (the I01 f-matrix, ``eigvals`` and ``svd``).  Their
   ``dense_share`` is the part of their time not spent forming the matrix.
+- ``expand``: for q = 2, ``expand`` in the e- and f-family of a seeded
+  random function shaped like an ``operator_matrix`` image (the shells
+  ``1 - dim .. 0``, a nonzero tail, ``count = dim``) at dim in
+  {40, 160, 640}, and ``inner_product`` of two seeded random functions on
+  the shells ``1 - W .. 0`` (nonzero tails) at W in {100, 400, 1600}.
 
 Each call is repeated for at least ``--seconds`` per size (and at least
 three times); the record keeps the median and the minimum per call, and for
@@ -45,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from padicradial import laplace, spectral
-from padicradial.field import FieldParams, KRadialFunction
+from padicradial.field import FieldParams, KRadialFunction, expand, inner_product
 from padicradial.operators import operator_matrix
 
 Q = 2
@@ -130,7 +135,34 @@ def operator_matrix_layer(seconds: float) -> dict:
     }
 
 
-LAYERS = {"laplace": laplace_layer, "operator_matrix": operator_matrix_layer}
+def _random(rng, width: int) -> KRadialFunction:
+    vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    return KRadialFunction(FieldParams(Q), 1 - width, 0, vals, complex(*rng.standard_normal(2)))
+
+
+def expand_layer(seconds: float) -> dict:
+    dims, widths = (40, 160, 640), (100, 400, 1600)
+    rng = np.random.default_rng(1)
+    rows = []
+    for dim in dims:
+        image = _random(rng, dim)
+        rows.append({"dim": dim, **{f"expand {family}": _timed(lambda: expand(image, family, dim), seconds)
+                                    for family in ("e", "f")}})
+    pairs = []
+    for W in widths:
+        u, v = _random(rng, W), _random(rng, W)
+        pairs.append({"W": W, "inner_product": _timed(lambda: inner_product(u, v), seconds)})
+    return {
+        "q": Q,
+        "shapes": "expand: shells 1 - dim .. 0, nonzero tail, count = dim; "
+                  "inner_product: shells 1 - W .. 0, nonzero tails",
+        "per_call": rows + pairs,
+        "scaling_exponent": {**_exponents(dims, rows, ("expand e", "expand f")),
+                             **_exponents(widths, pairs, ("inner_product",))},
+    }
+
+
+LAYERS = {"laplace": laplace_layer, "operator_matrix": operator_matrix_layer, "expand": expand_layer}
 
 
 def _revision() -> str:

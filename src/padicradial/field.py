@@ -12,6 +12,7 @@ inner products and basis expansions carry no truncation error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,10 +73,17 @@ def _root_measure(q: float, lo: int) -> tuple[np.ndarray, float]:
     ``|x| <= q^(lo-1)`` has measure ``q^(lo-1)``.  Every pairing over the
     unit ball weights each factor by one root, so a deep basis element
     (whose values grow like ``q^(N/2)``) is scaled back before it is
-    squared, and nothing overflows.
+    squared, and nothing overflows.  The shell roots are computed once per
+    ``(q, lo)`` (the last 16 pairs are kept) and shared read-only.
     """
-    js = np.arange(lo, 1.0)
-    return math.sqrt(1.0 - 1.0 / q) * np.power(q, js / 2.0), _ball_root(q, lo)
+    return _shell_roots(q, lo), _ball_root(q, lo)
+
+
+@functools.lru_cache(maxsize=16)
+def _shell_roots(q: float, lo: int) -> np.ndarray:
+    r = math.sqrt(1.0 - 1.0 / q) * np.power(q, np.arange(lo, 1.0) / 2.0)
+    r.flags.writeable = False
+    return r
 
 
 def _ball_root(q: float, n_lo):
@@ -200,9 +208,12 @@ class KRadialFunction:
         return complex(self.values[j - self.n_lo])
 
     def values_on(self, lo: int, hi: int) -> np.ndarray:
-        """Shell values for every exponent in ``[lo, hi]``."""
+        """Shell values for every exponent in ``[lo, hi]``: a new array, or on
+        exactly the stored window the stored read-only ``values``, not a copy."""
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
+        if lo == self.n_lo and hi == self.n_hi:
+            return self.values
         n = hi - lo + 1
         a = min(max(self.n_lo - lo, 0), n)  # the first index in or above the window
         b = min(max(self.n_hi + 1 - lo, 0), n)  # the first index above it

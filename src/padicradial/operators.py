@@ -336,7 +336,10 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
     the elements ``0 .. dim-1`` (at most two shells each) are written in
     closed form as the rows of one grid of shell values, and the operator's
     shell recurrence runs once over all rows, each row held at its seed
-    below its own window.  Each image then costs one closed-form ``expand``.
+    below its own window.  Each image then costs one closed-form ``expand``
+    on its stored window (read without a copy) and the memoized root
+    measures of ``(q, 1 - dim)``; in the e-family that is one O(dim)
+    recurrence per column.
     Every column is bit for bit that of the operator applied to
     ``make_basis(params, basis, n)`` and expanded.  ``J`` is the rank-2
     outer product of the grid's closed-form pairings with 1 and ``log|x|``.

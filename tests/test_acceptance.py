@@ -33,6 +33,27 @@ def test_generic_parameters_q5():
     assert ok, [r.name for r in results if not r.passed]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the alpha = 2 symbol gap at q = 11 is 4.09e-10, over its 1e-10 tolerance")
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_generic_parameters_q11_fail_only_the_transform_suite(alpha):
+    """Known defect: ``padicradial verify --q 11`` exits 1 at every order.
+
+    The transform suite's symbol identity at alpha = 2 measures 4.09e-10
+    against ``laplace_symbol`` = 1e-10, on every shell ``n <= 0`` of its
+    range.  The random 6-shell ``psi`` has ``D^2 psi`` with tail 3.3e12, and
+    the gap is the absolute rounding of that derivative's transform, divided
+    by ``max(1, |left|, |right|)``, where both sides are below 1 for
+    ``n <= 0``.  Every other check passes.  When the residual or its scale is
+    mended, this test passes and its mark goes.
+    """
+    ok, results = run_verification(RunConfig(q=11, alpha=alpha))
+    others = [r.name for r in results if not r.passed and not r.name.startswith("transform suite")]
+    if others:
+        pytest.fail(f"checks other than the transform suite fail: {others}")
+    assert ok, [r.line() for r in results if not r.passed]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(q=1)

@@ -18,6 +18,7 @@ from padicradial.serialize import (
 )
 from padicradial.laplace import TransformSequence
 from padicradial.operators import operator_matrix
+from padicradial.spectral import i1_eigenpairs
 
 P2 = FieldParams(2, 1.0)
 
@@ -227,6 +228,18 @@ def test_cli_spectrum_reports_geometric_eigenvalues(tmp_path):
     for m in range(1, 20):
         assert min(abs(z - 2.0**-m) for z in eigs) < 1e-10
     assert doc["max_gap_to_analytic"] < 1e-10
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("dim", [2, 20, 160])
+def test_cli_spectrum_gap_is_the_pairwise_loop(tmp_path, q, dim):
+    # for each analytic eigenvalue q^-m the nearest computed one, and the
+    # worst of those: the same float as the pairwise Python loop
+    dst = tmp_path / "spec.json"
+    assert main(["spectrum", "--q", str(q), "--dim", str(dim), "--out", str(dst)]) == 0
+    ev = i1_eigenpairs(FieldParams(q), dim).eigenvalues
+    loop = max(min(abs(z - float(q) ** -m) for z in ev) for m in range(1, dim))
+    assert json.loads(dst.read_text())["max_gap_to_analytic"] == loop
 
 
 def test_cli_charfn_document(tmp_path):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padicradial.field
 from padicradial.field import (
     FieldParams,
     KRadialFunction,
     _decay,
+    _root_measure,
     expand,
     inner_product,
     make_basis,
@@ -57,6 +59,63 @@ def test_value_window_semantics():
     assert wide.value_at(-4) == 7.0 and wide.value_at(2) == 0.0
     with pytest.raises(ValueError):
         KRadialFunction(P2, 0, -1, [])
+
+
+def test_values_on_the_stored_window_is_the_stored_read_only_array():
+    u = KRadialFunction(P2, -2, 0, [1.0, 2.0, 3.0], inner_tail=7.0)
+    whole = u.values_on(u.n_lo, u.n_hi)
+    assert np.array_equal(whole, u.values)
+    with pytest.raises(ValueError):
+        whole[0] = 0.0
+    wider = u.values_on(-3, 0)  # any other range is a new array of its own
+    wider[:] = 0.0
+    assert np.array_equal(u.values, [1.0, 2.0, 3.0]) and u.value_at(-3) == 7.0
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_root_measures_are_read_only_and_bounded(q):
+    for lo in (0, -1, -40, -1599):
+        r, h = _root_measure(float(q), lo)
+        assert np.array_equal(r, math.sqrt(1.0 - 1.0 / q) * np.power(float(q), np.arange(lo, 1.0) / 2.0))
+        assert h == float(q) ** ((lo - 1.0) / 2.0)
+        with pytest.raises(ValueError):
+            r[0] = 0.0
+        assert _root_measure(float(q), lo)[0] is r  # computed once per (q, lo)
+    for lo in range(-100, 0):
+        _root_measure(float(q), lo)
+    assert padicradial.field._shell_roots.cache_info().currsize <= 16
+
+
+def test_pairings_do_not_depend_on_the_memo(monkeypatch):
+    # the same bits without the memo, on a cold one, on a repeated call and
+    # after calls at other (q, lo) have evicted the entries; q = 2 and 3
+    # share every window, so a memo that mixed up fields would show
+    rng = np.random.default_rng(5)
+    cases = []
+    for q in (2, 3):
+        p = FieldParams(q)
+        vals = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        cases.append((KRadialFunction(p, -39, 0, vals, 0.5 - 0.25j), make_basis(p, "e", 7)))
+
+    def results():
+        return [[expand(u, "e", 40), expand(u, "f", 40), expand(v, "e", 60), expand(v, "f", 3),
+                 inner_product(u, v), inner_product(v, v), o_integral(u), o_integral(v)]
+                for u, v in cases]
+
+    memo = padicradial.field._shell_roots
+    with monkeypatch.context() as m:
+        m.setattr(padicradial.field, "_shell_roots", memo.__wrapped__)
+        want = results()
+    memo.cache_clear()
+    runs = [results(), results()]
+    for other in (2, 3, 5, 7):
+        for lo in range(-60, 1, 3):
+            expand(KRadialFunction(FieldParams(other), lo, 0, np.ones(1 - lo), 1.0), "e", 5)
+    runs.append(results())
+    for got in runs:
+        for case, want_case in zip(got, want):
+            for a, b in zip(case, want_case):
+                assert np.array_equal(a, b)
 
 
 def test_norm_of_step_functions():

@@ -417,6 +417,30 @@ def test_operator_matrix_is_the_column_loop_at_dim_640(name, basis):
     assert np.array_equal(got, oracle_operator_matrix(P2, name, basis, 640))
 
 
+@pytest.mark.parametrize("basis", ["e", "f"])
+def test_operator_matrix_does_not_depend_on_the_memo(monkeypatch, basis):
+    # without the root-measure memo, on a cold one, repeated, and after
+    # matrices at other (q, dim) have evicted its entries
+    cases = [(FieldParams(q), name, basis, 40) for q in (2, 3) for name in OPERATOR_NAMES]
+
+    def matrices():
+        return [operator_matrix(*case).entries for case in cases]
+
+    memo = padicradial.field._shell_roots
+    with monkeypatch.context() as m:
+        m.setattr(padicradial.field, "_shell_roots", memo.__wrapped__)
+        want = matrices()
+    memo.cache_clear()
+    runs = [matrices(), matrices()]
+    for q in (2, 3, 5, 7):
+        for dim in range(2, 30, 3):
+            operator_matrix(FieldParams(q), "I1", basis, dim)
+    runs.append(matrices())
+    for got in runs:
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 def test_operator_matrix_beyond_the_double_range_raises():
     # the D1O image of e_N has shell values of order q^(3N/2): at q = 2 they
     # fit a double up to N = 682

@@ -1,0 +1,28 @@
+"""Smoke test of the per-layer cost-curve script ``benchmarks/scaling.py``."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "scaling.py"
+
+
+def load_scaling():
+    spec = importlib.util.spec_from_file_location("scaling", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_expand_layer_writes_a_record_with_finite_exponents(tmp_path):
+    dst = tmp_path / "bench.json"
+    assert load_scaling().main(["--layer", "expand", "--seconds", "0", "--into", str(dst)]) == 0
+    record = json.loads(dst.read_text())["run"]
+    assert set(record) == {"layer", "q", "shapes", "per_call", "scaling_exponent",
+                           "revision", "numpy", "python", "machine"}
+    assert record["layer"] == "expand"
+    assert [row.get("dim") or row.get("W") for row in record["per_call"]] == [40, 160, 640, 100, 400, 1600]
+    exponents = record["scaling_exponent"]
+    assert set(exponents) == {"expand e", "expand f", "inner_product"}
+    assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())
