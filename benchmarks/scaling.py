@@ -8,24 +8,38 @@ Layers (``--layer``):
   transform with ``m_max = m``: the calls of the ``shell-sweep`` benchmark.
 - ``operator_matrix``: for q = 2 and dim in {40, 160, 640, 1280},
   ``operator_matrix`` of D1O, I1, I01 and the resolvent in the e-family and
-  of J in the f-family, the I01 f-matrix, and the dense spectral work built
-  on two of them: ``i1_eigenpairs`` (the I1 e-matrix and ``eig``) and
-  ``volterra_check`` (the I01 f-matrix, ``eigvals`` and ``svd``).  Their
-  ``dense_share`` is the part of their time not spent forming the matrix.
+  of J in the f-family, the I01 f-matrix, and the spectral work built on
+  two of them: ``i1_eigenpairs`` (the I1 e-matrix and a dense ``eig``) and
+  ``volterra_check`` (the I01 f-matrix, its diagonal and a triangular
+  back-substitution; no ``eigvals`` or ``svd``).  Their ``dense_share`` is
+  the part of their time not spent forming the matrix.
 - ``expand``: for q = 2, ``expand`` in the e- and f-family of a seeded
   random function shaped like an ``operator_matrix`` image (the shells
   ``1 - dim .. 0``, a nonzero tail, ``count = dim``) at dim in
   {40, 160, 640}, and ``inner_product`` of two seeded random functions on
   the shells ``1 - W .. 0`` (nonzero tails) at W in {100, 400, 1600}.
+- ``apply``: for q in {3, 7} and W in {100, 400, 1600}, a seeded random
+  function on the shells ``1 - W .. 0`` with a nonzero tail, as in the
+  ``shell-sweep`` benchmark: ``apply_I_alpha`` and ``apply_D_alpha_O`` at
+  the order ``ORDERS[q]``, ``apply_I01``, ``laplace_transform`` over
+  ``(lo, m + 1)``, ``m = W - 1``, where ``lo = 1 - m`` as in ``shell-sweep``
+  is raised to the first start whose ``q^(-lo)`` is a double, and the
+  shell scale of ``apply_I_alpha`` on its own: ``_scaled`` of the shell
+  values by ``q^(alpha n)``.  Deep windows take that scale out of the
+  double range.
 
 Each call is repeated for at least ``--seconds`` per size (and at least
 three times); the record keeps the median and the minimum per call, and for
 each the exponent ``b`` of the least-squares fit ``time ~ size^b``.  A size
 the library refuses (an entry beyond the double range) is recorded with its
-error and left out of the fit.  BLAS runs on one
-thread.  Run it against the library on ``PYTHONPATH``:
+error and left out of the fit.  BLAS runs on one thread, and the process on
+one CPU.  The machine-speed kernel of ``perfbench/calibrate.py`` is timed
+between the calls, and every time in the record is the measured time times
+its ``factor()``, the run's ``speed_factor``: the time at the kernel's
+reference speed, so records taken at different speed states compare.  Run it
+against the library on ``PYTHONPATH``:
 
-    PYTHONPATH=src python benchmarks/scaling.py --layer operator_matrix --label after --into BENCH_9.json
+    PYTHONPATH=src python benchmarks/scaling.py --layer apply --label after --into BENCH_11.json
 
 ``--into`` adds the record under ``--label`` to the JSON file (created if
 missing), so the same file can hold a ``before`` and an ``after`` record.
@@ -39,7 +53,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # before numpy loads its BLAS
 
 import argparse
+import functools
+import importlib.util
 import json
+import math
 import platform
 import statistics
 import subprocess
@@ -49,30 +66,49 @@ from pathlib import Path
 
 import numpy as np
 
-from padicradial import laplace, spectral
+from padicradial import laplace, operators, spectral
 from padicradial.field import FieldParams, KRadialFunction, expand, inner_product
 from padicradial.operators import operator_matrix
 
 Q = 2
+CALIBRATE = Path(__file__).resolve().parents[1] / "perfbench" / "calibrate.py"
 
 
-def _per_call(fn, seconds: float) -> list[float]:
+def _load_calibrate():
+    spec = importlib.util.spec_from_file_location("calibrate", CALIBRATE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _per_call(fn, seconds: float, cal) -> list[float]:
     times = []
     deadline = time.perf_counter() + seconds
     while len(times) < 3 or time.perf_counter() < deadline:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
+        cal.tick()
     return times
 
 
-def _timed(fn, seconds: float) -> dict:
+def _timed(fn, seconds: float, cal) -> dict:
+    """Raw per-call times of ``fn`` in ms, or the reason the library refused it."""
     try:
         fn()
     except (ValueError, OverflowError) as exc:
         return {"refused": f"{type(exc).__name__}: {exc}"}
-    times = _per_call(fn, seconds)
+    times = _per_call(fn, seconds, cal)
     return {"median": 1e3 * statistics.median(times), "min": 1e3 * min(times), "calls": len(times)}
+
+
+def _at_reference_speed(rows: list, factor: float) -> None:
+    """Scale every timing in ``rows`` by the run's calibration ``factor``."""
+    for row in rows:
+        for entry in row.values():
+            if isinstance(entry, dict) and "median" in entry:
+                entry["median"] *= factor
+                entry["min"] *= factor
 
 
 def _exponents(sizes, rows, series) -> dict:
@@ -86,7 +122,7 @@ def _exponents(sizes, rows, series) -> dict:
     return out
 
 
-def laplace_layer(seconds: float) -> dict:
+def laplace_layer(timed) -> dict:
     widths = (100, 200, 400, 800)
     rng = np.random.default_rng(1)
     rows = []
@@ -96,8 +132,8 @@ def laplace_layer(seconds: float) -> dict:
         tilde = laplace.laplace_transform(phi, (1 - m, m + 1))
         rows.append({
             "W": W,
-            "transform_ms": _timed(lambda: laplace.laplace_transform(phi, (1 - m, m + 1)), seconds),
-            "invert_ms": _timed(lambda: laplace.laplace_invert(tilde, phi.value_at(0), m), seconds),
+            "transform_ms": timed(lambda: laplace.laplace_transform(phi, (1 - m, m + 1))),
+            "invert_ms": timed(lambda: laplace.laplace_invert(tilde, phi.value_at(0), m)),
         })
     return {
         "q": Q,
@@ -112,7 +148,7 @@ MATRICES = (("D1O", "e"), ("I1", "e"), ("I01", "e"), ("resolvent", "e"), ("J", "
 SPECTRAL = {"i1_eigenpairs": ("I1", "e"), "volterra_check": ("I01", "f")}
 
 
-def operator_matrix_layer(seconds: float) -> dict:
+def operator_matrix_layer(timed) -> dict:
     dims = (40, 160, 640, 1280)
     p = FieldParams(Q)
     series = [f"{name} {basis}" for name, basis in MATRICES] + list(SPECTRAL)
@@ -120,9 +156,9 @@ def operator_matrix_layer(seconds: float) -> dict:
     for dim in dims:
         row = {"dim": dim}
         for name, basis in MATRICES:
-            row[f"{name} {basis}"] = _timed(lambda: operator_matrix(p, name, basis, dim), seconds)
+            row[f"{name} {basis}"] = timed(lambda: operator_matrix(p, name, basis, dim))
         for fn, (name, basis) in SPECTRAL.items():
-            row[fn] = _timed(lambda: getattr(spectral, fn)(p, dim), seconds)
+            row[fn] = timed(lambda: getattr(spectral, fn)(p, dim))
             matrix = row[f"{name} {basis}"]
             if "median" in row[fn] and "median" in matrix:
                 row[fn]["dense_share"] = round(1.0 - matrix["median"] / row[fn]["median"], 3)
@@ -140,18 +176,18 @@ def _random(rng, width: int) -> KRadialFunction:
     return KRadialFunction(FieldParams(Q), 1 - width, 0, vals, complex(*rng.standard_normal(2)))
 
 
-def expand_layer(seconds: float) -> dict:
+def expand_layer(timed) -> dict:
     dims, widths = (40, 160, 640), (100, 400, 1600)
     rng = np.random.default_rng(1)
     rows = []
     for dim in dims:
         image = _random(rng, dim)
-        rows.append({"dim": dim, **{f"expand {family}": _timed(lambda: expand(image, family, dim), seconds)
+        rows.append({"dim": dim, **{f"expand {family}": timed(lambda: expand(image, family, dim))
                                     for family in ("e", "f")}})
     pairs = []
     for W in widths:
         u, v = _random(rng, W), _random(rng, W)
-        pairs.append({"W": W, "inner_product": _timed(lambda: inner_product(u, v), seconds)})
+        pairs.append({"W": W, "inner_product": timed(lambda: inner_product(u, v))})
     return {
         "q": Q,
         "shapes": "expand: shells 1 - dim .. 0, nonzero tail, count = dim; "
@@ -162,7 +198,49 @@ def expand_layer(seconds: float) -> dict:
     }
 
 
-LAYERS = {"laplace": laplace_layer, "operator_matrix": operator_matrix_layer, "expand": expand_layer}
+# the order of apply_I_alpha and apply_D_alpha_O at each q: a head that is
+# not a float32 (0.9), and an exact one
+ORDERS = {3: 0.9, 7: 2.0}
+APPLY = ("_scaled", "apply_I_alpha", "apply_I01", "apply_D_alpha_O", "laplace_transform")
+
+
+def apply_layer(timed) -> dict:
+    widths = (100, 400, 1600)
+    rng = np.random.default_rng(1)
+    rows, exponents = [], {}
+    for q, alpha in ORDERS.items():
+        cells = []
+        for W in widths:
+            vals = rng.standard_normal(W) + 1j * rng.standard_normal(W)
+            tail = complex(*rng.standard_normal(2))
+            u = KRadialFunction(FieldParams(q, alpha), 1 - W, 0, vals, tail)
+            u1 = KRadialFunction(FieldParams(q), 1 - W, 0, vals, tail)
+            m = W - 1
+            lo = max(1 - m, -int(1023 / math.log2(q)))  # q^(-lo) must be a double
+            ns = np.arange(1.0 - W, 1.0)
+            cells.append({
+                "q": q, "W": W,
+                "_scaled": timed(lambda: operators._scaled(vals, float(q), alpha, ns)),
+                "apply_I_alpha": timed(lambda: operators.apply_I_alpha(u)),
+                "apply_I01": timed(lambda: operators.apply_I01(u1)),
+                "apply_D_alpha_O": timed(lambda: operators.apply_D_alpha_O(u)),
+                "laplace_transform": timed(lambda: laplace.laplace_transform(u1, (lo, m + 1))),
+            })
+        rows += cells
+        exponents.update({f"{name} q={q}": fit for name, fit in _exponents(widths, cells, APPLY).items()})
+    return {
+        "orders": {str(q): alpha for q, alpha in ORDERS.items()},
+        "shapes": "shells 1 - W .. 0, nonzero tail; _scaled of the values by q^(alpha n), "
+                  "apply_I_alpha and apply_D_alpha_O at the order of q, apply_I01, and "
+                  "laplace_transform over (lo, m + 1), m = W - 1, lo = max(1 - m, -floor(1023 / log2 q)), "
+                  "at order 1",
+        "per_call": rows,
+        "scaling_exponent": exponents,
+    }
+
+
+LAYERS = {"laplace": laplace_layer, "operator_matrix": operator_matrix_layer, "expand": expand_layer,
+          "apply": apply_layer}
 
 
 def _revision() -> str:
@@ -184,9 +262,14 @@ def main(argv=None) -> int:
     ap.add_argument("--into", type=Path, help="JSON file to add the record to")
     ap.add_argument("--seconds", type=float, default=1.0, help="time per call and size")
     args = ap.parse_args(argv)
+    cal = _load_calibrate().Calibrator()
+    layer = LAYERS[args.layer](functools.partial(_timed, seconds=args.seconds, cal=cal))
+    factor = cal.factor()
+    _at_reference_speed(layer["per_call"], factor)
     record = {
         "layer": args.layer,
-        **LAYERS[args.layer](args.seconds),
+        **layer,
+        "speed_factor": round(factor, 4),
         "revision": _revision(),
         "numpy": np.__version__,
         "python": platform.python_version(),
@@ -201,4 +284,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # the calibration kernel and the calls it scales share one CPU
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.exit(main())

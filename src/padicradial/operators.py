@@ -10,6 +10,7 @@ the origin is attached as the tail instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,36 +49,76 @@ OPERATOR_NAMES = ("D1O", "I1", "I01", "J", "resolvent")
 _TINY = np.finfo(float).tiny
 
 
+def _power(q: float, head: float, a: float, ns: np.ndarray) -> np.ndarray:
+    """``q^(a n)`` on the shells ``ns`` as ``q^(head n) q^((a - head) n)``;
+    the second factor is exactly 1 when ``a`` is its own head."""
+    power = np.power(q, head * ns)
+    return power if a == head else power * np.power(q, (a - head) * ns)
+
+
 def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarray:
-    """``bracket * q^(a n)`` on the shells ``ns`` (the first axis; rows, if
-    any, on a second axis share the factor of their shell).
+    """``bracket * q^(a n)`` on the shells ``ns``, a nonempty monotone run
+    (the first axis; rows, if any, on a second axis share the scale of
+    their shell).
 
     The exponent ``a n`` is formed exactly: ``a`` splits into a 24-bit head,
     whose products with shell indices are exact, and a small remainder (a
-    single rounded ``a n`` would cost ``n eps log q`` relative).  Where the
-    product is not a normal double, the factor alone may have left the
-    range, so it is applied again as two half-powers; a zero bracket under a
-    finite factor is exactly 0 either way and is left alone.
+    single rounded ``a n`` would cost ``n eps log q`` relative).  A shell's
+    factor ``q^(a n)`` is formed only where it can be a normal double, as
+    told by its exponent ``a n log2 q`` before any power is formed; the two
+    end shells tell whether every factor is, which is the common case.  A
+    shell whose factor is not a normal double (it would underflow, be
+    subnormal or overflow) is scaled by two half-powers instead, each
+    ``q^(head n / 2)``, the second times the remainder's power; a
+    half-power that is certainly 0 or inf enters as that value without
+    being formed.  (A subnormal factor would keep only some of its bits.)
+    Where the product with a normal factor is not a normal double, it is
+    formed again as the bracket times the square of ``q^(a n / 2)``; a zero
+    bracket under a finite factor is exactly 0 either way and is left alone.
     ``OverflowError`` is raised when a value itself overflows, and when a
     subnormal bracket would be scaled up to a normal value (its lost bits
     would show as a wrong result).
     """
     head = float(np.float32(a))
+    lg = a * math.log2(q)  # a shell's factor is 2^(lg n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        factor = _along(np.power(q, head * ns) * np.power(q, (a - head) * ns), bracket)
-        out = bracket * factor
-        redo = ~(np.abs(out) >= _TINY) | np.isinf(out)
-        if redo.any():
-            redo &= (bracket != 0) | ~np.isfinite(factor)
-            ns = np.broadcast_to(_along(ns, bracket), bracket.shape)[redo]
-            half = np.power(q, head * ns / 2.0) * np.power(q, (a - head) * ns / 2.0)
-            out[redo] = bracket[redo] * half * half
-    if np.any(~np.isfinite(out) & np.isfinite(bracket)):
-        raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
-    # a subnormal bracket has lost its low bits; scaled up to a normal value
-    # it would pass them off as an accurate result
-    if np.any((np.abs(bracket) < _TINY) & (np.abs(out) >= _TINY)):
-        raise OverflowError(f"operator value lost to underflow (scale q^({a!r} n), q={q:g})")
+        if max(abs(ns[0]), abs(ns[-1])) * abs(lg) < 1021.0:  # every factor is normal
+            single = True
+            out = bracket * _along(_power(q, head, a, ns), bracket)
+        else:
+            e2 = lg * ns
+            near = np.abs(e2 - 1.0) < 1024.0  # 2^e2 in (2^-1023, 2^1025): may be normal
+            factor = _power(q, head, a, ns[near])
+            normal = (factor >= _TINY) & (factor < np.inf)
+            single = near.copy()
+            single[near] = normal
+            halves = ~single
+            nh, e2h = ns[halves], e2[halves]
+            # q^(head n / 2): below 2^-1077 it is 0, from 2^1025 on inf
+            half = np.where(e2h < 0.0, 0.0, np.inf)
+            live = np.abs(e2h + 52.0) < 2102.0
+            half[live] = np.power(q, head * nh[live] / 2.0)
+            scale = np.empty(len(ns))
+            scale[single] = factor[normal]
+            scale[halves] = half
+            out = bracket * _along(scale, bracket)
+            if a != head:  # the remainder enters once, with the second half
+                half[live] *= np.power(q, (a - head) * nh[live])
+            out[halves] *= _along(half, out)
+            single = _along(single, bracket)
+        bad = ~(np.abs(out) >= _TINY) | np.isinf(out)
+        if bad.any():
+            redo = bad & (bracket != 0) & single
+            if redo.any():
+                half = _power(q, head, a, np.broadcast_to(_along(ns, bracket), bracket.shape)[redo] / 2.0)
+                out[redo] = bracket[redo] * half * half
+            if (~np.isfinite(out) & np.isfinite(bracket)).any():
+                raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
+        # a subnormal bracket has lost its low bits; scaled up to a normal
+        # value it would pass them off as an accurate result
+        small = np.abs(bracket) < _TINY
+        if small.any() and (np.abs(out[small]) >= _TINY).any():
+            raise OverflowError(f"operator value lost to underflow (scale q^({a!r} n), q={q:g})")
     return out
 
 

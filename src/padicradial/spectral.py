@@ -32,6 +32,7 @@ __all__ = [
     "order_certificate",
 ]
 
+_TINY = np.finfo(float).tiny
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -64,40 +65,44 @@ def volterra_check(params: FieldParams, dim: int) -> dict:
     """Nilpotency diagnostics of the Volterra part in the f-family.
 
     The matrix must be strictly upper triangular, so every eigenvalue of
-    the truncation vanishes.  The kernel is solved from that structure by
-    back-substitution: row ``j`` pins coordinate ``j + 1`` through the pivot
-    just above the diagonal, zeros propagate exactly, and only coordinates
-    whose pivot vanishes stay free.  (A singular-value cutoff cannot do
-    this job: the trailing singular values of the truncation decay
-    geometrically and sink below any fixed threshold as ``dim`` grows,
-    while the exact kernel stays one-dimensional.)  Singular values are
-    still reported for inspection.
+    the truncation vanishes.  Where its strict lower part is exactly 0 the
+    eigenvalues are its diagonal, and ``max_abs_eigenvalue`` is the largest
+    ``|diagonal|``; otherwise it is ``inf``.  The kernel is solved from the
+    same structure by back-substitution: row ``j`` pins coordinate ``j + 1``
+    through the pivot just above the diagonal, and zeros propagate exactly
+    (a coordinate whose ``rest`` is 0 stays 0, with no division by a pivot
+    that may have underflowed).  Only coordinates whose pivot vanishes in a
+    row that holds a normal double stay free; a row whose entries are all
+    below ``2^-1022`` (from row 1021 at q = 2) has lost its pivot to
+    underflow, and its coordinate is not free.  (A singular-value cutoff
+    cannot do this job: the trailing singular values of the truncation
+    decay geometrically and sink below any fixed threshold as ``dim``
+    grows, while the exact kernel stays one-dimensional.)
     """
     mat = operator_matrix(params, "I01", "f", dim)
     A = mat.entries
-    lower = np.abs(A[np.tril_indices(dim)])
-    max_lower = float(lower.max())
-    ev = np.linalg.eigvals(A)
-    s = np.linalg.svd(A, compute_uv=False)
+    max_lower = float(np.abs(A[np.tril_indices(dim)]).max())
+    triangular = not A[np.tril_indices(dim, -1)].any()
 
     kernel_vector = np.zeros(dim, dtype=complex)
     kernel_vector[0] = 1.0
     free = 1  # coordinate 0 is never constrained (column 0 vanishes)
+    pinned = False  # no coordinate from 2 on is nonzero yet, so each rest is 0
     for j in range(dim - 2, -1, -1):
         pivot = A[j, j + 1]
-        rest = A[j, j + 2 :] @ kernel_vector[j + 2 :]
-        if pivot == 0:
-            free += 1 if rest == 0 else 0
-        else:
+        rest = A[j, j + 2 :] @ kernel_vector[j + 2 :] if pinned else 0
+        if rest == 0:
+            free += pivot == 0 and bool((np.abs(A[j]) >= _TINY).any())
+        elif pivot != 0:
             kernel_vector[j + 1] = -rest / pivot
+            pinned = True
     kernel_vector /= np.linalg.norm(kernel_vector)
     return {
-        "max_abs_eigenvalue": float(np.abs(ev).max()),
+        "max_abs_eigenvalue": float(np.abs(A.diagonal()).max()) if triangular else math.inf,
         "strict_triangularity": max_lower <= 1e-14,
         "max_lower_entry": max_lower,
         "kernel_dim": free,
         "kernel_vector": kernel_vector,
-        "singular_values": s,
     }
 
 

@@ -547,10 +547,13 @@ def mp_I_alpha(u, n, terms=200):
     """Direct mpmath sum of the power kernel at one shell, and its term mass."""
     with mpmath.workdps(40):
         q, a, val = _mp_exact(u, terms)
-        pre = (1 - q**-a) / (1 - q ** (a - 1))
         local = q**-a * q ** (a * n) * val[n]
-        kernel = [pre * (q ** ((a - 1) * n) - q ** ((a - 1) * k)) * val[k] * (1 - 1 / q) * q**k
-                  for k in range(u.n_lo - terms, n)]
+        if a == 1:  # the limit of the kernel below: the logarithmic kernel
+            weight = [-(1 - 1 / q) * (n - k) for k in range(u.n_lo - terms, n)]
+        else:
+            pre = (1 - q**-a) / (1 - q ** (a - 1))
+            weight = [pre * (q ** ((a - 1) * n) - q ** ((a - 1) * k)) for k in range(u.n_lo - terms, n)]
+        kernel = [w * val[k] * (1 - 1 / q) * q**k for w, k in zip(weight, range(u.n_lo - terms, n))]
         return local + mpmath.fsum(kernel), abs(local) + mpmath.fsum(abs(x) for x in kernel)
 
 
@@ -583,6 +586,50 @@ def test_deep_window_against_direct_sums(op, oracle, q, alpha, width):
     for n in (u.n_lo, u.n_lo + 1, u.n_lo + 10, u.n_lo + 30, u.n_lo + 60, -width // 2, 0):
         exact, mass = oracle(u, n)
         assert float(abs(mpmath.mpc(out.value_at(n)) - exact) / mass) < 1e-12
+
+
+@pytest.mark.parametrize("N", [655, 660, 665])
+def test_right_inverse_where_the_shell_scale_is_subnormal(N):
+    # at q = 3 the scale q^n of I^1 is subnormal from n = -645 on, while the
+    # values of e_N stay normal: a product with a subnormal scale keeps only
+    # its bits (1e-7 of the term mass at N = 665)
+    e = make_basis(FieldParams(3), "e", N)
+    out = apply_I_alpha(e)
+    for n in range(-N, -N + 8):
+        exact, mass = mp_I_alpha(e, n)
+        assert float(abs(mpmath.mpc(out.value_at(n)) - exact) / mass) < 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([2, 3, 5, 7]), alpha=st.sampled_from([0.5, 0.9, 1.0, 2.0]),
+       sign=st.sampled_from([1, -1]), edge=st.sampled_from([-2044, -1022, 1022, 2044]),
+       descending=st.booleans(), data=st.data())
+def test_scaled_against_exact_products(q, alpha, sign, edge, descending, data):
+    # q^(a n) on the shells around 2^edge, the edges of the double range and
+    # of its square, with brackets that keep every value a normal double:
+    # each component within 2 ulps (2^-51 relative) of the exact product
+    a = sign * alpha
+    lg = a * math.log2(q)
+    n0 = round(edge / lg)
+    # the bracket m 2^s, 1 <= |m| < 2, and the value are normal doubles
+    spans = {n: (max(-1022, math.ceil(-1021 - lg * n)), min(1022, math.floor(1022 - lg * n)))
+             for n in range(n0 - 3, n0 + 4)}
+    ns = [n for n, (lo, hi) in spans.items() if lo <= hi]
+    if descending:
+        ns.reverse()
+    mantissa = st.floats(1.0, 2.0, exclude_max=True)
+    brackets = []
+    for n in ns:
+        s = data.draw(st.integers(*spans[n]))
+        re, im = data.draw(mantissa), data.draw(mantissa)
+        brackets.append(complex(math.ldexp(re, s) * data.draw(st.sampled_from([1, -1])), math.ldexp(im, s)))
+    out = padicradial.operators._scaled(np.array(brackets), float(q), a, np.array(ns, dtype=float))
+    with mpmath.workdps(40):
+        for n, b, v in zip(ns, brackets, out):
+            scale = mpmath.mpf(q) ** (mpmath.mpf(a) * n)
+            for got, part in ((v.real, b.real), (v.imag, b.imag)):
+                exact = mpmath.mpf(part) * scale
+                assert abs(mpmath.mpf(got) - exact) <= 2.0**-51 * abs(exact), (n, part)
 
 
 # orders clustered around the old pole, plus the whole working range

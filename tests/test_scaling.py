@@ -19,10 +19,30 @@ def test_expand_layer_writes_a_record_with_finite_exponents(tmp_path):
     dst = tmp_path / "bench.json"
     assert load_scaling().main(["--layer", "expand", "--seconds", "0", "--into", str(dst)]) == 0
     record = json.loads(dst.read_text())["run"]
-    assert set(record) == {"layer", "q", "shapes", "per_call", "scaling_exponent",
+    assert set(record) == {"layer", "q", "shapes", "per_call", "scaling_exponent", "speed_factor",
                            "revision", "numpy", "python", "machine"}
+    assert record["speed_factor"] > 0
     assert record["layer"] == "expand"
     assert [row.get("dim") or row.get("W") for row in record["per_call"]] == [40, 160, 640, 100, 400, 1600]
     exponents = record["scaling_exponent"]
     assert set(exponents) == {"expand e", "expand f", "inner_product"}
+    assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())
+
+
+def test_apply_layer_covers_both_fields_and_every_width(tmp_path):
+    dst = tmp_path / "bench.json"
+    assert load_scaling().main(["--layer", "apply", "--seconds", "0", "--into", str(dst)]) == 0
+    record = json.loads(dst.read_text())["run"]
+    assert set(record) == {"layer", "orders", "shapes", "per_call", "scaling_exponent", "speed_factor",
+                           "revision", "numpy", "python", "machine"}
+    assert [(row["q"], row["W"]) for row in record["per_call"]] == [
+        (q, W) for q in (3, 7) for W in (100, 400, 1600)]
+    names = ("_scaled", "apply_I_alpha", "apply_I01", "apply_D_alpha_O", "laplace_transform")
+    for row in record["per_call"]:
+        for name in names:
+            # a timed call, or the library's refusal of it
+            assert ("median" in row[name]) != ("refused" in row[name]), (row["q"], row["W"], name)
+    exponents = record["scaling_exponent"]
+    assert {f"{name} q={q}" for name in names for q in (3, 7)} >= set(exponents)
+    assert "apply_I_alpha q=3" in exponents
     assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())

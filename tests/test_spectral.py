@@ -1,6 +1,7 @@
 """Eigenpairs, Volterra diagnostics, the imaginary part, the characteristic function."""
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,28 @@ def test_volterra_truncations_stay_nilpotent_up_to_60():
     for dim in (20, 40, 60):
         rep = volterra_check(P2, dim)
         assert rep["max_abs_eigenvalue"] <= 1e-10
+
+
+@pytest.mark.parametrize("q, dim", [(2, 20), (2, 160), (3, 40), (3, 160)])
+def test_volterra_eigenvalues_match_the_dense_solver(q, dim):
+    # the diagonal read off the triangular matrix against a dense eigvals
+    rep = volterra_check(FieldParams(q), dim)
+    dense = np.linalg.eigvals(operator_matrix(FieldParams(q), "I01", "f", dim).entries)
+    assert rep["max_abs_eigenvalue"] == pytest.approx(float(np.abs(dense).max()), abs=1e-12)
+    assert "singular_values" not in rep
+
+
+def test_volterra_kernel_past_the_underflowed_rows():
+    # from row 1021 at q = 2 every entry of the f-matrix is below 2^-1022;
+    # dividing by those pivots gave a nan kernel and counted them as free
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = volterra_check(P2, 1280)
+    assert rep["kernel_dim"] == 1
+    kv = rep["kernel_vector"]
+    assert np.all(np.isfinite(kv))
+    assert abs(kv[0]) == 1.0
+    assert rep["max_abs_eigenvalue"] == 0.0
 
 
 def test_volterra_two_by_two_nilpotent():
