@@ -114,7 +114,7 @@ def _div(z, d: float):
     return complex(z) / d
 
 
-def _decay(w: np.ndarray, base: float, seed=0j, upward: bool = False, start=None) -> np.ndarray:
+def _decay(w: np.ndarray, base: float, seed=0j, upward: bool = False) -> np.ndarray:
     """Geometric shell sums of ``w`` for every shell of its window.
 
     Downward: ``s[i] = sum_{j<i} w[j] base^(j-i)``, where ``seed`` is the
@@ -124,47 +124,57 @@ def _decay(w: np.ndarray, base: float, seed=0j, upward: bool = False, start=None
     ``s <- (s + w) / base``, so only relative powers of ``q`` are ever
     formed and nothing overflows however deep the window.  Dividing by
     ``base`` rather than multiplying by its rounded reciprocal keeps the
-    error of each step at one rounding.
-
-    ``w`` of shape ``(W, rows)`` runs every row at once, with one ``seed``
-    and one ``start`` per row: row ``r`` stays at its seed on the first
-    ``start[r]`` shells the recurrence meets (its padding) and recurs from
-    there, so it equals the one-row sums over its own window bit for bit.
-    The rows run on the float view of ``w``, real and imaginary parts each
-    divided by the real base, as Python divides a complex by a float.  One
-    row keeps the plain list loop, which is faster than per-shell numpy
-    calls.
+    error of each step at one rounding (the operators use ``_scan``).
     """
-    if w.ndim == 1:
-        ws = w.tolist()
-        if upward:
-            ws.reverse()
-        out = []
-        s = complex(seed)
-        for x in ws:
-            out.append(s)
-            s = (s + x) / base
-        if upward:
-            out.reverse()
-        return np.array(out, dtype=complex)
-    n, rows = w.shape
-    start = np.zeros(rows, dtype=int) if start is None else np.asarray(start)
-    seed = np.broadcast_to(np.asarray(seed, dtype=complex), (rows,))
-    order = None
-    if np.any(start[:-1] < start[1:]):  # sort rows by descending start (operator_matrix's order)
-        order = np.argsort(-start, kind="stable")
-        w, seed, start = w[:, order], seed[order], start[order]
-    # the rows past their start are a suffix: the last ``k`` at each shell
-    counts = np.searchsorted(start[::-1], np.arange(n), side="right").tolist()
-    parts = np.ascontiguousarray(w).view(float).reshape(n, rows, 2)
-    s = np.array(seed).view(float).reshape(rows, 2)
-    sums = np.empty((n, rows, 2))
-    for k, i in zip(counts, range(n - 1, -1, -1) if upward else range(n)):
-        sums[i] = s
-        s[rows - k :] += parts[i, rows - k :]
-        s[rows - k :] /= base
-    out = sums.view(complex).reshape(n, rows)
-    return out if order is None else out[:, np.argsort(order)]
+    ws = w.tolist()
+    if upward:
+        ws.reverse()
+    out = []
+    s = complex(seed)
+    for x in ws:
+        out.append(s)
+        s = (s + x) / base
+    if upward:
+        out.reverse()
+    return np.array(out, dtype=complex)
+
+
+_LAG, _ROWS = 128, 64  # ``_scan``'s longest lag, and the rows it sums at once
+
+
+def _scan(w: np.ndarray, base: float, seed=0j, upward: bool = False, start=None) -> np.ndarray:
+    """``_decay``'s sums by a log-depth scan, for one row or rows at once.
+
+    On ``e = [seed, w[:-1] / base]``, passes ``e[d:] += base^-d e[:-d]``,
+    d = 1, 2, 4, .. < S, sum runs of S shells and strides ``e[i] += base^-S
+    e[i-S]`` chain them; ``base^-S`` is normal (a subnormal lag power would
+    spoil deep sums).  Each shell gets the same operations on the same
+    relative neighbours, and ``x + 0 p == x``: a row of ``w`` (shells by
+    rows) with its own ``seed`` and ``start`` (counted along the sums; 0
+    before it) is bit for bit its one-row scan.
+    """
+    w, lag = (w[::-1] if upward else w), _LAG
+    while base**-lag < 2.0**-1022:  # the smallest normal double
+        lag //= 2
+    e = np.empty(w.shape, dtype=complex)
+    e[1:] = w[:-1]
+    f = (e[:, None] if e.ndim == 1 else e).view(float)
+    f[1:] /= base
+    e[:1] = seed
+    if start is not None:
+        i = np.arange(len(e))[:, None]
+        np.copyto(e, np.where(i == start, seed, 0j), where=i <= start)
+    for c in range(0, f.shape[1], 2 * _ROWS):  # a block of rows, in cache, from its lowest start
+        k = 0 if start is None else start[c // 2 : c // 2 + _ROWS].min()
+        g = np.ascontiguousarray(f[k:, c : c + 2 * _ROWS])
+        d, n = 1, len(g)
+        while d < lag and d < n:
+            g[d:] += base**-d * g[:-d]
+            d *= 2
+        for i in range(lag, n, lag):
+            g[i : i + lag] += base**-lag * g[i - lag : min(i, n - lag)]
+        f[k:, c : c + 2 * _ROWS] = g
+    return e[::-1] if upward else e
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,10 +20,10 @@ from .field import (
     KRadialFunction,
     _along,
     _ball_integral,
-    _decay,
     _div,
     _family_grid,
     _require_o,
+    _scan,
     expand,
     o_integral,
 )
@@ -150,7 +150,7 @@ def _derivative(dev: np.ndarray, t, p: FieldParams, ns: np.ndarray, m=None) -> n
     row), so the downward sums start there at exactly 0."""
     q, a = float(p.q), p.alpha
     qa = q**a
-    down_up = _decay(dev, q) + _decay(dev, qa, _div(-t, qa - 1.0), upward=True)
+    down_up = _scan(dev, q, start=m) + _scan(dev, qa, _div(-t, qa - 1.0), upward=True)
     diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
     bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
     out = _scaled(_unpadded(bracket[: len(ns)], m), q, -a, ns)
@@ -174,7 +174,7 @@ def apply_D_alpha(
     origin cancels catastrophically on shells below the structure.)  With the
     growth factored out, the value is ``q^(-alpha n)`` times
     ``theta (1-1/q) (down + up) + diag dev``, where ``down`` and ``up`` are
-    the relative shell sums of ``_decay``.  The output is constant below the
+    the relative shell sums of ``_scan``.  The output is constant below the
     lowest shell where the input differs from its tail, and that constant
     becomes the output tail, so the result is exact.
 
@@ -203,7 +203,7 @@ def apply_D_alpha(
     dev = u.values_on(m, max(top, u.n_hi)) - t  # zero below ``first``, -t above the window
     out = _derivative(dev, t, p, np.arange(m, top + 1.0))
     image = KRadialFunction(p, first, top, out[1:], out[0])
-    return KRadialFunction(p, lo, hi, image.values_on(lo, hi), out[0])
+    return image if (lo, hi) == (first, top) else KRadialFunction(p, lo, hi, image.values_on(lo, hi), out[0])
 
 
 def apply_D_alpha_O(u: KRadialFunction) -> KRadialFunction:
@@ -225,11 +225,11 @@ def _volterra_sums(vals: np.ndarray, t, q: float, qa: float, start=None) -> np.n
     ``G`` runs as two recurrences, ``S(n) = sum_{k<n} q^(k-n) u_k`` and
     ``G(n) = S(n) + G(n-1) / q^alpha``, each seeded with the closed-form sum
     over the constant ``t`` on every shell below ``vals`` (below ``start``
-    for rows, which hold that seed on their padding).
+    for rows, which read 0 there).
     """
     tail_s = _div(t, q - 1.0)
-    s = _decay(vals, q, tail_s, start=start)
-    return s + _decay(s, qa, _div(tail_s, qa - 1.0), start=start)
+    s = _scan(vals, q, tail_s, start=start)
+    return s + _scan(s, qa, _div(tail_s, qa - 1.0), start=start)
 
 
 def _integral(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray, start=None) -> np.ndarray:
@@ -376,8 +376,8 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
     ``n``, at closed-form accuracy.  The images come from one batched pass:
     the elements ``0 .. dim-1`` (at most two shells each) are written in
     closed form as the rows of one grid of shell values, and the operator's
-    shell recurrence runs once over all rows, each row held at its seed
-    below its own window.  Each image then costs one closed-form ``expand``
+    shell scans run once over all rows, each row started at its own window
+    (``field._scan``).  Each image then costs one closed-form ``expand``
     on its stored window (read without a copy) and the memoized root
     measures of ``(q, 1 - dim)``; in the e-family that is one O(dim)
     recurrence per column.

@@ -1,6 +1,8 @@
 """Shell measures, inner products, bases, expansions, and monomial projections."""
 
 import math
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -14,6 +16,7 @@ from padicradial.field import (
     KRadialFunction,
     _decay,
     _root_measure,
+    _scan,
     expand,
     inner_product,
     make_basis,
@@ -260,25 +263,72 @@ def test_expand_matches_the_pairing_definition(q, family, width, count, tail, se
     assert np.abs(expand(u, family, count) - want).max() <= 1e-14 * np.abs(want).max()
 
 
+BASES = [2.0, 3.0**0.7, 5.0**2.3, math.sqrt(3.0), 1.0, 49.0, 101.0**3]
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(base=st.sampled_from([2.0, 3.0**0.7, 5.0**2.3, math.sqrt(3.0), 1.0]), upward=st.booleans(),
-       shells=st.integers(1, 40), rows=st.integers(1, 6),
+@given(base=st.sampled_from(BASES), upward=st.booleans(), shells=st.integers(1, 40), rows=st.integers(1, 6),
        order=st.sampled_from(["random", "ascending", "descending"]), seed=st.integers(0, 2**32 - 1))
-def test_decay_rows_are_one_row_decays_on_their_own_windows(base, upward, shells, rows, order, seed):
-    # a row held at its seed on its first ``start`` shells (in the direction
-    # of the recurrence) runs bit for bit as the one-row recurrence from there
+def test_scan_rows_are_one_row_scans_on_their_own_windows(base, upward, shells, rows, order, seed):
+    # a row started at ``start`` (counted in the direction of the sums) runs
+    # bit for bit as the one-row scan from there, and reads 0 before it; 49 is
+    # a derivative base q^alpha = 7^2, and at 101^3 the lag power caps the lag
+    # at 32 shells, so the strides run too
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((shells, rows)) + 1j * rng.standard_normal((shells, rows))
     seeds = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
     start = rng.integers(0, shells + 1, rows)
     if order != "random":
         start = np.sort(start)[:: 1 if order == "ascending" else -1].copy()
-    out = _decay(w, base, seeds, upward=upward, start=start)
+    out = _scan(w, base, seeds, upward=upward, start=start)
     for r, k in enumerate(start):
         own = slice(0, shells - k) if upward else slice(k, shells)
         held = slice(shells - k, shells) if upward else slice(0, k)
-        assert np.array_equal(out[own, r], _decay(w[own, r], base, seeds[r], upward=upward))
-        assert np.all(out[held, r] == seeds[r])
+        assert np.array_equal(out[own, r], _scan(w[own, r], base, seeds[r], upward=upward))
+        assert np.all(out[held, r] == 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from(BASES), upward=st.booleans(), shells=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_decay_and_scan_are_the_geometric_shell_sums(base, upward, shells, seed):
+    # the loop of ``expand`` and the transform, and the operators' scan, both
+    # against the sums in 40-digit arithmetic, per shell in units of its term mass
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(shells) + 1j * rng.standard_normal(shells)
+    s0 = complex(*rng.standard_normal(2))
+    ws = (w[::-1] if upward else w).tolist()
+    with mpmath.workdps(40):
+        b, s, m = mpmath.mpf(base), mpmath.mpc(s0), abs(mpmath.mpc(s0))
+        want, mass = [], []
+        for x in ws:
+            want.append(complex(s))
+            mass.append(float(m))
+            s, m = (s + x) / b, (m + abs(x)) / b
+    want, mass = np.array(want), np.array(mass)
+    for kernel in (_decay, _scan):
+        got = kernel(w, base, s0, upward=upward)
+        got = got[::-1] if upward else got
+        assert np.all(np.abs(got - want) <= 1e-14 * mass), kernel.__name__
+
+
+@pytest.mark.parametrize("upward", [False, True])
+@pytest.mark.parametrize("base", [49.0, 1e6])
+def test_scan_lag_powers_stay_normal_under_a_deep_value(base, upward):
+    # one value of 1e300 and zeros: the sums fall by ``base`` per shell over
+    # hundreds of shells, where a lag power ``base^-d`` below the normal range
+    # would keep a few bits or none and leave the sums wrong by up to 100 %
+    w = np.zeros(400, dtype=complex)
+    w[0] = 1e300
+    w = w[::-1].copy() if upward else w
+    got, seq = _scan(w, base, upward=upward), _decay(w, base, upward=upward)
+    got, seq = (got[::-1], seq[::-1]) if upward else (got, seq)
+    exact = [Fraction(1e300) / Fraction(base) ** i for i in range(1, 400)]
+    normal = [i + 1 for i, x in enumerate(exact) if x >= Fraction(sys.float_info.min)]
+    assert len(normal) > 100
+    eps = sys.float_info.epsilon
+    assert np.all(np.abs(got[normal] - seq[normal]) <= 8 * eps * np.abs(seq[normal]))
+    assert all(abs(Fraction(got[i].real) - exact[i - 1]) <= 4 * eps * exact[i - 1] for i in normal)
 
 
 def test_expand_rejects_a_negative_count():
