@@ -33,8 +33,7 @@ Layers (``--layer``):
   ``_scan``, the operators' log-depth scan.  On ``operator_matrix``-shaped
   grids, the e-family grid of dim in {40, 160, 640} (the shells
   ``1 - dim .. 0`` by ``dim`` rows, each row seeded at its own window start):
-  ``_scan`` over every row at once.  (Before ``_scan``, ``_decay`` took the
-  rows, and it is timed in its place.)
+  ``_scan`` over every row at once.
 
 Each call is repeated for at least ``--seconds`` per size (and at least
 three times); the record keeps the median and the minimum per call, and for
@@ -249,18 +248,17 @@ def apply_layer(timed) -> dict:
 
 def scan_layer(timed) -> dict:
     widths, dims, q = (100, 400, 1600), (40, 160, 640), 3.0
-    scan = getattr(field, "_scan", field._decay)  # before the scan, ``_decay`` took the rows
     rng = np.random.default_rng(1)
     rows = []
     for W in widths:
         w, seed = rng.standard_normal(W) + 1j * rng.standard_normal(W), complex(*rng.standard_normal(2))
         rows.append({"W": W, "_decay": timed(lambda: field._decay(w, q, seed)),
-                     "_scan": timed(lambda: scan(w, q, seed))})
+                     "_scan": timed(lambda: field._scan(w, q, seed))})
     grids = []
     for dim in dims:
         grid, tails, n_lo = field._family_grid(q, "e", dim)
         w, seeds, start = grid[1:-1], tails / (q - 1.0), n_lo - (1 - dim)
-        grids.append({"dim": dim, "_scan rows": timed(lambda: scan(w, q, seeds, start=start))})
+        grids.append({"dim": dim, "_scan rows": timed(lambda: field._scan(w, q, seeds, start=start))})
     return {
         "q": q,
         "shapes": "one row: W shells, nonzero seed; rows: the e-family grid of operator_matrix "

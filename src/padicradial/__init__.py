@@ -47,6 +47,6 @@ from .spectral import (
     order_certificate,
     volterra_check,
 )
-from .verify import RunConfig, run_verification
+from .verify import run_verification
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .serialize import (
     matrix_json,
 )
 from .spectral import characteristic_function, i1_eigenpairs, order_certificate
-from .verify import DEFAULT_TOLERANCES, RunConfig, run_verification
+from .verify import run_verification
 
 APPLY_OPS = {
     "Dalpha": apply_D_alpha,
@@ -122,19 +122,7 @@ def cmd_laplace_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for item in args.tolerance or []:
-        name, _, value = item.partition("=")
-        if name not in tolerances or not value:
-            raise SchemaError(
-                f"unknown tolerance {name!r}; expected one of {sorted(tolerances)}"
-            )
-        try:
-            tolerances[name] = float(value)
-        except ValueError as exc:
-            raise SchemaError(f"tolerance {name!r} has a non-numeric value {value!r}") from exc
-    config = RunConfig(q=args.q, alpha=args.alpha, tolerances=tolerances)
-    ok, results = run_verification(config)
+    ok, results = run_verification(FieldParams(args.q, args.alpha))
     for res in results:
         print(res.line())
     print(f"{'ALL CHECKS PASSED' if ok else 'VERIFICATION FAILED'} (q={args.q}, alpha={args.alpha})")
@@ -189,15 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_laplace_invert)
 
-    p = sub.add_parser("verify", help="run the full verification suite")
+    p = sub.add_parser("verify", help="run the full verification suite at its pinned tolerances")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument(
-        "--tolerance",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override one named tolerance (repeatable)",
-    )
     p.set_defaults(fn=cmd_verify)
     return parser
 

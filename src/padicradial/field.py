@@ -36,6 +36,7 @@ __all__ = [
 class FieldParams:
     """Residue cardinality ``q`` and differentiation order ``alpha``.
 
+    The residue field of a local field is finite, so ``q`` is a prime power.
     The two derived constants show up throughout the operator formulas:
     ``theta_alpha`` multiplies the hypersingular kernel of the fractional
     derivative and ``c_volterra`` is the prefactor of the logarithmic
@@ -48,6 +49,9 @@ class FieldParams:
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 2:
             raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
+        roots = (_int_root(self.q, k) for k in range(1, self.q.bit_length()))
+        if not any(r ** k == self.q and _is_prime(r) for k, r in enumerate(roots, 1)):
+            raise ValueError(f"q must be a prime power, got {self.q!r}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
@@ -64,6 +68,24 @@ class FieldParams:
     def c_volterra(self) -> float:
         q = float(self.q)
         return (1.0 - q) / (q * self.ln_q)
+
+
+def _int_root(q: int, k: int) -> int:
+    """The integer part of ``q^(1/k)``, set one bit at a time from the top."""
+    bits = reversed(range(q.bit_length() // k + 1))
+    return functools.reduce(lambda r, b: r | 1 << b if (r | 1 << b) ** k <= q else r, bits, 0)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 37, exact for ``2 <= n < 3.18e23``."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = [pow(b, (n - 1) >> s, n)]  # b^d, b^(2d), .., b^(2^(s-1) d)
+        while len(x) < s:
+            x.append(x[-1] * x[-1] % n)
+        if n != b and x[0] != 1 and n - 1 not in x:
+            return False
+    return True
 
 
 def _root_measure(q: float, lo: int) -> tuple[np.ndarray, float]:

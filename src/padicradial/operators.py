@@ -72,18 +72,15 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
     ``q^(head n / 2)``, the second times the remainder's power; a
     half-power that is certainly 0 or inf enters as that value without
     being formed.  (A subnormal factor would keep only some of its bits.)
-    Where the product with a normal factor is not a normal double, it is
-    formed again as the bracket times the square of ``q^(a n / 2)``; a zero
-    bracket under a finite factor is exactly 0 either way and is left alone.
-    ``OverflowError`` is raised when a value itself overflows, and when a
-    subnormal bracket would be scaled up to a normal value (its lost bits
-    would show as a wrong result).
+    A normal factor enters in one product, rounded once, also where the
+    value is subnormal.  ``OverflowError`` is raised when a value itself
+    overflows, and when a subnormal bracket would be scaled up to a normal
+    value (its lost bits would show as a wrong result).
     """
     head = float(np.float32(a))
     lg = a * math.log2(q)  # a shell's factor is 2^(lg n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if max(abs(ns[0]), abs(ns[-1])) * abs(lg) < 1021.0:  # every factor is normal
-            single = True
             out = bracket * _along(_power(q, head, a, ns), bracket)
         else:
             e2 = lg * ns
@@ -105,15 +102,8 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
             if a != head:  # the remainder enters once, with the second half
                 half[live] *= np.power(q, (a - head) * nh[live])
             out[halves] *= _along(half, out)
-            single = _along(single, bracket)
-        bad = ~(np.abs(out) >= _TINY) | np.isinf(out)
-        if bad.any():
-            redo = bad & (bracket != 0) & single
-            if redo.any():
-                half = _power(q, head, a, np.broadcast_to(_along(ns, bracket), bracket.shape)[redo] / 2.0)
-                out[redo] = bracket[redo] * half * half
-            if (~np.isfinite(out) & np.isfinite(bracket)).any():
-                raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
+        if (~np.isfinite(out) & np.isfinite(bracket)).any():
+            raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
         # a subnormal bracket has lost its low bits; scaled up to a normal
         # value it would pass them off as an accurate result
         small = np.abs(bracket) < _TINY
@@ -125,14 +115,6 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
 def _below(grid: np.ndarray, start) -> np.ndarray:
     """Mask of each row's shells below its ``start`` index."""
     return np.arange(len(grid))[:, None] < start
-
-
-def _unpadded(bracket: np.ndarray, start) -> np.ndarray:
-    """``bracket`` with each row's padding below ``start`` set to 0, so that
-    the padding can neither raise nor hide an overflow in ``_scaled``."""
-    if start is not None:
-        bracket[_below(bracket, start)] = 0
-    return bracket
 
 
 # The operator cores below act on the shell values ``vals`` (or the
@@ -153,7 +135,9 @@ def _derivative(dev: np.ndarray, t, p: FieldParams, ns: np.ndarray, m=None) -> n
     down_up = _scan(dev, q, start=m) + _scan(dev, qa, _div(-t, qa - 1.0), upward=True)
     diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
     bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
-    out = _scaled(_unpadded(bracket[: len(ns)], m), q, -a, ns)
+    if m is not None:  # no row reads its upward sums below its m; they must not overflow
+        bracket[_below(bracket, m)] = 0
+    out = _scaled(bracket[: len(ns)], q, -a, ns)
     if m is not None:  # the input is constant below ns[m], so the output is too
         np.copyto(out, out[m, np.arange(out.shape[1])], where=_below(out, m))
     return out
@@ -239,7 +223,7 @@ def _integral(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray, start=None) -
     # (1-1/q) (1-q^-alpha) q^(1-alpha)
     coef = (1.0 - 1.0 / q) * (qa - 1.0) * q / (qa * qa)
     bracket = vals / qa - coef * _volterra_sums(vals, t, q, qa, start)
-    return _scaled(_unpadded(bracket, start), q, a, ns)
+    return _scaled(bracket, q, a, ns)
 
 
 def apply_I_alpha(u: KRadialFunction, out_hi: int = 0) -> KRadialFunction:
@@ -268,7 +252,7 @@ def _volterra(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray, start=None) -
     """``I01`` of the values ``vals`` with tail ``t`` on the shells ``ns``."""
     q = float(p.q)
     g = _volterra_sums(vals, t, q, q, start)
-    return _scaled(_unpadded(-((1.0 - 1.0 / q) ** 2) * g, start), q, 1.0, ns)
+    return _scaled(-((1.0 - 1.0 / q) ** 2) * g, q, 1.0, ns)
 
 
 def apply_I01(u: KRadialFunction) -> KRadialFunction:

@@ -119,9 +119,9 @@ def imaginary_part(u: KRadialFunction) -> tuple[complex, complex]:
     return kap * o_integral(u), -kap * o_log_integral(u)
 
 
-def j_diagnostics(params: FieldParams, dim: int, basis: str = "e") -> dict:
-    """Trace and singular values of the imaginary part's matrix (rank 2, zero trace)."""
-    mat = operator_matrix(params, "J", basis, dim)
+def j_diagnostics(params: FieldParams, dim: int) -> dict:
+    """Trace and singular values of the imaginary part's e-family matrix (rank 2, zero trace)."""
+    mat = operator_matrix(params, "J", "e", dim)
     return {
         "trace": complex(np.trace(mat.entries)),
         "singular_values": np.linalg.svd(mat.entries, compute_uv=False),

@@ -1,17 +1,18 @@
 """Acceptance checks: every advertised identity at its pinned tolerance.
 
-Each check returns a :class:`CheckResult` with the measured residual so the
-command line can print one line per criterion.  Checks that pin a dual
-route (closed form against a brute-force oracle) keep the oracle here,
-written as direct shell summation independent of the library code paths it
-validates.
+Each check takes the field parameters ``(q, alpha)`` of the run, holds its
+residual to the entries of ``DEFAULT_TOLERANCES`` (read at call time), and
+returns a :class:`CheckResult` with the measured residual so the command line
+can print one line per criterion.  Checks that pin a dual route (closed form
+against a brute-force oracle) keep the oracle here, written as direct shell
+summation independent of the library code paths it validates.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .spectral import (
     volterra_check,
 )
 
-__all__ = ["RunConfig", "CheckResult", "DEFAULT_TOLERANCES", "build_checks", "run_verification"]
+__all__ = ["CheckResult", "DEFAULT_TOLERANCES", "build_checks", "run_verification"]
 
 DEFAULT_TOLERANCES = {
     "eigenfunction_identity": 1e-11,
@@ -75,25 +76,6 @@ DEFAULT_TOLERANCES = {
     "parseval": 1e-9,
     "runtime_seconds": 30.0,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs of the verification suite and the command line."""
-
-    q: int = 2
-    alpha: float = 1.0
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-
-    def __post_init__(self):
-        if self.q < 2 or self.alpha <= 0:
-            raise ValueError("q >= 2 and alpha > 0 required")
-        missing = set(DEFAULT_TOLERANCES) - set(self.tolerances)
-        if missing:
-            raise ValueError(f"tolerance map incomplete, missing {sorted(missing)}")
-
-    def tol(self, name: str) -> float:
-        return float(self.tolerances[name])
 
 
 @dataclass(frozen=True)
@@ -188,15 +170,15 @@ def _random_supported(params: FieldParams, rng, lo: int = -12) -> KRadialFunctio
 # ---------------------------------------------------------------------------
 # the acceptance checks
 
-def check_eigenfunction_identity(config: RunConfig) -> CheckResult:
-    tol = config.tol("eigenfunction_identity")
+def check_eigenfunction_identity(p: FieldParams) -> CheckResult:
+    tol = DEFAULT_TOLERANCES["eigenfunction_identity"]
     start = time.perf_counter()
     worst = 0.0
     for q in (2, 3, 5):
         for alpha in (0.5, 1.0, 2.0):
-            p = FieldParams(q, alpha)
+            pa = FieldParams(q, alpha)
             for N in range(1, 9):
-                v = make_basis(p, "v", N, window=(-N - 2, -N + 3))
+                v = make_basis(pa, "v", N, window=(-N - 2, -N + 3))
                 image = apply_D_alpha(v)
                 lam = float(q) ** (alpha * N)
                 worst = max(worst, _relative_gap(image, lam * v))
@@ -210,16 +192,15 @@ def check_eigenfunction_identity(config: RunConfig) -> CheckResult:
     )
 
 
-def check_first_eigenvalue_ball(config: RunConfig) -> CheckResult:
-    tol = config.tol("first_eigenvalue_ball")
+def check_first_eigenvalue_ball(p: FieldParams) -> CheckResult:
+    tol = DEFAULT_TOLERANCES["first_eigenvalue_ball"]
 
     def gap(q: int, alpha: float) -> float:
-        p = FieldParams(q, alpha)
-        v0 = make_basis(p, "v", 0)
+        v0 = make_basis(FieldParams(q, alpha), "v", 0)
         mu0 = (q - 1.0) * float(q) ** alpha / (float(q) ** (alpha + 1.0) - 1.0)
         return max_shell_difference(apply_D_alpha_O(v0), mu0 * v0, -8, 0)
 
-    worst = max(gap(2, 1.0), gap(config.q, config.alpha))
+    worst = max(gap(2, 1.0), gap(p.q, p.alpha))
     mu_pinned = (2 - 1) * 2.0 / (2.0**2 - 1.0)
     detail = f"q=2, alpha=1 eigenvalue {mu_pinned:.15f} = 2/3"
     return CheckResult(
@@ -231,14 +212,14 @@ def check_first_eigenvalue_ball(config: RunConfig) -> CheckResult:
     )
 
 
-def check_right_inverse(config: RunConfig) -> CheckResult:
-    tol = config.tol("right_inverse")
+def check_right_inverse(p: FieldParams) -> CheckResult:
+    tol = DEFAULT_TOLERANCES["right_inverse"]
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0):
-        p = FieldParams(config.q, alpha)
-        hi = _wide_right_inverse_window(alpha, config.q)
-        targets = [make_basis(p, "e", N) for N in range(1, 11)]
-        targets += [make_basis(p, "f", n) for n in range(11)]
+        pa = FieldParams(p.q, alpha)
+        hi = _wide_right_inverse_window(alpha, p.q)
+        targets = [make_basis(pa, "e", N) for N in range(1, 11)]
+        targets += [make_basis(pa, "f", n) for n in range(11)]
         for u in targets:
             w = apply_I_alpha(u, out_hi=hi)
             back = apply_D_alpha(w, (u.n_lo, 0))
@@ -248,16 +229,16 @@ def check_right_inverse(config: RunConfig) -> CheckResult:
         worst <= tol,
         worst,
         tol,
-        f"alpha in {{1/2, 1, 2}}, q={config.q}",
+        f"alpha in {{1/2, 1, 2}}, q={p.q}",
     )
 
 
-def check_i1_matrix(config: RunConfig) -> CheckResult:
-    tol_pat = config.tol("i1_matrix_pattern")
-    tol_eig = config.tol("i1_matrix_eigenvalues")
-    q = float(config.q)
+def check_i1_matrix(p: FieldParams) -> CheckResult:
+    tol_pat = DEFAULT_TOLERANCES["i1_matrix_pattern"]
+    tol_eig = DEFAULT_TOLERANCES["i1_matrix_eigenvalues"]
+    q = float(p.q)
     dim = 30
-    mat = operator_matrix(FieldParams(config.q), "I1", "e", dim).entries
+    mat = operator_matrix(p, "I1", "e", dim).entries
     expected = np.zeros((dim, dim), dtype=complex)
     for N in range(1, dim):
         expected[0, N] = -math.sqrt(1.0 - 1.0 / q) * q ** (-N / 2.0)
@@ -277,10 +258,10 @@ def check_i1_matrix(config: RunConfig) -> CheckResult:
     )
 
 
-def check_volterra_structure(config: RunConfig) -> CheckResult:
-    tol_tri = config.tol("volterra_triangularity")
-    tol_eig = config.tol("volterra_eigenvalues")
-    report = volterra_check(FieldParams(config.q), 40)
+def check_volterra_structure(p: FieldParams) -> CheckResult:
+    tol_tri = DEFAULT_TOLERANCES["volterra_triangularity"]
+    tol_eig = DEFAULT_TOLERANCES["volterra_eigenvalues"]
+    report = volterra_check(p, 40)
     kvec = report["kernel_vector"]
     # kernel must align with the top-shell indicator: coordinates (1, 0, ...)
     align = abs(kvec[0]) / np.linalg.norm(kvec)
@@ -300,14 +281,13 @@ def check_volterra_structure(config: RunConfig) -> CheckResult:
     )
 
 
-def check_imaginary_part(config: RunConfig) -> CheckResult:
-    p = FieldParams(config.q)
-    q = float(config.q)
+def check_imaginary_part(p: FieldParams) -> CheckResult:
+    q = float(p.q)
     dim = 40
-    tol_tr = config.tol("imaginary_part_trace")
-    tol_cut = config.tol("imaginary_part_rank_cut")
-    tol_id = config.tol("imaginary_part_identity")
-    tol_u0 = config.tol("imaginary_part_u0")
+    tol_tr = DEFAULT_TOLERANCES["imaginary_part_trace"]
+    tol_cut = DEFAULT_TOLERANCES["imaginary_part_rank_cut"]
+    tol_id = DEFAULT_TOLERANCES["imaginary_part_identity"]
+    tol_u0 = DEFAULT_TOLERANCES["imaginary_part_u0"]
 
     jm = operator_matrix(p, "J", "f", dim).entries
     trace = abs(complex(np.trace(jm)))
@@ -335,10 +315,9 @@ def check_imaginary_part(config: RunConfig) -> CheckResult:
     )
 
 
-def check_moments(config: RunConfig) -> CheckResult:
-    tol = config.tol("moment_oracles")
-    tol_d0 = config.tol("moment_d0")
-    p = FieldParams(config.q)
+def check_moments(p: FieldParams) -> CheckResult:
+    tol = DEFAULT_TOLERANCES["moment_oracles"]
+    tol_d0 = DEFAULT_TOLERANCES["moment_d0"]
     worst = 0.0
     for n in range(21):
         worst = max(
@@ -359,24 +338,23 @@ def check_moments(config: RunConfig) -> CheckResult:
     )
 
 
-def check_local_representation(config: RunConfig) -> CheckResult:
-    tol = config.tol("local_representation")
-    tol_block = config.tol("resolvent_inverse_block")
-    q = float(config.q)
+def check_local_representation(p: FieldParams) -> CheckResult:
+    tol = DEFAULT_TOLERANCES["local_representation"]
+    tol_block = DEFAULT_TOLERANCES["resolvent_inverse_block"]
+    q = float(p.q)
     worst = 0.0
     # D^alpha_O (I^alpha u) = u - lambda_1 c(u), c(u) the resolvent's value at
     # the origin; D^alpha_O (R u) = u itself is not checked shell by shell: at
     # alpha = 2 the derivative amplifies the rounding of R f_k by q^(alpha k)
     for alpha in (0.5, 1.0, 2.0):
-        p = FieldParams(config.q, alpha)
+        pa = FieldParams(p.q, alpha)
         lam1 = (1.0 - 1.0 / q) / (1.0 - q ** (-alpha - 1.0))
         for family in ("e", "f"):
             for k in range(11):
-                u = make_basis(p, family, k)
+                u = make_basis(pa, family, k)
                 c = apply_resolvent_D1O(u).inner_tail
-                want = u - KRadialFunction(p, 0, 0, [lam1 * c], lam1 * c)
+                want = u - KRadialFunction(pa, 0, 0, [lam1 * c], lam1 * c)
                 worst = max(worst, max_shell_difference(apply_D_alpha_O(apply_I_alpha(u)), want))
-    p = FieldParams(config.q, 1.0)
     dim = 40
     prod = (
         operator_matrix(p, "resolvent", "e", dim).entries
@@ -384,7 +362,7 @@ def check_local_representation(config: RunConfig) -> CheckResult:
     )
     # rounding in the product grows like eps * q^((n-j)/2); the block size
     # that keeps it below tolerance scales with 1/log q (35 at q = 2)
-    block = max(10, min(35, int(35.0 * math.log(2.0) / math.log(config.q))))
+    block = max(10, min(35, int(35.0 * math.log(2.0) / math.log(p.q))))
     block_gap = float(np.abs(prod[:block, :block] - np.eye(block)).max())
     passed = worst <= tol and block_gap <= tol_block
     return CheckResult(
@@ -397,10 +375,9 @@ def check_local_representation(config: RunConfig) -> CheckResult:
     )
 
 
-def check_characteristic_function(config: RunConfig) -> CheckResult:
-    tol = config.tol("charfn_oracle")
-    tol_rho = config.tol("charfn_order")
-    p = FieldParams(config.q)
+def check_characteristic_function(p: FieldParams) -> CheckResult:
+    tol = DEFAULT_TOLERANCES["charfn_oracle"]
+    tol_rho = DEFAULT_TOLERANCES["charfn_order"]
     series = characteristic_function(p, 25)
     oracle = _grid_neumann_coeffs(p, 9)
     oracle_gap = float(np.abs(series.g[:, :, :9] - oracle).max())
@@ -426,13 +403,12 @@ def check_characteristic_function(config: RunConfig) -> CheckResult:
     )
 
 
-def check_laplace(config: RunConfig) -> CheckResult:
-    p = FieldParams(config.q, config.alpha)
-    q = float(config.q)
-    tol_const = config.tol("laplace_constant")
-    tol_diff = config.tol("laplace_difference")
-    tol_round = config.tol("laplace_roundtrip")
-    tol_sym = config.tol("laplace_symbol")
+def check_laplace(p: FieldParams) -> CheckResult:
+    q = float(p.q)
+    tol_const = DEFAULT_TOLERANCES["laplace_constant"]
+    tol_diff = DEFAULT_TOLERANCES["laplace_difference"]
+    tol_round = DEFAULT_TOLERANCES["laplace_roundtrip"]
+    tol_sym = DEFAULT_TOLERANCES["laplace_symbol"]
 
     # residual relative to the shell mass entering the cancellation at
     # each n (the sums reach |c| q^(1-n); for q = 2 they cancel exactly)
@@ -463,11 +439,11 @@ def check_laplace(config: RunConfig) -> CheckResult:
     # it, so the deep cut is only used at alpha = 1 and the alpha sweep
     # runs on shallow random supports
     sym_gap = 0.0
-    phi = make_basis(FieldParams(config.q, 1.0), "v", 2, window=(-12, 3))
+    phi = make_basis(FieldParams(p.q), "v", 2, window=(-12, 3))
     phi = KRadialFunction(phi.params, -12, 3, phi.values_on(-12, 3), 0j)
     sym_gap = max(sym_gap, symbol_identity_residual(phi, 1.0, (-6, 10)))
     for alpha in (0.5, 1.0, 2.0):
-        psi = _random_supported(FieldParams(config.q, alpha), rng, lo=-5)
+        psi = _random_supported(FieldParams(p.q, alpha), rng, lo=-5)
         sym_gap = max(sym_gap, symbol_identity_residual(psi, alpha, (-6, 10)))
 
     mono = make_basis(p, "monomial", 1, window=(-12, 0))  # strictly increasing in |x|
@@ -492,9 +468,8 @@ def check_laplace(config: RunConfig) -> CheckResult:
     )
 
 
-def check_basis_completeness(config: RunConfig) -> CheckResult:
-    tol = config.tol("parseval")
-    p = FieldParams(config.q)
+def check_basis_completeness(p: FieldParams) -> CheckResult:
+    tol = DEFAULT_TOLERANCES["parseval"]
     f7 = make_basis(p, "f", 7)
     coeffs = [inner_product(f7, make_basis(p, "e", N)) for N in range(61)]
     parseval_gap = abs(sum(abs(c) ** 2 for c in coeffs) - norm(f7) ** 2)
@@ -527,16 +502,16 @@ CHECKS = (
 )
 
 
-def build_checks(config: RunConfig) -> list:
-    """Run every check, timing each; the runtime budget is appended last."""
+def build_checks(p: FieldParams) -> list:
+    """Run every check at ``p``, timing each; the runtime budget is appended last."""
     results = []
     start = time.perf_counter()
     for fn in CHECKS:
         t0 = time.perf_counter()
-        res = fn(config)
+        res = fn(p)
         results.append(replace(res, seconds=time.perf_counter() - t0))
     total = time.perf_counter() - start
-    budget = config.tol("runtime_seconds")
+    budget = DEFAULT_TOLERANCES["runtime_seconds"]
     results.append(
         CheckResult(
             "whole suite runtime",
@@ -549,6 +524,6 @@ def build_checks(config: RunConfig) -> list:
     return results
 
 
-def run_verification(config: RunConfig) -> tuple[bool, list]:
-    results = build_checks(config)
+def run_verification(p: FieldParams) -> tuple[bool, list]:
+    results = build_checks(p)
     return all(r.passed for r in results), results

@@ -6,12 +6,13 @@ criterion (visible with ``pytest -s`` or on failure).
 
 import pytest
 
-from padicradial.verify import CHECKS, RunConfig, build_checks, run_verification
+from padicradial.field import FieldParams
+from padicradial.verify import CHECKS, build_checks, run_verification
 
 
 @pytest.fixture(scope="module")
 def default_results():
-    return build_checks(RunConfig())
+    return build_checks(FieldParams(2))
 
 
 @pytest.mark.parametrize("index", range(len(CHECKS) + 1))
@@ -22,14 +23,14 @@ def test_criterion(default_results, index):
 
 
 def test_generic_parameters_q3():
-    ok, results = run_verification(RunConfig(q=3, alpha=0.5))
+    ok, results = run_verification(FieldParams(3, 0.5))
     for res in results:
         print(res.line())
     assert ok, [r.name for r in results if not r.passed]
 
 
 def test_generic_parameters_q5():
-    ok, results = run_verification(RunConfig(q=5, alpha=2.0))
+    ok, results = run_verification(FieldParams(5, 2.0))
     assert ok, [r.name for r in results if not r.passed]
 
 
@@ -47,7 +48,7 @@ def test_generic_parameters_q11_fail_only_the_transform_suite(alpha):
     ``n <= 0``.  Every other check passes.  When the residual or its scale is
     mended, this test passes and its mark goes.
     """
-    ok, results = run_verification(RunConfig(q=11, alpha=alpha))
+    ok, results = run_verification(FieldParams(11, alpha))
     others = [r.name for r in results if not r.passed and not r.name.startswith("transform suite")]
     if others:
         pytest.fail(f"checks other than the transform suite fail: {others}")
@@ -55,7 +56,8 @@ def test_generic_parameters_q11_fail_only_the_transform_suite(alpha):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(q=1)
-    with pytest.raises(ValueError):
-        RunConfig(tolerances={"parseval": 1e-9})  # incomplete map
+    # a run's only parameters are the field's, and q is a residue-field order
+    with pytest.raises(ValueError, match="integer >= 2"):
+        FieldParams(1)
+    with pytest.raises(ValueError, match="prime power, got 6"):
+        FieldParams(6)

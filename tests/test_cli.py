@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from padicradial import verify
 from padicradial.cli import main
 from padicradial.field import FieldParams, KRadialFunction, make_basis
 from padicradial.serialize import (
@@ -331,16 +332,29 @@ def test_cli_apply_zero_override_exits_3(tmp_path, capsys, override, limit):
     assert limit in capsys.readouterr().err
 
 
-def test_cli_verify_corrupted_tolerance_exits_1(capsys):
+def test_cli_verify_corrupted_tolerance_exits_1(monkeypatch, capsys):
     # moment_oracles has a strictly positive measured residual, so zeroing
     # its tolerance must fail the run
-    assert main(["verify", "--tolerance", "moment_oracles=0"]) == 1
+    monkeypatch.setitem(verify.DEFAULT_TOLERANCES, "moment_oracles", 0)
+    assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "VERIFICATION FAILED" in out
 
 
 def test_cli_verify_unknown_tolerance_exits_2(capsys):
-    assert main(["verify", "--tolerance", "nonsense=1"]) == 2
+    # the tolerances are pinned: the option is gone, so argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--tolerance", "moment_oracles=1"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, limit", [(["--q", "6"], "prime power, got 6"),
+                                         (["--alpha", "inf"], "positive and finite, got inf")])
+def test_cli_verify_bad_parameters_exit_3(capsys, argv, limit):
+    assert main(["verify", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and limit in captured.err
 
 
 def test_cli_commands_are_deterministic(tmp_path):

@@ -49,6 +49,13 @@ def test_field_params_constants():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             FieldParams(2, bad)
+    # prime powers, then other integers, among them a Carmichael number and
+    # a strong pseudoprime to the prime bases up to 23
+    for q in (2, 4, 8, 9, 25, 27, 64, 101, 3**13, 2**61 - 1, (2**61 - 1) ** 3):
+        assert FieldParams(q).q == q
+    for q in (6, 10, 12, 18, 100, 2 * 101, 3**13 * 2, 252601, 3825123056546413051):
+        with pytest.raises(ValueError, match=f"prime power, got {q}"):
+            FieldParams(q)
 
 
 def test_value_window_semantics():
@@ -250,7 +257,7 @@ def pairing_expand(u, family, count):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(q=st.integers(2, 7), family=st.sampled_from(["e", "f"]), width=st.integers(1, 120),
+@given(q=st.sampled_from([2, 3, 4, 5, 7]), family=st.sampled_from(["e", "f"]), width=st.integers(1, 120),
        count=st.integers(1, 80), tail=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_expand_matches_the_pairing_definition(q, family, width, count, tail, seed):
     # the closed forms against one inner product per coefficient, for windows

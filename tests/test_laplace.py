@@ -68,7 +68,7 @@ def loop_invert(tilde, phi_at_1, m_max):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(q=st.integers(2, 7), n_lo=st.integers(-40, 10), width=st.integers(1, 60),
+@given(q=st.sampled_from([2, 3, 4, 5, 7]), n_lo=st.integers(-40, 10), width=st.integers(1, 60),
        tail=st.booleans(), lo=st.integers(-80, 60), length=st.integers(1, 80),
        seed=st.integers(0, 2**32 - 1))
 def test_transform_matches_the_shell_sum(q, n_lo, width, tail, lo, length, seed):
