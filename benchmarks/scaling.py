@@ -8,7 +8,7 @@ Layers (``--layer``):
   transform with ``m_max = m``: the calls of the ``shell-sweep`` benchmark.
 - ``operator_matrix``: for q = 2 and dim in {40, 160, 640, 1280},
   ``operator_matrix`` of D1O, I1, I01 and the resolvent in the e-family and
-  of J in the f-family, the I01 f-matrix, and the spectral work built on
+  of all five operators in the f-family, and the spectral work built on
   two of them: ``i1_eigenpairs`` (the I1 e-matrix and a dense ``eig``) and
   ``volterra_check`` (the I01 f-matrix, its diagonal and a triangular
   back-substitution; no ``eigvals`` or ``svd``).  Their ``dense_share`` is
@@ -150,7 +150,8 @@ def laplace_layer(timed) -> dict:
     }
 
 
-MATRICES = (("D1O", "e"), ("I1", "e"), ("I01", "e"), ("resolvent", "e"), ("J", "f"), ("I01", "f"))
+MATRICES = (("D1O", "e"), ("I1", "e"), ("I01", "e"), ("resolvent", "e"),
+            ("D1O", "f"), ("I1", "f"), ("I01", "f"), ("resolvent", "f"), ("J", "f"))
 # the dense spectral work and the matrix it is built on
 SPECTRAL = {"i1_eigenpairs": ("I1", "e"), "volterra_check": ("I01", "f")}
 
@@ -172,7 +173,7 @@ def operator_matrix_layer(timed) -> dict:
         rows.append(row)
     return {
         "q": Q,
-        "families": "D1O, I1, I01, resolvent in e; J and I01 in f",
+        "families": "D1O, I1, I01, resolvent in e; D1O, I1, I01, resolvent, J in f",
         "per_call": rows,
         "scaling_exponent": _exponents(dims, rows, series),
     }
@@ -256,8 +257,8 @@ def scan_layer(timed) -> dict:
                      "_scan": timed(lambda: field._scan(w, q, seed))})
     grids = []
     for dim in dims:
-        grid, tails, n_lo = field._family_grid(q, "e", dim)
-        w, seeds, start = grid[1:-1], tails / (q - 1.0), n_lo - (1 - dim)
+        shells, tails, n_lo = field._family_shells(q, "e", dim)
+        w, seeds, start = field._family_grid(shells)[1:-1], tails / (q - 1.0), n_lo - (1 - dim)
         grids.append({"dim": dim, "_scan rows": timed(lambda: field._scan(w, q, seeds, start=start))})
     return {
         "q": q,

@@ -40,7 +40,9 @@ class FieldParams:
     The two derived constants show up throughout the operator formulas:
     ``theta_alpha`` multiplies the hypersingular kernel of the fractional
     derivative and ``c_volterra`` is the prefactor of the logarithmic
-    integration kernel.  Both are negative for every valid ``(q, alpha)``.
+    integration kernel.  Both are negative for every valid ``(q, alpha)``:
+    parameters whose ``q^alpha``, ``theta_alpha`` or ``c_volterra`` is not
+    a finite nonzero double are refused.
     """
 
     q: int
@@ -54,6 +56,15 @@ class FieldParams:
             raise ValueError(f"q must be a prime power, got {self.q!r}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        try:
+            consts = (float(self.q) ** self.alpha, self.theta_alpha, self.c_volterra)
+        except OverflowError:  # float(q) from 2^1024 on, or q^alpha
+            consts = (math.inf,)
+        if not all(math.isfinite(c) and c != 0.0 for c in consts):
+            raise ValueError(
+                f"q={self.q} and alpha={self.alpha!r} leave the double range: q^alpha, "
+                "theta_alpha and c_volterra must be finite and nonzero"
+            )
 
     @property
     def ln_q(self) -> float:
@@ -309,25 +320,20 @@ def norm(u: KRadialFunction) -> float:
     return math.sqrt(max(inner_product(u, u).real, 0.0))
 
 
-def _ball_integral(vals: np.ndarray, t, q: float, n_lo, log: bool = False):
+def _ball_integral(vals: np.ndarray, t, q: float, n_lo: int, log: bool = False):
     """Integral of ``u`` over the unit ball (``log``: of ``u log|x| / log q``).
 
-    ``vals`` holds the shells ``1 - len(vals) .. 0`` on its first axis and
-    rows, if any, on a second, each zero below its own window start
-    ``n_lo`` and with its own tail ``t``.  The shells add exactly as for
-    one row whenever a row has at most two nonzero terms (a basis element);
-    below the window,
-    ``sum_{j <= J} j (1 - 1/q) q^j = q^J (J - 1/(q-1))`` with ``J = n_lo - 1``.
+    ``vals`` holds the shells ``n_lo .. 0`` and ``t`` is the tail; below the
+    window, ``sum_{j <= J} j (1 - 1/q) q^j = q^J (J - 1/(q-1))`` with
+    ``J = n_lo - 1``.
     """
-    lo = 1 - len(vals)
-    r = _along(_root_measure(q, lo)[0], vals)
-    h = _ball_root(q, n_lo)
+    r, h = _root_measure(q, n_lo)
     terms = vals * r * r
     tail = t * h * h
     if log:
-        terms = terms * _along(np.arange(lo, 1), vals)
+        terms = terms * np.arange(n_lo, 1)
         tail = tail * (n_lo - 1.0 - 1.0 / (q - 1.0))
-    return terms.sum(axis=0) + tail
+    return terms.sum() + tail
 
 
 def o_integral(u: KRadialFunction) -> complex:
@@ -422,25 +428,61 @@ def _unit_scale(q: float, family: str, N: int) -> float:
     return unit * q ** (N / 2.0)
 
 
-def _family_grid(q: float, family: str, dim: int):
-    """``e_0 .. e_(dim-1)`` or ``f_0 .. f_(dim-1)`` as the rows of one grid.
+def _family_shells(q: float, family: str, dim: int):
+    """``e_0 .. e_(dim-1)`` or ``f_0 .. f_(dim-1)`` by their two shells.
 
-    The grid holds the shells ``-dim .. 1`` on its first axis, one below
-    the deepest window and one above the ball; each row carries its
-    element's values, bit for bit those of ``make_basis``, on its window and
-    zero elsewhere, below the window too.  Returned with the rows' tails and
-    window starts.
+    Row 0 holds each element's value on its window start ``n_lo = -n`` and
+    row 1 its value on ``n_lo + 1``, bit for bit those of ``make_basis``;
+    an element is zero on every other shell of the ball.  Returned with the
+    elements' tails and window starts.
     """
     n = np.arange(dim)
     scale = np.array([_unit_scale(q, family, N) for N in range(dim)])
-    grid = np.zeros((dim + 2, dim), dtype=complex)
+    shells = np.zeros((2, dim), dtype=complex)
     if family == "f":
-        grid[dim - n, n] = scale
-        return grid, np.zeros(dim, dtype=complex), -n
+        shells[0] = scale
+        return shells, np.zeros(dim, dtype=complex), -n
     scale[0] = 1.0  # e_0 = v_0, the constant 1
-    grid[dim - n, n] = scale
-    grid[dim + 1 - n[1:], n[1:]] = -scale[1:] / (q - 1.0)
-    return grid, scale.astype(complex), -n
+    shells[0] = scale
+    shells[1, 1:] = -scale[1:] / (q - 1.0)
+    return shells, scale.astype(complex), -n
+
+
+def _family_grid(shells: np.ndarray) -> np.ndarray:
+    """The elements of ``_family_shells`` as the rows of one grid.
+
+    The grid holds the shells ``-dim .. 1`` on its first axis, one below
+    the deepest window and one above the ball; each row carries its
+    element's two shells and zero elsewhere, below the window too.
+    """
+    dim = shells.shape[1]
+    n = np.arange(dim)
+    grid = np.zeros((dim + 2, dim), dtype=complex)
+    grid[dim - n, n] = shells[0]
+    grid[dim + 1 - n, n] = shells[1]
+    return grid
+
+
+def _element_integrals(q: float, shells: np.ndarray, t: np.ndarray, n_lo: np.ndarray):
+    """``_ball_integral`` of every element of ``_family_shells``, without
+    and with ``log``: bit for bit ``o_integral`` and ``o_log_integral / log q``
+    of ``make_basis``.
+
+    Each integral reads only the element's two shells, in
+    ``_ball_integral``'s own operations: ``(v r) r`` per shell (times ``j``),
+    the two added bottom-up, then the tail term.  The shells it skips would
+    add exact zeros.  O(dim), where a pass over the whole grid is O(dim^2).
+    """
+    lo = 1 - shells.shape[1]
+    js = n_lo + np.arange(2)[:, None]  # shells n_lo, n_lo + 1
+    # the second shell of e_0 and f_0 lies above the ball, where both hold 0
+    r = np.append(_shell_roots(q, lo), 0.0)[js - lo]
+    h = _ball_root(q, n_lo)
+    terms = shells * r * r
+    tail = t * h * h
+    logs = terms * js
+    return (terms[0] + terms[1] + tail,
+            logs[0] + logs[1] + tail * (n_lo - 1.0 - 1.0 / (q - 1.0)))
 
 
 def expand(u: KRadialFunction, family: str, count: int) -> np.ndarray:

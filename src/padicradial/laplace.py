@@ -14,6 +14,7 @@ the value at radius one is supplied.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,24 +121,31 @@ def laplace_invert(
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     need_lo, need_hi = 1 - m_max, m_max + 1
-    missing = [n for n in range(need_lo, need_hi + 1) if not tilde.n_lo <= n <= tilde.n_hi]
-    if missing:
+    if need_lo < tilde.n_lo or need_hi > tilde.n_hi:
+        # the needed indices outside the range: below it, above it, or both
+        first = need_lo if need_lo < tilde.n_lo else max(need_lo, tilde.n_hi + 1)
+        last = need_hi if need_hi > tilde.n_hi else min(need_hi, tilde.n_lo - 1)
         raise ValueError(
-            f"transform range [{tilde.n_lo}, {tilde.n_hi}] is missing indices {missing[0]}..{missing[-1]} "
+            f"transform range [{tilde.n_lo}, {tilde.n_hi}] is missing indices {first}..{last} "
             f"needed for m_max={m_max}"
         )
     q = float(tilde.params.q)
     T, i0 = tilde.values, -tilde.n_lo  # T[i0 + n] is the value at q^n
     ms = np.arange(1, m_max + 1)
-    # Python's pow for the weights: np.power is an ulp off it on some exponents
+
+    def weights(first: int, step: int) -> np.ndarray:
+        # Python's pow: np.power is an ulp off it on some exponents
+        exps = map(float, range(first, first + step * m_max, step))
+        return np.fromiter(map(pow, itertools.repeat(q), exps), float, m_max)
+
     try:
-        down_w = np.array([q ** float(m) for m in ms])
+        down_w = weights(1, 1)  # q^m
     except OverflowError:
         raise ValueError(
             f"weight q^m_max = {q:g}^{m_max} of 'phi_down' is beyond the double range "
             f"(q={q:g}, m_max={m_max})"
         ) from None
-    up_w = np.array([q ** float(1 - m) for m in ms])
+    up_w = weights(0, -1)  # q^(1-m)
     anchor = [complex(phi_at_1)]
     with np.errstate(over="ignore", invalid="ignore"):
         sums = {

@@ -19,11 +19,13 @@ from .field import (
     FieldParams,
     KRadialFunction,
     _along,
-    _ball_integral,
     _div,
+    _element_integrals,
     _family_grid,
+    _family_shells,
     _require_o,
     _scan,
+    _shell_roots,
     expand,
     o_integral,
 )
@@ -324,15 +326,16 @@ class OperatorMatrix:
 
 
 def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
-    """The matrix of ``name`` from one pass over the basis grid."""
+    """The matrix of ``name`` from one pass over the basis."""
     q = float(p.q)
     lo = 1 - dim  # the window start of element dim - 1: every image lives on lo..0
-    grid, t, n_lo = _family_grid(q, basis, dim)  # shells lo-1 .. 1
+    shells, t, n_lo = _family_shells(q, basis, dim)
     if name == "J":  # kappa (<u, 1> log|x| - <u, log|x|>): rank 2
         kap = (1.0 - q) / (2j * q * p.ln_q)
-        ones = _ball_integral(grid[1:-1], t, q, n_lo).real
-        logs = (_ball_integral(grid[1:-1], t, q, n_lo, log=True) * p.ln_q).real
+        ones, logs = _element_integrals(q, shells, t, n_lo)
+        ones, logs = ones.real, (logs * p.ln_q).real
         return kap * (np.outer(logs, ones) - np.outer(ones, logs))
+    grid = _family_grid(shells)  # shells lo-1 .. 1
     start = n_lo - lo  # each row's window start on the shells lo..
     if name == "D1O":
         # the first shell where an element differs from its tail is e_N's top
@@ -343,11 +346,13 @@ def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
         out = _derivative(dev, t, p, np.arange(lo - 1, 1.0), m)
         image, tails = out[1:], out[m, np.arange(dim)]
     elif name == "resolvent":
-        integral = _ball_integral(grid[1:-1], t, q, n_lo)
+        integral = _element_integrals(q, shells, t, n_lo)[0]
         image, tails = _resolvent(grid[1:], t, integral, p, np.arange(lo, 2.0), start)
     else:
         core = _integral if name == "I1" else _volterra
         image, tails = core(grid[1:-1], t, p, np.arange(lo, 1.0), start), np.zeros(dim)
+    if basis == "f":  # expand(image_n, "f", dim) for every n: f_j's coefficient is w_(-j)
+        return (image * _shell_roots(q, lo)[:, None])[::-1]
     return np.column_stack([
         expand(KRadialFunction(p, lo, 0, image[:, n], tails[n]), basis, dim) for n in range(dim)
     ])
@@ -361,13 +366,20 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
     the elements ``0 .. dim-1`` (at most two shells each) are written in
     closed form as the rows of one grid of shell values, and the operator's
     shell scans run once over all rows, each row started at its own window
-    (``field._scan``).  Each image then costs one closed-form ``expand``
-    on its stored window (read without a copy) and the memoized root
-    measures of ``(q, 1 - dim)``; in the e-family that is one O(dim)
-    recurrence per column.
+    (``field._scan``).  In the f-family the expansion of every image is one
+    array product with the memoized root measures of ``(q, 1 - dim)``,
+    reversed so that row ``j`` is the shell ``-j``: the product ``expand``
+    forms per column.  In the e-family each image costs one closed-form
+    ``expand`` on its stored window, one O(dim) recurrence per column.
+    That split is not a difference between the families: the e-family
+    keeps one ``expand`` call per column because
+    ``perfbench/test_perfbench.py`` pins one ``field.expand`` span per
+    column of the ``I1`` e-matrix.  ``J``, and the
+    resolvent's ``int_O u``, take each element's pairings with 1 and
+    ``log|x|`` from its two shells and its tail (``field._element_integrals``).
     Every column is bit for bit that of the operator applied to
-    ``make_basis(params, basis, n)`` and expanded.  ``J`` is the rank-2
-    outer product of the grid's closed-form pairings with 1 and ``log|x|``.
+    ``make_basis(params, basis, n)`` and expanded, and ``J`` is the rank-2
+    outer product of those pairings.
     All five named operators are order-one objects, so the matrix is formed
     at ``alpha = 1`` regardless of the ``alpha`` stored in ``params``.
     ``ValueError`` names the operator, family, ``q`` and ``dim`` where an

@@ -503,12 +503,20 @@ CHECKS = (
 
 
 def build_checks(p: FieldParams) -> list:
-    """Run every check at ``p``, timing each; the runtime budget is appended last."""
+    """Run every check at ``p``, timing each; the runtime budget is appended last.
+
+    A check whose operator values leave the double range raises
+    ``ValueError`` naming the check and ``(q, alpha)``.
+    """
     results = []
     start = time.perf_counter()
     for fn in CHECKS:
         t0 = time.perf_counter()
-        res = fn(p)
+        try:
+            res = fn(p)
+        except (OverflowError, ValueError) as exc:
+            name = fn.__name__.removeprefix("check_")
+            raise ValueError(f"check {name!r} at q={p.q}, alpha={p.alpha!r}: {exc}") from exc
         results.append(replace(res, seconds=time.perf_counter() - t0))
     total = time.perf_counter() - start
     budget = DEFAULT_TOLERANCES["runtime_seconds"]

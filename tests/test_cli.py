@@ -357,6 +357,35 @@ def test_cli_verify_bad_parameters_exit_3(capsys, argv, limit):
     assert captured.out == "" and limit in captured.err
 
 
+@pytest.mark.parametrize("k, alpha", [(1100, 1.0), (600, 2.0), (1023, 1.0)])
+def test_cli_field_constants_beyond_the_double_range(tmp_path, capsys, k, alpha):
+    # q = 2^k: verify refuses the parameters (exit 3), apply the document (exit 2)
+    q = 2**k
+    assert main(["verify", "--q", str(q), "--alpha", str(alpha)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"q={q} and alpha={alpha!r}" in captured.err
+    src = tmp_path / "u.json"
+    src.write_text(GOLDEN_INPUT.replace('"q": 2', f'"q": {q}').replace('"alpha": 1', f'"alpha": {alpha}'))
+    assert main(["apply", "I01", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"q={q} and alpha={alpha!r}" in captured.err
+
+
+@pytest.mark.parametrize("q", [65536, 2**40])
+def test_cli_verify_with_operators_beyond_the_double_range_exits_3(capsys, q):
+    # a check whose operator values leave the double range names itself and q
+    assert main(["verify", "--q", str(q)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: check 'right_inverse' at q={q}, alpha=1.0: ")
+
+
+@pytest.mark.parametrize("q", [128, 1024, 4096])
+def test_cli_verify_at_large_q_still_fails_by_its_checks(capsys, q):
+    assert main(["verify", "--q", str(q)]) == 1
+    assert "VERIFICATION FAILED" in capsys.readouterr().out
+
+
 def test_cli_commands_are_deterministic(tmp_path):
     v1 = make_basis(P2, "v", 1)
     src = tmp_path / "v1.json"

@@ -58,6 +58,23 @@ def test_field_params_constants():
             FieldParams(q)
 
 
+@pytest.mark.parametrize("k, alpha", [(1024, 1.0), (1100, 1.0), (600, 2.0), (1023, 1.0), (1, 1e-17),
+                                      (1, 1100.0)])
+def test_field_params_outside_the_double_range_are_refused(k, alpha):
+    # at q = 2^k: float(q) overflows from 2^1024, theta_alpha overflows at
+    # (2^600, 2), and c_volterra rounds to -0.0 at 2^1023; q^alpha rounds to
+    # 1 at alpha = 1e-17, where theta_alpha is 0, and overflows at alpha = 1100
+    with pytest.raises(ValueError, match=f"q={2**k} and alpha={alpha!r}"):
+        FieldParams(2**k, alpha)
+
+
+def test_field_params_at_the_edge_of_the_double_range_keep_their_constants():
+    for q, alpha in ((2**1000, 1.0), (2**600, 1.0), (2, 1000.0), (3, 1e-12)):
+        p = FieldParams(q, alpha)
+        consts = (float(q) ** alpha, p.theta_alpha, p.c_volterra)
+        assert all(math.isfinite(c) and c != 0.0 for c in consts)
+
+
 def test_value_window_semantics():
     u = KRadialFunction(P2, -2, 0, [1.0, 2.0, 3.0], inner_tail=7.0)
     assert u.value_at(0) == 3.0

@@ -118,6 +118,22 @@ def test_inversion_matches_the_loop_bit_for_bit(q):
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n_lo, n_hi", [(-3, 5), (-5, 9), (-2, 5), (-3, 4), (-1, 2), (0, 0), (-20, -10),
+                                        (10, 20), (-9, -4), (6, 9), (-4, 5), (-3, 6)])
+def test_inversion_range_error_names_the_first_and_last_missing_index(n_lo, n_hi):
+    # m_max = 4 needs the indices -3 .. 5; the message spans the missing ones
+    m_max = 4
+    tilde = TransformSequence(P2, n_lo, n_hi, np.ones(n_hi - n_lo + 1))
+    missing = [n for n in range(1 - m_max, m_max + 2) if not n_lo <= n <= n_hi]
+    if not missing:
+        assert all(np.isfinite(part).all() for part in laplace_invert(tilde, 1.0, m_max))
+        return
+    with pytest.raises(ValueError) as exc:
+        laplace_invert(tilde, 1.0, m_max)
+    assert str(exc.value) == (f"transform range [{n_lo}, {n_hi}] is missing indices "
+                              f"{missing[0]}..{missing[-1]} needed for m_max=4")
+
+
 def test_inversion_beyond_the_double_range_names_the_sum():
     # the differences of +-1e308 overflow; the loop returned inf and nan
     big = [1e308, -1e308, 1e308, -1e308, 1e308]

@@ -411,11 +411,25 @@ def test_operator_matrix_is_the_column_loop(name, basis, q, dim):
     assert np.array_equal(got, oracle_operator_matrix(FieldParams(q), name, basis, dim))
 
 
-@pytest.mark.parametrize("basis", ["e", "f"])
-@pytest.mark.parametrize("name", ["I1", "I01"])
+@pytest.mark.parametrize("name, basis", [("I1", "e"), ("I01", "e"), ("I1", "f"), ("I01", "f"),
+                                         ("D1O", "f"), ("resolvent", "f"), ("J", "f")])
 def test_operator_matrix_is_the_column_loop_at_dim_640(name, basis):
+    # the f-family is one array product, J reads each element's two shells
     got = operator_matrix(P2, name, basis, 640).entries
     assert np.array_equal(got, oracle_operator_matrix(P2, name, basis, 640))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 9, 101])
+@pytest.mark.parametrize("basis", ["e", "f"])
+def test_element_integrals_are_those_of_make_basis(q, basis):
+    # the integrals J and the resolvent read from two shells per element are
+    # o_integral and o_log_integral of the basis elements, bit for bit
+    p, dim = FieldParams(q), 60
+    shells, t, n_lo = padicradial.field._family_shells(float(q), basis, dim)
+    ones, logs = padicradial.field._element_integrals(float(q), shells, t, n_lo)
+    members = [make_basis(p, basis, n) for n in range(dim)]
+    assert np.array_equal(ones, [o_integral(b) for b in members])
+    assert np.array_equal(logs * p.ln_q, [o_log_integral(b) for b in members])
 
 
 @pytest.mark.parametrize("basis", ["e", "f"])
