@@ -10,9 +10,9 @@ Layers (``--layer``):
   ``operator_matrix`` of D1O, I1, I01 and the resolvent in the e-family and
   of all five operators in the f-family, and the spectral work built on
   two of them: ``i1_eigenpairs`` (the I1 e-matrix and a dense ``eig``) and
-  ``volterra_check`` (the I01 f-matrix, its diagonal and a triangular
-  back-substitution; no ``eigvals`` or ``svd``).  Their ``dense_share`` is
-  the part of their time not spent forming the matrix.
+  ``volterra_check`` (the I01 f-matrix, its lower triangle, diagonal and
+  superdiagonal; no ``eigvals`` or ``svd``).  Their ``dense_share`` is the
+  part of their time not spent forming the matrix.
 - ``expand``: for q = 2, ``expand`` in the e- and f-family of a seeded
   random function shaped like an ``operator_matrix`` image (the shells
   ``1 - dim .. 0``, a nonzero tail, ``count = dim``) at dim in
@@ -34,6 +34,10 @@ Layers (``--layer``):
   grids, the e-family grid of dim in {40, 160, 640} (the shells
   ``1 - dim .. 0`` by ``dim`` rows, each row seeded at its own window start):
   ``_scan`` over every row at once.
+- ``charfn``: for q in {2, 3} and T in {50, 200, 800},
+  ``characteristic_function`` up to order T and ``order_certificate`` of
+  its entry g12 (``w_coefficients()[0, 1]``): the spectral calls of the
+  ``matrix-spectra`` benchmark, which runs them at T = 200.
 
 Each call is repeated for at least ``--seconds`` per size (and at least
 three times); the record keeps the median and the minimum per call, and for
@@ -270,8 +274,33 @@ def scan_layer(timed) -> dict:
     }
 
 
+CHARFN = ("characteristic_function", "order_certificate")
+
+
+def charfn_layer(timed) -> dict:
+    orders = (50, 200, 800)
+    rows, exponents = [], {}
+    for q in (2, 3):
+        p = FieldParams(q)
+        cells = []
+        for T in orders:
+            g12 = spectral.characteristic_function(p, T).w_coefficients()[0, 1]
+            cells.append({
+                "q": q, "T": T,
+                "characteristic_function": timed(lambda: spectral.characteristic_function(p, T)),
+                "order_certificate": timed(lambda: spectral.order_certificate(p, g12)),
+            })
+        rows += cells
+        exponents.update({f"{name} q={q}": fit for name, fit in _exponents(orders, cells, CHARFN).items()})
+    return {
+        "shapes": "characteristic_function up to order T; order_certificate of its entry g12",
+        "per_call": rows,
+        "scaling_exponent": exponents,
+    }
+
+
 LAYERS = {"laplace": laplace_layer, "operator_matrix": operator_matrix_layer, "expand": expand_layer,
-          "apply": apply_layer, "scan": scan_layer}
+          "apply": apply_layer, "scan": scan_layer, "charfn": charfn_layer}
 
 
 def _revision() -> str:

@@ -13,6 +13,7 @@ inner products and basis expansions carry no truncation error.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,8 +52,7 @@ class FieldParams:
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 2:
             raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
-        roots = (_int_root(self.q, k) for k in range(1, self.q.bit_length()))
-        if not any(r ** k == self.q and _is_prime(r) for k, r in enumerate(roots, 1)):
+        if not _is_prime_power(self.q):
             raise ValueError(f"q must be a prime power, got {self.q!r}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
@@ -79,6 +79,13 @@ class FieldParams:
     def c_volterra(self) -> float:
         q = float(self.q)
         return (1.0 - q) / (q * self.ln_q)
+
+
+@functools.lru_cache(maxsize=16)
+def _is_prime_power(q: int) -> bool:
+    """Whether ``q`` is ``r^k`` for a prime ``r``; the last 16 verdicts are kept."""
+    roots = (_int_root(q, k) for k in range(1, q.bit_length()))
+    return any(r**k == q and _is_prime(r) for k, r in enumerate(roots, 1))
 
 
 def _int_root(q: int, k: int) -> int:
@@ -120,14 +127,19 @@ def _shell_roots(q: float, lo: int) -> np.ndarray:
 
 
 def _ball_root(q: float, n_lo):
-    """``q^((n_lo-1)/2)``, one per row for an array of ``n_lo``.
+    """``q^((n_lo-1)/2)``, one per row for an array of ``n_lo``."""
+    return _pow(q, (n_lo - 1.0) / 2.0)
 
-    Rows use Python's power, as one row does: ``np.power`` may differ from
-    it in the last bit.
-    """
-    if isinstance(n_lo, np.ndarray):
-        return np.array([q ** ((n - 1.0) / 2.0) for n in n_lo.tolist()])
-    return q ** ((n_lo - 1.0) / 2.0)
+
+def _pow(x, k):
+    """``x ** k`` by Python's pow, element by element where the base ``x`` or
+    the exponent ``k`` is an array, so each element has the bits of its own
+    scalar call: ``np.power`` is an ulp off Python's pow on some exponents."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(k)), float, x.size).reshape(x.shape)
+    if isinstance(k, np.ndarray):
+        return np.fromiter(map(pow, itertools.repeat(x), k.ravel().tolist()), float, k.size).reshape(k.shape)
+    return x**k
 
 
 def _along(x: np.ndarray, grid: np.ndarray) -> np.ndarray:

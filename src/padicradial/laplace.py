@@ -14,12 +14,11 @@ the value at radius one is supplied.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FieldParams, KRadialFunction, _decay
+from .field import FieldParams, KRadialFunction, _decay, _pow
 from .operators import _scaled, apply_D_alpha
 
 __all__ = [
@@ -132,20 +131,14 @@ def laplace_invert(
     q = float(tilde.params.q)
     T, i0 = tilde.values, -tilde.n_lo  # T[i0 + n] is the value at q^n
     ms = np.arange(1, m_max + 1)
-
-    def weights(first: int, step: int) -> np.ndarray:
-        # Python's pow: np.power is an ulp off it on some exponents
-        exps = map(float, range(first, first + step * m_max, step))
-        return np.fromiter(map(pow, itertools.repeat(q), exps), float, m_max)
-
     try:
-        down_w = weights(1, 1)  # q^m
+        down_w = _pow(q, ms)  # q^m
     except OverflowError:
         raise ValueError(
             f"weight q^m_max = {q:g}^{m_max} of 'phi_down' is beyond the double range "
             f"(q={q:g}, m_max={m_max})"
         ) from None
-    up_w = weights(0, -1)  # q^(1-m)
+    up_w = _pow(q, 1 - ms)  # q^(1-m)
     anchor = [complex(phi_at_1)]
     with np.errstate(over="ignore", invalid="ignore"):
         sums = {

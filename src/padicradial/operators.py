@@ -23,6 +23,7 @@ from .field import (
     _element_integrals,
     _family_grid,
     _family_shells,
+    _pow,
     _require_o,
     _scan,
     _shell_roots,
@@ -408,35 +409,36 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
     return OperatorMatrix(p1, name, basis, dim, entries)
 
 
-def d_constant(params: FieldParams, m: int) -> float:
-    """Coefficient in the shift identity: integrating the logarithmic kernel
-    against ``|y|^m`` over ``|y| < |x|`` gives ``d_m |x|^(m+1)``."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+def _y(params: FieldParams, n, name: str) -> tuple[float, float | np.ndarray]:
+    """``q`` and ``y = q^-(n+1)`` for an order ``n >= 0`` or an integer array of orders."""
+    if np.min(n, initial=0) < 0:
+        raise ValueError(f"{name} must be >= 0")
     q = float(params.q)
-    y = q ** (-(m + 1.0))
-    return (1.0 - 1.0 / q) * params.ln_q * y / (1.0 - y) ** 2
+    return q, _pow(q, -(n + 1.0))
 
 
-def moment_a(params: FieldParams, n: int) -> float:
+def d_constant(params: FieldParams, m: int | np.ndarray) -> float | np.ndarray:
+    """Coefficient in the shift identity: integrating the logarithmic kernel
+    against ``|y|^m`` over ``|y| < |x|`` gives ``d_m |x|^(m+1)``.  This and
+    the moments below take an order or an integer array of orders."""
+    q, y = _y(params, m, "m")
+    return (1.0 - 1.0 / q) * params.ln_q * y / _pow(1.0 - y, 2)
+
+
+def moment_a(params: FieldParams, n: int | np.ndarray) -> float | np.ndarray:
     """Integral of ``|t|^n log|t|`` over ``|t| < 1`` (negative)."""
-    if n < 0:
+    if np.min(n, initial=0) < 0:
         raise ValueError("n must be >= 0")
     return -d_constant(params, n)
 
 
-def moment_b(params: FieldParams, n: int) -> float:
+def moment_b(params: FieldParams, n: int | np.ndarray) -> float | np.ndarray:
     """Integral of ``|t|^n log^2|t|`` over ``|t| < 1`` (positive)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    q = float(params.q)
-    y = q ** (-(n + 1.0))
-    return (1.0 - 1.0 / q) * params.ln_q**2 * y * (1.0 + y) / (1.0 - y) ** 3
+    q, y = _y(params, n, "n")
+    return (1.0 - 1.0 / q) * params.ln_q**2 * y * (1.0 + y) / _pow(1.0 - y, 3)
 
 
-def moment_m0(params: FieldParams, n: int) -> float:
+def moment_m0(params: FieldParams, n: int | np.ndarray) -> float | np.ndarray:
     """Integral of ``|t|^n`` over the unit ball."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    q = float(params.q)
-    return (1.0 - 1.0 / q) / (1.0 - q ** (-(n + 1.0)))
+    q, y = _y(params, n, "n")
+    return (1.0 - 1.0 / q) / (1.0 - y)

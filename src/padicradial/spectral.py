@@ -32,7 +32,7 @@ __all__ = [
     "order_certificate",
 ]
 
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -67,42 +67,31 @@ def volterra_check(params: FieldParams, dim: int) -> dict:
     The matrix must be strictly upper triangular, so every eigenvalue of
     the truncation vanishes.  Where its strict lower part is exactly 0 the
     eigenvalues are its diagonal, and ``max_abs_eigenvalue`` is the largest
-    ``|diagonal|``; otherwise it is ``inf``.  The kernel is solved from the
-    same structure by back-substitution: row ``j`` pins coordinate ``j + 1``
-    through the pivot just above the diagonal, and zeros propagate exactly
-    (a coordinate whose ``rest`` is 0 stays 0, with no division by a pivot
-    that may have underflowed).  Only coordinates whose pivot vanishes in a
-    row that holds a normal double stay free; a row whose entries are all
-    below ``2^-1022`` (from row 1021 at q = 2) has lost its pivot to
-    underflow, and its coordinate is not free.  (A singular-value cutoff
-    cannot do this job: the trailing singular values of the truncation
-    decay geometrically and sink below any fixed threshold as ``dim``
-    grows, while the exact kernel stays one-dimensional.)
+    ``|diagonal|``; otherwise it is ``inf``.  Column 0 vanishes, so the
+    kernel holds ``e_0`` (the top-shell indicator), the representative
+    returned: back-substitution from the last row pins each coordinate
+    ``j + 1`` through the pivot ``A[j, j + 1]`` against later coordinates
+    that are all 0, so it pins 0.  ``kernel_dim`` counts ``e_0`` and each
+    coordinate whose pivot is exactly 0 in a row that holds a normal
+    double; a row whose entries are all below ``2^-1022`` (from row 1021 at
+    q = 2) has lost its pivot to underflow, and its coordinate is not free.
+    (A singular-value cutoff cannot do this job: the trailing singular
+    values of the truncation decay geometrically and sink below any fixed
+    threshold as ``dim`` grows, while the exact kernel stays
+    one-dimensional.)
     """
-    mat = operator_matrix(params, "I01", "f", dim)
-    A = mat.entries
-    max_lower = float(np.abs(A[np.tril_indices(dim)]).max())
-    triangular = not A[np.tril_indices(dim, -1)].any()
-
-    kernel_vector = np.zeros(dim, dtype=complex)
-    kernel_vector[0] = 1.0
-    free = 1  # coordinate 0 is never constrained (column 0 vanishes)
-    pinned = False  # no coordinate from 2 on is nonzero yet, so each rest is 0
-    for j in range(dim - 2, -1, -1):
-        pivot = A[j, j + 1]
-        rest = A[j, j + 2 :] @ kernel_vector[j + 2 :] if pinned else 0
-        if rest == 0:
-            free += pivot == 0 and bool((np.abs(A[j]) >= _TINY).any())
-        elif pivot != 0:
-            kernel_vector[j + 1] = -rest / pivot
-            pinned = True
-    kernel_vector /= np.linalg.norm(kernel_vector)
+    A = operator_matrix(params, "I01", "f", dim).entries
+    lower = np.tril(A)
+    max_lower = float(np.abs(lower).max())
+    triangular = not np.tril(lower, -1).any()
+    rows = np.flatnonzero(A.diagonal(1) == 0)
+    free = np.count_nonzero((np.abs(A[rows]) >= _TINY).any(axis=1))
     return {
         "max_abs_eigenvalue": float(np.abs(A.diagonal()).max()) if triangular else math.inf,
         "strict_triangularity": max_lower <= 1e-14,
         "max_lower_entry": max_lower,
-        "kernel_dim": free,
-        "kernel_vector": kernel_vector,
+        "kernel_dim": 1 + int(free),
+        "kernel_vector": np.eye(1, dim, dtype=complex)[0],
     }
 
 
@@ -183,17 +172,16 @@ def characteristic_function(params: FieldParams, T: int) -> MatrixPowerSeries:
         raise ValueError("T must be >= 1")
     q = float(params.q)
     kap1 = (q - 1.0) / (1j * q * params.ln_q)
-    d = np.array([d_constant(params, n) for n in range(T + 1)])
-    b = np.array([moment_b(params, n) for n in range(T + 1)])
-    m0 = np.array([moment_m0(params, n) for n in range(T + 1)])
-    P = np.cumprod(np.r_[1.0, params.c_volterra * d[:-1]])
+    n = np.arange(T + 1)
+    d, b, m0 = d_constant(params, n), moment_b(params, n), moment_m0(params, n)
+    P = np.cumprod(np.concatenate(([1.0], params.c_volterra * d[:-1])))
     y = q ** -np.arange(1.0, T + 1.0)
-    E = np.cumsum(np.r_[0.0, params.ln_q * (1.0 + y) / (1.0 - y)])
+    E = np.cumsum(np.concatenate(([0.0], params.ln_q * (1.0 + y) / (1.0 - y))))
     g = np.array([
         [abs(kap1) ** 2 * P * m0, kap1 * P * d],
         [np.conj(kap1) * P * (d + E * m0), P * (b + E * d)],
     ])
-    underflowed = bool(np.any(np.abs(g) < np.finfo(float).tiny))
+    underflowed = bool(np.any(np.abs(g) < _TINY))
     return MatrixPowerSeries(params, T, g, underflowed)
 
 
@@ -207,11 +195,15 @@ def order_certificate(params: FieldParams, series) -> dict:
     rate ``log|coef_n| / n`` has a clearly negative trend the decay is
     super-exponential and the implied order is reported as 0; otherwise the
     largest ratio over ``n >= 5`` is reported, which flags geometric
-    sequences (radius-limited, order at least 1 behavior).
+    sequences (radius-limited, order at least 1 behavior).  A coefficient
+    that is ``nan`` or infinite is refused, naming its index.
     """
     coefs = np.asarray(series, dtype=complex).ravel()
     mags = np.abs(coefs)
-    nz = [(n, m) for n, m in enumerate(mags) if n >= 1 and m >= np.finfo(float).tiny]
+    bad = np.flatnonzero(~np.isfinite(mags))
+    if bad.size:
+        raise ValueError(f"coefficient {bad[0]} is not finite: {coefs[bad[0]]}")
+    nz = [(n, m) for n, m in enumerate(mags.tolist()) if n >= 1 and m >= _TINY]
     if np.all(mags == 0):
         raise ValueError("all-zero coefficient sequence")
     if len(nz) < 10:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -54,6 +55,21 @@ def test_field_params_constants():
     for q in (2, 4, 8, 9, 25, 27, 64, 101, 3**13, 2**61 - 1, (2**61 - 1) ** 3):
         assert FieldParams(q).q == q
     for q in (6, 10, 12, 18, 100, 2 * 101, 3**13 * 2, 252601, 3825123056546413051):
+        with pytest.raises(ValueError, match=f"prime power, got {q}"):
+            FieldParams(q)
+
+
+def test_prime_power_test_runs_once_per_q(monkeypatch):
+    calls = []
+    is_prime = padicradial.field._is_prime
+    monkeypatch.setattr(padicradial.field, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+    padicradial.field._is_prime_power.cache_clear()
+    p = FieldParams(101, 0.5)
+    first = len(calls)
+    for alpha in (1.0, 2.0, 0.5, 1.0):
+        assert replace(p, alpha=alpha).q == 101
+    assert first > 0 and len(calls) == first
+    for q in (6, 252601, 3825123056546413051, 6):
         with pytest.raises(ValueError, match=f"prime power, got {q}"):
             FieldParams(q)
 

@@ -531,6 +531,15 @@ def test_moment_closed_forms_vs_series(q):
         assert moment_a(p, n) < 0 and moment_b(p, n) > 0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 101])
+def test_array_moments_equal_the_scalar_moments(q):
+    p, n = FieldParams(q), np.arange(401)
+    for moment in (d_constant, moment_a, moment_b, moment_m0):
+        assert np.array_equal(moment(p, n), [moment(p, k) for k in range(401)]), moment.__name__
+        with pytest.raises(ValueError, match="must be >= 0"):
+            moment(p, np.array([3, -1]))
+
+
 def test_moment_values():
     assert d_constant(P2, 0) == pytest.approx(math.log(2.0), abs=1e-15)
     assert d_constant(P2, 1) == pytest.approx(2.0 * math.log(2.0) / 9.0, abs=1e-15)

@@ -58,3 +58,19 @@ def test_scan_layer_times_both_kernels_on_rows_and_grids(tmp_path):
     exponents = record["scaling_exponent"]
     assert set(exponents) == {"_decay", "_scan", "_scan rows"}
     assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())
+
+
+def test_charfn_layer_times_both_calls_at_every_order(tmp_path):
+    dst = tmp_path / "bench.json"
+    assert load_scaling().main(["--layer", "charfn", "--seconds", "0", "--into", str(dst)]) == 0
+    record = json.loads(dst.read_text())["run"]
+    assert set(record) == {"layer", "shapes", "per_call", "scaling_exponent", "speed_factor",
+                           "revision", "numpy", "python", "machine"}
+    assert [(row["q"], row["T"]) for row in record["per_call"]] == [
+        (q, T) for q in (2, 3) for T in (50, 200, 800)]
+    assert all("median" in row[name] for row in record["per_call"]
+               for name in ("characteristic_function", "order_certificate"))
+    exponents = record["scaling_exponent"]
+    assert set(exponents) == {f"{name} q={q}" for name in ("characteristic_function", "order_certificate")
+                              for q in (2, 3)}
+    assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())

@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,6 +109,65 @@ def test_volterra_kernel_past_the_underflowed_rows():
     assert np.all(np.isfinite(kv))
     assert abs(kv[0]) == 1.0
     assert rep["max_abs_eigenvalue"] == 0.0
+
+
+def oracle_volterra_check(A):
+    """The triangular back-substitution ``volterra_check`` ran on the matrix ``A``
+    before it read the kernel off the superdiagonal."""
+    dim = len(A)
+    max_lower = float(np.abs(A[np.tril_indices(dim)]).max())
+    triangular = not A[np.tril_indices(dim, -1)].any()
+    kernel_vector = np.zeros(dim, dtype=complex)
+    kernel_vector[0] = 1.0
+    free = 1
+    pinned = False
+    for j in range(dim - 2, -1, -1):
+        pivot = A[j, j + 1]
+        rest = A[j, j + 2 :] @ kernel_vector[j + 2 :] if pinned else 0
+        if rest == 0:
+            free += pivot == 0 and bool((np.abs(A[j]) >= np.finfo(float).tiny).any())
+        elif pivot != 0:
+            kernel_vector[j + 1] = -rest / pivot
+            pinned = True
+    kernel_vector /= np.linalg.norm(kernel_vector)
+    return {
+        "max_abs_eigenvalue": float(np.abs(A.diagonal()).max()) if triangular else math.inf,
+        "strict_triangularity": max_lower <= 1e-14,
+        "max_lower_entry": max_lower,
+        "kernel_dim": free,
+        "kernel_vector": kernel_vector,
+    }
+
+
+def assert_same_report(got, want):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert np.array_equal(got[key], value), key
+
+
+@pytest.mark.parametrize("q, dim", [(q, dim) for q in (2, 3, 5) for dim in (2, 3, 40, 160)]
+                         + [(2, 1100), (2, 1280)])
+def test_volterra_check_equals_the_back_substitution(q, dim):
+    p = FieldParams(q)
+    want = oracle_volterra_check(operator_matrix(p, "I01", "f", dim).entries)
+    assert_same_report(volterra_check(p, dim), want)
+
+
+def test_volterra_kernel_counts_vanishing_pivots_of_normal_rows(monkeypatch):
+    # pivots A[2, 3] (a normal row) and A[5, 6] (a subnormal row) vanish,
+    # and row 6 is all 0; one lower entry breaks triangularity
+    A = np.triu(np.random.default_rng(3).standard_normal((8, 8)), 1).astype(complex)
+    A[2, 3] = 0.0
+    A[5] = 0.0
+    A[5, 7] = 1e-310
+    A[6, 7] = 0.0
+    A[4, 1] = 1e-16
+    monkeypatch.setattr("padicradial.spectral.operator_matrix", lambda *args: SimpleNamespace(entries=A))
+    rep = volterra_check(P2, 8)
+    assert_same_report(rep, oracle_volterra_check(A))
+    assert rep["kernel_dim"] == 2
+    assert rep["max_abs_eigenvalue"] == math.inf
+    assert rep["max_lower_entry"] == 1e-16
 
 
 def test_volterra_two_by_two_nilpotent():
@@ -325,6 +385,20 @@ def test_order_certificate_input_validation():
         order_certificate(P2, np.array([1.0, 0.5, 0.25]))
 
 
+def test_order_certificate_refuses_non_finite_coefficients():
+    # a nan was skipped (fitted_C 1.0, order 0), an inf gave fitted_C = inf,
+    # and an all-nan sequence was refused as short of normal coefficients
+    envelope = 2.0 ** (-(np.arange(30) ** 2) / 2.0)
+    for index, bad in ((5, np.nan), (7, np.inf), (12, complex(0.0, -np.inf)), (1, complex(np.nan, 1.0))):
+        coefs = envelope.astype(complex)
+        coefs[index] = bad
+        coefs[index + 3] = np.nan
+        with pytest.raises(ValueError, match=f"coefficient {index} is not finite"):
+            order_certificate(P2, coefs)
+    with pytest.raises(ValueError, match="coefficient 0 is not finite"):
+        order_certificate(P2, np.full(20, np.nan))
+
+
 def test_order_certificate_ignores_subnormal_coefficients():
     # 5e-324 = 2^-1074 at n = 47 lies 2^30.5 above the envelope 2^(-n^2/2);
     # a subnormal has lost its precision, so it must not set C = 2^(30.5/47)
@@ -358,3 +432,22 @@ def test_characteristic_function_matches_the_recursion(q, T):
     got = characteristic_function(params, T).g
     full = np.abs(want) >= 2.0**-969  # full precision, well above the subnormals
     assert np.all(np.abs(got - want)[full] <= 1e-14 * np.abs(want)[full])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 101])
+def test_characteristic_function_equals_the_scalar_moment_construction(q):
+    # the closed form built from one scalar moment call per order
+    params, T = FieldParams(q), 200
+    qf = float(q)
+    kap1 = (qf - 1.0) / (1j * qf * params.ln_q)
+    d = np.array([d_constant(params, n) for n in range(T + 1)])
+    b = np.array([moment_b(params, n) for n in range(T + 1)])
+    m0 = np.array([moment_m0(params, n) for n in range(T + 1)])
+    P = np.cumprod(np.r_[1.0, params.c_volterra * d[:-1]])
+    y = qf ** -np.arange(1.0, T + 1.0)
+    E = np.cumsum(np.r_[0.0, params.ln_q * (1.0 + y) / (1.0 - y)])
+    want = np.array([
+        [abs(kap1) ** 2 * P * m0, kap1 * P * d],
+        [np.conj(kap1) * P * (d + E * m0), P * (b + E * d)],
+    ])
+    assert np.array_equal(characteristic_function(params, T).g, want)
