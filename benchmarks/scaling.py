@@ -54,6 +54,16 @@ against the library on ``PYTHONPATH``:
 
 ``--into`` adds the record under ``--label`` to the JSON file (created if
 missing), so the same file can hold a ``before`` and an ``after`` record.
+
+``--ab OTHER_SRC`` times a second source tree in the same process: its
+package (``OTHER_SRC/padicradial``) is imported under another name, the
+layer runs against both trees in lockstep, and each call and size
+alternates between the two, so a change of machine speed falls on both
+alike.  Every timing then carries ``"other"``, the second tree's timing of
+the same call, and the record carries ``"other"`` with that tree's source,
+revision and scaling exponents:
+
+    PYTHONPATH=src python benchmarks/scaling.py --layer operator_matrix --ab ../parent/src
 """
 
 from __future__ import annotations
@@ -64,14 +74,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # before numpy loads its BLAS
 
 import argparse
-import functools
 import importlib.util
 import json
 import math
 import platform
+import queue
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -92,34 +103,92 @@ def _load_calibrate():
     return module
 
 
-def _per_call(fn, seconds: float, cal) -> list[float]:
-    times = []
-    deadline = time.perf_counter() + seconds
-    while len(times) < 3 or time.perf_counter() < deadline:
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-        cal.tick()
-    return times
+def _timed(fns, seconds: float, cal) -> list[dict]:
+    """Raw per-call times in ms of each version of one call, or the reason
+    the library refused it.  The versions run alternately, each at least
+    three times and for at least ``seconds``."""
+    out, live = [], []
+    for fn in fns:
+        try:
+            fn()
+        except (ValueError, OverflowError) as exc:
+            out.append({"refused": f"{type(exc).__name__}: {exc}"})
+            continue
+        out.append([])
+        live.append((fn, out[-1]))
+    deadline = time.perf_counter() + len(fns) * seconds
+    while live and (min(len(times) for _, times in live) < 3 or time.perf_counter() < deadline):
+        for fn, times in live:
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+            cal.tick()
+    return [t if isinstance(t, dict) else
+            {"median": 1e3 * statistics.median(t), "min": 1e3 * min(t), "calls": len(t)} for t in out]
 
 
-def _timed(fn, seconds: float, cal) -> dict:
-    """Raw per-call times of ``fn`` in ms, or the reason the library refused it."""
-    try:
-        fn()
-    except (ValueError, OverflowError) as exc:
-        return {"refused": f"{type(exc).__name__}: {exc}"}
-    times = _per_call(fn, seconds, cal)
-    return {"median": 1e3 * statistics.median(times), "min": 1e3 * min(times), "calls": len(times)}
+def _lockstep(layers, seconds: float, cal) -> dict:
+    """Run one layer of two copies of this module, one thread each, pairing
+    their calls: each pair is timed by ``_timed`` while both threads wait.
+    The first copy's record is returned, each timing with the second's as
+    ``"other"``, and the second's exponents under ``"other"``."""
+    calls, answers = queue.Queue(), (queue.Queue(), queue.Queue())
+
+    def run(side, layer):
+        def timed(fn):
+            calls.put((side, fn))
+            return answers[side].get()
+        try:
+            calls.put((side, layer(timed)))
+        except BaseException as exc:  # handed to the main thread, which re-raises it
+            calls.put((side, exc))
+
+    for side, layer in enumerate(layers):
+        threading.Thread(target=run, args=(side, layer), daemon=True).start()
+    pending, records = {}, {}
+    while len(records) < 2:
+        side, item = calls.get()
+        if isinstance(item, BaseException):
+            raise item
+        (pending if callable(item) else records)[side] = item
+        if len(pending) == 2:
+            this, other = _timed((pending[0], pending[1]), seconds, cal)
+            answers[0].put({**this, "other": other})
+            answers[1].put(other)
+            pending = {}
+    record = records[0]
+    record["other"] = {"scaling_exponent": records[1]["scaling_exponent"]}
+    return record
+
+
+def _other_tree(src: Path):
+    """This module again, its library names bound to the package in ``src``
+    (imported as ``padicradial_other``)."""
+    spec = importlib.util.spec_from_file_location(
+        "padicradial_other", src / "padicradial" / "__init__.py",
+        submodule_search_locations=[str(src / "padicradial")])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = pkg
+    spec.loader.exec_module(pkg)
+    spec = importlib.util.spec_from_file_location("scaling_other", __file__)
+    twin = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(twin)
+    for name in ("field", "laplace", "operators", "spectral"):
+        setattr(twin, name, getattr(pkg, name))
+    for name in ("FieldParams", "KRadialFunction", "expand", "inner_product"):
+        setattr(twin, name, getattr(pkg.field, name))
+    twin.operator_matrix = pkg.operators.operator_matrix
+    return twin
 
 
 def _at_reference_speed(rows: list, factor: float) -> None:
-    """Scale every timing in ``rows`` by the run's calibration ``factor``."""
+    """Scale every timing in ``rows`` (and its ``"other"``) by the run's calibration ``factor``."""
     for row in rows:
         for entry in row.values():
-            if isinstance(entry, dict) and "median" in entry:
-                entry["median"] *= factor
-                entry["min"] *= factor
+            for timing in (entry, entry.get("other", {})) if isinstance(entry, dict) else ():
+                if "median" in timing:
+                    timing["median"] *= factor
+                    timing["min"] *= factor
 
 
 def _exponents(sizes, rows, series) -> dict:
@@ -321,9 +390,16 @@ def main(argv=None) -> int:
     ap.add_argument("--label", default="run")
     ap.add_argument("--into", type=Path, help="JSON file to add the record to")
     ap.add_argument("--seconds", type=float, default=1.0, help="time per call and size")
+    ap.add_argument("--ab", type=Path, metavar="OTHER_SRC",
+                    help="also time the package in this source tree, alternating per call and size")
     args = ap.parse_args(argv)
     cal = _load_calibrate().Calibrator()
-    layer = LAYERS[args.layer](functools.partial(_timed, seconds=args.seconds, cal=cal))
+    if args.ab:
+        twin = _other_tree(args.ab.resolve())
+        layer = _lockstep((LAYERS[args.layer], twin.LAYERS[args.layer]), args.seconds, cal)
+        layer["other"] |= {"src": str(args.ab), "revision": twin._revision()}
+    else:
+        layer = LAYERS[args.layer](lambda fn: _timed([fn], args.seconds, cal)[0])
     factor = cal.factor()
     _at_reference_speed(layer["per_call"], factor)
     record = {

@@ -8,6 +8,7 @@ failure, 2 document/parse error, 3 operator precondition violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -33,7 +34,7 @@ from .serialize import (
     matrix_csv,
     matrix_json,
 )
-from .spectral import characteristic_function, i1_eigenpairs, order_certificate
+from .spectral import ShortSeriesError, characteristic_function, i1_eigenpairs, order_certificate
 from .verify import run_verification
 
 APPLY_OPS = {
@@ -91,6 +92,12 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _certificate(params: FieldParams, coeffs):
+    """The growth certificate of one entry, or ``None`` for too few normal coefficients."""
+    with contextlib.suppress(ShortSeriesError):
+        return order_certificate(params, coeffs)
+
+
 def cmd_charfn(args) -> int:
     params = FieldParams(args.q)
     series = characteristic_function(params, args.terms)
@@ -98,7 +105,7 @@ def cmd_charfn(args) -> int:
     entries = {"g11": (0, 0), "g12": (0, 1), "g21": (1, 0), "g22": (1, 1)}
     doc = {"q": args.q, "terms": args.terms}
     doc |= {key: series.g[ab] for key, ab in entries.items()}
-    doc["order_certificate"] = {key: order_certificate(params, coeffs[ab]) for key, ab in entries.items()}
+    doc["order_certificate"] = {key: _certificate(params, coeffs[ab]) for key, ab in entries.items()}
     doc["underflowed"] = series.underflowed
     _write(dump(doc), args.out)
     return EXIT_OK

@@ -433,11 +433,11 @@ def make_basis(
     return out
 
 
-def _unit_scale(q: float, family: str, N: int) -> float:
+def _unit_scale(q: float, family: str, N):
     """The factor that makes ``v_N`` (N >= 1) the unit ``e_N``, or the
-    shell indicator of ``q^-N`` the unit ``f_N``."""
+    shell indicator of ``q^-N`` the unit ``f_N``; one per ``N`` of an array."""
     unit = math.sqrt(1.0 - 1.0 / q) if family == "e" else (1.0 - 1.0 / q) ** -0.5
-    return unit * q ** (N / 2.0)
+    return unit * _pow(q, N / 2.0)
 
 
 def _family_shells(q: float, family: str, dim: int):
@@ -449,7 +449,7 @@ def _family_shells(q: float, family: str, dim: int):
     elements' tails and window starts.
     """
     n = np.arange(dim)
-    scale = np.array([_unit_scale(q, family, N) for N in range(dim)])
+    scale = _unit_scale(q, family, n)
     shells = np.zeros((2, dim), dtype=complex)
     if family == "f":
         shells[0] = scale

@@ -126,6 +126,7 @@ def _below(grid: np.ndarray, start) -> np.ndarray:
 # ``t`` and its window start ``start`` (an index into ``ns``) on a common
 # grid.  Every row equals the one-row result on its own window bit for bit;
 # below its window it is 0, or, for the derivative, its value at ``m``.
+# With ``ns=None`` a core returns the bracket, its output before ``_scaled``.
 
 
 def _derivative(dev: np.ndarray, t, p: FieldParams, ns: np.ndarray, m=None) -> np.ndarray:
@@ -140,6 +141,8 @@ def _derivative(dev: np.ndarray, t, p: FieldParams, ns: np.ndarray, m=None) -> n
     bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
     if m is not None:  # no row reads its upward sums below its m; they must not overflow
         bracket[_below(bracket, m)] = 0
+    if ns is None:
+        return bracket
     out = _scaled(bracket[: len(ns)], q, -a, ns)
     if m is not None:  # the input is constant below ns[m], so the output is too
         np.copyto(out, out[m, np.arange(out.shape[1])], where=_below(out, m))
@@ -226,7 +229,7 @@ def _integral(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray, start=None) -
     # (1-1/q) (1-q^-alpha) q^(1-alpha)
     coef = (1.0 - 1.0 / q) * (qa - 1.0) * q / (qa * qa)
     bracket = vals / qa - coef * _volterra_sums(vals, t, q, qa, start)
-    return _scaled(bracket, q, a, ns)
+    return bracket if ns is None else _scaled(bracket, q, a, ns)
 
 
 def apply_I_alpha(u: KRadialFunction, out_hi: int = 0) -> KRadialFunction:
@@ -254,8 +257,8 @@ def apply_I_alpha(u: KRadialFunction, out_hi: int = 0) -> KRadialFunction:
 def _volterra(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray, start=None) -> np.ndarray:
     """``I01`` of the values ``vals`` with tail ``t`` on the shells ``ns``."""
     q = float(p.q)
-    g = _volterra_sums(vals, t, q, q, start)
-    return _scaled(-((1.0 - 1.0 / q) ** 2) * g, q, 1.0, ns)
+    bracket = -((1.0 - 1.0 / q) ** 2) * _volterra_sums(vals, t, q, q, start)
+    return bracket if ns is None else _scaled(bracket, q, 1.0, ns)
 
 
 def apply_I01(u: KRadialFunction) -> KRadialFunction:
@@ -318,16 +321,37 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=complex)
+        ent = np.array(self.entries, dtype=complex)
         if ent.shape != (self.dim, self.dim):
             raise ValueError(f"entries must be {self.dim}x{self.dim}, got {ent.shape}")
-        ent = ent.copy()
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
 
 
+def _f_entries(p: FieldParams, name: str, shells: np.ndarray) -> np.ndarray:
+    """The f-family matrix of ``name`` along its diagonals: ``f_n`` is ``f_(dim-1)`` moved
+    ``d = dim-1-n`` shells up over ``q^(d/2)``, and so is its image's bracket, so that of
+    ``f_(dim-1)`` on the shell ``k + 1 - dim`` times its root measure is the entry (j, j + k)
+    over ``q^(-a j)`` (``a`` = 1 for ``I1``, ``I01``; -1 for ``D1O``, whose entries below the
+    diagonal are ``q^n L r_(n-j)``, ``L`` the image of ``f_0`` below its shell)."""
+    q, dim = float(p.q), shells.shape[1]
+    r, rows = _shell_roots(q, 1 - dim), np.arange(0.0, -dim, -1.0)  # row j is the shell -j
+    def toeplitz(diagonals):  # a view: diagonals[n - j] at row j, column n >= j, 0 below
+        return np.ndarray((dim, dim), float, np.append(np.zeros(dim - 1), diagonals), (dim - 1) * 8, (-8, 8))
+    if name == "D1O":  # f_0 and f_(dim-1) on the shells -dim .. 0
+        dev = np.zeros((dim + 1, 2), complex)
+        dev[-1, 0], dev[1, 1] = shells[0, 0], shells[0, -1]
+        bracket = _derivative(dev, 0j, p, None, np.array([dim - 1, 0])).real
+        below = np.append(0.0, q * bracket[-2, 0] * r[-2::-1])  # L r_(-1), .., L r_lo
+        return (_scaled(toeplitz(bracket[1:, 1] * r), q, -1.0, rows)
+                + _scaled(toeplitz(below), q, -1.0, rows).T)
+    vals = np.append(shells[0, -1], np.zeros(dim - 1))
+    bracket = (_volterra if name == "I01" else _integral)(vals, 0j, p, None).real
+    return _scaled(toeplitz(bracket * r), q, 1.0, rows)
+
+
 def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
-    """The matrix of ``name`` from one pass over the basis."""
+    """The matrix of ``name``, from its structure or one pass over the basis."""
     q = float(p.q)
     lo = 1 - dim  # the window start of element dim - 1: every image lives on lo..0
     shells, t, n_lo = _family_shells(q, basis, dim)
@@ -336,13 +360,13 @@ def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
         ones, logs = _element_integrals(q, shells, t, n_lo)
         ones, logs = ones.real, (logs * p.ln_q).real
         return kap * (np.outer(logs, ones) - np.outer(ones, logs))
+    if basis == "f" and name != "resolvent":
+        return _f_entries(p, name, shells)
     grid = _family_grid(shells)  # shells lo-1 .. 1
     start = n_lo - lo  # each row's window start on the shells lo..
     if name == "D1O":
-        # the first shell where an element differs from its tail is e_N's top
-        # shell, f_n's only one, and shell 0 for the constant e_0; m indexes
-        # the shell below it on the grid from lo - 1
-        m = (np.minimum(n_lo + 1, 0) if basis == "e" else n_lo) - lo
+        # m indexes the shell below e_N's top one (shell 0 for e_0) on the grid from lo - 1
+        m = np.minimum(n_lo + 1, 0) - lo
         dev = np.where(_below(grid[:-1], m + 1), 0j, grid[:-1] - t)
         out = _derivative(dev, t, p, np.arange(lo - 1, 1.0), m)
         image, tails = out[1:], out[m, np.arange(dim)]
@@ -363,30 +387,25 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
     """Matrix of one of the order-one operators in the e- or f-family.
 
     Column ``n`` is the expansion of the operator's image of basis element
-    ``n``, at closed-form accuracy.  The images come from one batched pass:
-    the elements ``0 .. dim-1`` (at most two shells each) are written in
-    closed form as the rows of one grid of shell values, and the operator's
-    shell scans run once over all rows, each row started at its own window
-    (``field._scan``).  In the f-family the expansion of every image is one
-    array product with the memoized root measures of ``(q, 1 - dim)``,
-    reversed so that row ``j`` is the shell ``-j``: the product ``expand``
-    forms per column.  In the e-family each image costs one closed-form
-    ``expand`` on its stored window, one O(dim) recurrence per column.
-    That split is not a difference between the families: the e-family
-    keeps one ``expand`` call per column because
-    ``perfbench/test_perfbench.py`` pins one ``field.expand`` span per
-    column of the ``I1`` e-matrix.  ``J``, and the
-    resolvent's ``int_O u``, take each element's pairings with 1 and
-    ``log|x|`` from its two shells and its tail (``field._element_integrals``).
-    Every column is bit for bit that of the operator applied to
-    ``make_basis(params, basis, n)`` and expanded, and ``J`` is the rank-2
-    outer product of those pairings.
-    All five named operators are order-one objects, so the matrix is formed
-    at ``alpha = 1`` regardless of the ``alpha`` stored in ``params``.
-    ``ValueError`` names the operator, family, ``q`` and ``dim`` where an
-    image or an entry leaves the double range: the ``D1O`` image of ``e_N``
-    or ``f_N`` has shell values of order ``q^(3N/2)``, so at q = 2 the
-    ``D1O`` matrices stop at dim 683.
+    ``n``, at closed-form accuracy.  The operators commute with the dilation
+    ``x -> pi x`` up to a power of q, so the f-family ``D1O``, ``I1`` and
+    ``I01`` matrices are Toeplitz after a row scaling, gathered from the
+    images of ``f_(dim-1)`` and ``f_0``: each entry within a few eps of its
+    column's largest entry in the column loop, exactly 0 below the diagonal
+    of ``I1`` and on and below that of ``I01``.  The others come from one
+    pass: the elements are the rows of one grid of shell values, scanned at
+    once (``field._scan``), and each column is bit for bit the operator
+    applied to ``make_basis`` and expanded.  The f-family resolvent is one
+    array product with the root measures (as ``I1`` plus ``c(f_n) r_(-j)``
+    it would cancel to 1/136 of its terms at dim 160); an e-family image
+    costs one ``expand``, as ``perfbench/test_perfbench.py`` pins one
+    ``field.expand`` span per column of the ``I1`` e-matrix.  The five
+    operators are order-one objects, so the matrix is formed at
+    ``alpha = 1`` whatever the ``alpha`` of ``params``.  ``ValueError``
+    names the operator, family, ``q`` and ``dim`` where an image or an entry
+    leaves the double range: at q = 2 (3) the ``D1O`` e-matrix from dim 684
+    (432), as the image of ``e_N`` reaches ``q^(3N/2)``, and the ``D1O``
+    f-matrix from dim 1025 (647).
     """
     if name not in OPERATOR_NAMES:
         raise ValueError(f"unknown operator {name!r}, expected one of {OPERATOR_NAMES}")

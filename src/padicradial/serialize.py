@@ -54,7 +54,7 @@ def _numbers(obj) -> str:
 def _dumps(obj, key: str) -> str:
     if isinstance(obj, dict):
         return "{" + ", ".join(f'"{k}": {_dumps(v, k)}' for k, v in obj.items()) + "}"
-    if isinstance(obj, (str, bool, int)):
+    if obj is None or isinstance(obj, (str, bool, int)):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()

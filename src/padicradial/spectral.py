@@ -30,6 +30,7 @@ __all__ = [
     "MatrixPowerSeries",
     "characteristic_function",
     "order_certificate",
+    "ShortSeriesError",
 ]
 
 _TINY = float(np.finfo(float).tiny)
@@ -109,12 +110,11 @@ def imaginary_part(u: KRadialFunction) -> tuple[complex, complex]:
 
 
 def j_diagnostics(params: FieldParams, dim: int) -> dict:
-    """Trace and singular values of the imaginary part's e-family matrix (rank 2, zero trace)."""
-    mat = operator_matrix(params, "J", "e", dim)
-    return {
-        "trace": complex(np.trace(mat.entries)),
-        "singular_values": np.linalg.svd(mat.entries, compute_uv=False),
-    }
+    """Trace and singular values of the imaginary part's e-family matrix (rank 2, zero trace): as
+    ``kappa (a b^T - b a^T)`` is skew, both nonzero ones are its Frobenius norm over ``sqrt 2``."""
+    mat = operator_matrix(params, "J", "e", dim).entries
+    sigma = np.linalg.norm(mat) / math.sqrt(2.0)
+    return {"trace": complex(np.trace(mat)), "singular_values": np.pad([sigma, sigma], (0, dim - 2))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +185,10 @@ def characteristic_function(params: FieldParams, T: int) -> MatrixPowerSeries:
     return MatrixPowerSeries(params, T, g, underflowed)
 
 
+class ShortSeriesError(ValueError):
+    """``order_certificate`` refused a series with too few normal coefficients to fit."""
+
+
 def order_certificate(params: FieldParams, series) -> dict:
     """Growth certificate for an entire-function coefficient sequence.
 
@@ -207,7 +211,7 @@ def order_certificate(params: FieldParams, series) -> dict:
     if np.all(mags == 0):
         raise ValueError("all-zero coefficient sequence")
     if len(nz) < 10:
-        raise ValueError("need at least 10 normal (not underflowed) coefficients")
+        raise ShortSeriesError("need at least 10 normal (not underflowed) coefficients")
 
     lnq = params.ln_q
     fitted_C = math.exp(max((math.log(m) + 0.5 * n * n * lnq) / n for n, m in nz))

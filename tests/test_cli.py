@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from padicradial import verify
+from padicradial import cli, verify
 from padicradial.cli import main
 from padicradial.field import FieldParams, KRadialFunction, make_basis
 from padicradial.serialize import (
     SchemaError,
+    dump,
     dump_radial,
     dump_transform,
     load_radial,
@@ -19,7 +20,7 @@ from padicradial.serialize import (
 )
 from padicradial.laplace import TransformSequence
 from padicradial.operators import operator_matrix
-from padicradial.spectral import i1_eigenpairs
+from padicradial.spectral import characteristic_function, i1_eigenpairs, order_certificate
 
 P2 = FieldParams(2, 1.0)
 
@@ -251,6 +252,45 @@ def test_cli_charfn_document(tmp_path):
         assert len(doc[key]) == 26
         assert doc["order_certificate"][key]["max_order_estimate"] <= 0.1
     assert doc["g11"][0][0] == pytest.approx((2 - 1) ** 2 / (2**2 * math.log(2.0) ** 2))
+
+
+@pytest.mark.parametrize("terms", [1, 8])
+def test_cli_charfn_short_series_writes_null_certificates(tmp_path, terms):
+    # below 9 terms no entry has the 10 normal coefficients a certificate
+    # needs: the document is written with each certificate null
+    dst = tmp_path / "w.json"
+    assert main(["charfn", "--q", "3", "--terms", str(terms), "--out", str(dst)]) == 0
+    doc = json.loads(dst.read_text())
+    assert doc["order_certificate"] == {key: None for key in ("g11", "g12", "g21", "g22")}
+    assert len(doc["g12"]) == terms + 1
+
+
+@pytest.mark.parametrize("q", [2, 7])
+def test_cli_charfn_document_with_certificates_is_unchanged(tmp_path, q):
+    # the bytes of a document whose every entry is certified: the series,
+    # the four certificates and the underflow flag, in this order
+    dst = tmp_path / "w.json"
+    assert main(["charfn", "--q", str(q), "--terms", "60", "--out", str(dst)]) == 0
+    p = FieldParams(q)
+    series = characteristic_function(p, 60)
+    coeffs = series.w_coefficients()
+    doc = {"q": q, "terms": 60, "g11": series.g[0, 0], "g12": series.g[0, 1], "g21": series.g[1, 0],
+           "g22": series.g[1, 1]}
+    doc["order_certificate"] = {key: order_certificate(p, coeffs[a, b])
+                                for key, (a, b) in zip(("g11", "g12", "g21", "g22"), np.ndindex(2, 2))}
+    doc["underflowed"] = series.underflowed
+    assert dst.read_text() == dump(doc)
+
+
+def test_cli_charfn_other_refusals_still_exit_3(tmp_path, monkeypatch, capsys):
+    # only the short-series refusal of the certificate is written as null
+    def refuse(params, series):
+        raise ValueError("coefficient 3 is not finite: nan")
+
+    monkeypatch.setattr(cli, "order_certificate", refuse)
+    assert main(["charfn", "--terms", "20", "--out", str(tmp_path / "w.json")]) == 3
+    assert "coefficient 3 is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_cli_charfn_flags_underflow(tmp_path):

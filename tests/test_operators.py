@@ -37,6 +37,7 @@ from padicradial.operators import (
 )
 
 P2 = FieldParams(2, 1.0)
+EPS = np.finfo(float).eps
 
 
 def oracle_D_alpha(u, n, terms=500):
@@ -401,22 +402,32 @@ def oracle_operator_matrix(params, name, basis, dim):
     return np.column_stack([expand(op(b), basis, dim) for b in members])
 
 
+def assert_is_the_column_loop(got, want, name, basis):
+    """One batched pass over all basis elements gives the column loop's bits;
+    an f-family matrix gathered along its diagonals (D1O, I1, I01) is
+    rounded differently, and each entry is within 8 eps of its column's
+    largest entry (at most 3.7 eps measured)."""
+    if basis == "f" and name in ("D1O", "I1", "I01"):
+        assert np.all(np.abs(got - want) <= 8 * EPS * np.abs(want).max(axis=0))
+    else:
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 40, 160])
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 @pytest.mark.parametrize("basis", ["e", "f"])
 @pytest.mark.parametrize("name", OPERATOR_NAMES)
 def test_operator_matrix_is_the_column_loop(name, basis, q, dim):
-    # one batched pass over all basis elements gives the column loop's bits
     got = operator_matrix(FieldParams(q, 0.5), name, basis, dim).entries
-    assert np.array_equal(got, oracle_operator_matrix(FieldParams(q), name, basis, dim))
+    assert_is_the_column_loop(got, oracle_operator_matrix(FieldParams(q), name, basis, dim), name, basis)
 
 
 @pytest.mark.parametrize("name, basis", [("I1", "e"), ("I01", "e"), ("I1", "f"), ("I01", "f"),
                                          ("D1O", "f"), ("resolvent", "f"), ("J", "f")])
 def test_operator_matrix_is_the_column_loop_at_dim_640(name, basis):
-    # the f-family is one array product, J reads each element's two shells
+    # J reads each element's two shells
     got = operator_matrix(P2, name, basis, 640).entries
-    assert np.array_equal(got, oracle_operator_matrix(P2, name, basis, 640))
+    assert_is_the_column_loop(got, oracle_operator_matrix(P2, name, basis, 640), name, basis)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 9, 101])
@@ -462,6 +473,53 @@ def test_operator_matrix_beyond_the_double_range_raises():
     assert np.all(np.isfinite(operator_matrix(P2, "D1O", "e", 683).entries))
     with pytest.raises(ValueError, match=r"D1O matrix in the e-family at q=2, dim=1280"):
         operator_matrix(P2, "D1O", "e", 1280)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_f_matrices_are_toeplitz_after_a_row_scaling(q):
+    # dilation covariance: row j times q^j (I1, I01) or q^-j (D1O) is constant
+    # along every diagonal, and the resolvent is the I1 matrix plus c_n times
+    # the f-coefficients r_(-j) of 1_O in column n (to a few eps of the
+    # terms it sums, which cancel to 1/18 .. 1/33 at dim 40)
+    p, dim = FieldParams(q), 40
+    mats = {name: operator_matrix(p, name, "f", dim).entries for name in ("I1", "I01", "D1O", "resolvent")}
+    powers = float(q) ** np.arange(dim)
+    for name, scale in (("I1", powers), ("I01", powers), ("D1O", 1.0 / powers)):
+        scaled = mats[name] * scale[:, None]
+        for k in range(1 - dim, dim):
+            diagonal = np.diagonal(scaled, k)
+            assert np.abs(diagonal - diagonal[0]).max() <= 4 * EPS * np.abs(diagonal).max(), (name, k)
+    ones = expand(make_basis(p, "v", 0), "f", dim)
+    rank1 = mats["resolvent"] - mats["I1"]
+    terms = np.abs(mats["resolvent"]).max(axis=0) + np.abs(mats["I1"]).max(axis=0)
+    assert np.all(np.abs(rank1 - np.outer(ones, rank1[0] / ones[0])) <= 4 * EPS * terms)
+
+
+@pytest.mark.parametrize("q, basis, last", [(2, "e", 683), (2, "f", 1024), (3, "e", 431), (3, "f", 646)])
+def test_d1o_matrix_refusal_boundary(q, basis, last):
+    # the D1O image of e_N has shell values of order q^(3N/2); the gathered
+    # f-matrix runs to its own range limit, a diagonal entry of order q^N
+    # (at q = 2 the entry (1024, 1024) is 2.4e308)
+    assert np.all(np.isfinite(operator_matrix(FieldParams(q), "D1O", basis, last).entries))
+    match = rf"the D1O matrix in the {basis}-family at q={q}, dim={last + 1} leaves the double range"
+    with pytest.raises(ValueError, match=match):
+        operator_matrix(FieldParams(q), "D1O", basis, last + 1)
+
+
+@pytest.mark.parametrize("q, dim", [(2, 1024), (3, 646)])
+def test_d1o_f_matrix_at_its_range_limit_against_direct_sums(q, dim):
+    # the column loop cannot form these columns (f_N's D1O image reaches
+    # q^(3N/2)): each spot entry is the mpmath sum of the derivative at the
+    # row's shell times the row's root measure, to 4 eps (2.8 measured)
+    p = FieldParams(q)
+    mat = operator_matrix(p, "D1O", "f", dim).entries
+    last, mid = dim - 1, dim // 2
+    for j, n in [(last, last), (last - 1, last), (last, last - 1), (0, last), (last, 0),
+                 (mid, mid + 3), (mid + 3, mid), (5, 7), (3, 0)]:
+        value, _ = mp_D_alpha(make_basis(p, "f", n), -j, terms=abs(j - n) + 60)
+        with mpmath.workdps(40):
+            exact = complex(value * mpmath.sqrt(1 - mpmath.mpf(1) / q) * mpmath.mpf(q) ** (mpmath.mpf(-j) / 2))
+        assert abs(mat[j, n] - exact) <= 4 * EPS * abs(exact), (j, n)
 
 
 def test_operator_matrix_makes_no_pairings(monkeypatch):
@@ -567,11 +625,12 @@ def _mp_exact(u, terms):
     return mpmath.mpf(u.params.q), mpmath.mpf(u.params.alpha), vals
 
 
-def mp_I_alpha(u, n, terms=200):
-    """Direct mpmath sum of the power kernel at one shell, and its term mass."""
+def mp_I_alpha(u, n, terms=200, diagonal=True):
+    """Direct mpmath sum of the power kernel at one shell, and its term mass;
+    without the ``diagonal`` term at order one it is ``I01``."""
     with mpmath.workdps(40):
         q, a, val = _mp_exact(u, terms)
-        local = q**-a * q ** (a * n) * val[n]
+        local = q**-a * q ** (a * n) * val[n] if diagonal else 0
         if a == 1:  # the limit of the kernel below: the logarithmic kernel
             weight = [-(1 - 1 / q) * (n - k) for k in range(u.n_lo - terms, n)]
         else:
@@ -709,3 +768,33 @@ def test_window_invariance(q, alpha, width, shift, seed):
         out = op(v)
         wide = op(v.with_window(v.n_lo - shift, 0))
         assert _overlap_gap(out, wide, log_scale) <= 1.0, op.__name__
+
+
+def _deeper(u):
+    """``u(x / pi)``: the values of ``u`` one shell deeper, tail unchanged."""
+    return KRadialFunction(u.params, u.n_lo - 1, u.n_hi - 1, u.values, u.inner_tail)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_dilation_moves_every_output_one_shell_down(q, alpha):
+    # D^alpha is homogeneous of degree alpha, I^alpha of degree -alpha and
+    # I01 of degree -1: an input one shell deeper gives the output one shell
+    # deeper times q^alpha, q^-alpha and 1/q, to a few eps of each shell's
+    # term mass (I01 on a zero tail, where its stored tail is exact); the
+    # worst measured is 1.05 eps, and 40 shells past the window fix the mass
+    u = _random_ball_function(FieldParams(q, alpha), 12, q)
+    u1 = KRadialFunction(FieldParams(q), u.n_lo, 0, u.values)
+    qa = float(q) ** alpha
+    cases = [
+        (apply_D_alpha(_deeper(u)), qa * apply_D_alpha(u), range(u.n_lo - 2, 0),
+         lambda n: mp_D_alpha(_deeper(u), n, terms=40)),
+        (apply_I_alpha(_deeper(u)), apply_I_alpha(u, out_hi=1) * (1.0 / qa), range(u.n_lo - 2, 1),
+         lambda n: mp_I_alpha(_deeper(u), n, terms=40)),
+        (apply_I01(_deeper(u1)), apply_I01(u1) * (1.0 / q), range(u.n_lo - 2, 0),
+         lambda n: mp_I_alpha(_deeper(u1), n, terms=40, diagonal=False)),
+    ]
+    for deep, want, shells, oracle in cases:
+        for n in shells:
+            mass = float(oracle(n)[1])
+            assert abs(deep.value_at(n) - want.value_at(n + 1)) <= 4 * EPS * mass, n

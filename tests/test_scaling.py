@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "scaling.py"
+CHARFN = ("characteristic_function", "order_certificate")
 
 
 def load_scaling():
@@ -74,3 +75,21 @@ def test_charfn_layer_times_both_calls_at_every_order(tmp_path):
     assert set(exponents) == {f"{name} q={q}" for name in ("characteristic_function", "order_certificate")
                               for q in (2, 3)}
     assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())
+
+
+def test_ab_mode_times_both_trees_for_every_call(tmp_path):
+    # the second tree is this one, imported again under another name
+    dst = tmp_path / "bench.json"
+    src = SCRIPT.parents[1] / "src"
+    assert load_scaling().main(["--layer", "charfn", "--seconds", "0", "--ab", str(src), "--into", str(dst)]) == 0
+    record = json.loads(dst.read_text())["run"]
+    assert record["other"]["src"] == str(src)
+    assert set(record["other"]) == {"src", "revision", "scaling_exponent"}
+    for row in record["per_call"]:
+        for name in ("characteristic_function", "order_certificate"):
+            this, other = row[name], row[name]["other"]
+            assert this["calls"] >= 3 and other["calls"] >= 3
+            assert 0 < this["min"] <= this["median"] and 0 < other["min"] <= other["median"]
+    fits = (record["scaling_exponent"], record["other"]["scaling_exponent"])
+    assert set(fits[0]) == set(fits[1]) == {f"{name} q={q}" for name in CHARFN for q in (2, 3)}
+    assert all(math.isfinite(b) for fit in fits for series in fit.values() for b in series.values())

@@ -193,6 +193,17 @@ def test_j_matrix_trace_and_rank():
     assert int(np.sum(diag["singular_values"] > 1e-12)) == 2
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 11, 101])
+@pytest.mark.parametrize("dim", [2, 3, 40, 160])
+def test_j_singular_values_are_those_of_the_svd(q, dim):
+    # the dense svd as oracle: two equal singular values, the rest rounding
+    got = j_diagnostics(FieldParams(q), dim)["singular_values"]
+    want = np.linalg.svd(operator_matrix(FieldParams(q), "J", "e", dim).entries, compute_uv=False)
+    assert got.shape == (dim,) and np.all(got[2:] == 0.0)
+    assert np.abs(got[:2] - want[:2]).max() <= 4 * np.finfo(float).eps * want[0]
+    assert np.all(want[2:] <= 1e-15 * want[0])
+
+
 def test_skew_identity_in_f_basis():
     dim = 30
     A = operator_matrix(P2, "I01", "f", dim).entries
