@@ -25,12 +25,13 @@ Layers (``--layer``):
   ``(lo, m + 1)``, ``m = W - 1``, where ``lo = 1 - m`` as in ``shell-sweep``
   is raised to the first start whose ``q^(-lo)`` is a double, and the
   shell scale of ``apply_I_alpha`` on its own: ``_scaled`` of the shell
-  values by ``q^(alpha n)``.  Deep windows take that scale out of the
-  double range.
+  values by ``q^(alpha n)``, cold (its memo of shell scales emptied
+  before each call, so the scales are formed) and warm.  Deep windows
+  take that scale out of the double range.
 - ``scan``: the shell-sum kernels at q = 3.  On one row, a seeded random
   function's values on W in {100, 400, 1600} shells with a nonzero seed:
-  ``_decay``, the sequential loop of ``expand`` and the transform, and
-  ``_scan``, the operators' log-depth scan.  On ``operator_matrix``-shaped
+  ``_decay``, the sequential loop of ``expand``, and ``_scan``, the
+  log-depth scan of the operators and the transform.  On ``operator_matrix``-shaped
   grids, the e-family grid of dim in {40, 160, 640} (the shells
   ``1 - dim .. 0`` by ``dim`` rows, each row seeded at its own window start):
   ``_scan`` over every row at once.
@@ -282,7 +283,14 @@ def expand_layer(timed) -> dict:
 # the order of apply_I_alpha and apply_D_alpha_O at each q: a head that is
 # not a float32 (0.9), and an exact one
 ORDERS = {3: 0.9, 7: 2.0}
-APPLY = ("_scaled", "apply_I_alpha", "apply_I01", "apply_D_alpha_O", "laplace_transform")
+APPLY = ("_scaled cold", "_scaled warm", "apply_I_alpha", "apply_I01", "apply_D_alpha_O", "laplace_transform")
+
+
+def _forget_scales(tree_field) -> None:
+    """Empty the shell-scale memo of ``_scaled``, where the tree has one."""
+    memo = getattr(tree_field, "_shell_scales", None)
+    if memo is not None:
+        memo.cache_clear()
 
 
 def apply_layer(timed) -> dict:
@@ -301,7 +309,9 @@ def apply_layer(timed) -> dict:
             ns = np.arange(1.0 - W, 1.0)
             cells.append({
                 "q": q, "W": W,
-                "_scaled": timed(lambda: operators._scaled(vals, float(q), alpha, ns)),
+                "_scaled cold": timed(lambda: (_forget_scales(field),
+                                               operators._scaled(vals, float(q), alpha, ns))),
+                "_scaled warm": timed(lambda: operators._scaled(vals, float(q), alpha, ns)),
                 "apply_I_alpha": timed(lambda: operators.apply_I_alpha(u)),
                 "apply_I01": timed(lambda: operators.apply_I01(u1)),
                 "apply_D_alpha_O": timed(lambda: operators.apply_D_alpha_O(u)),
@@ -312,6 +322,7 @@ def apply_layer(timed) -> dict:
     return {
         "orders": {str(q): alpha for q, alpha in ORDERS.items()},
         "shapes": "shells 1 - W .. 0, nonzero tail; _scaled of the values by q^(alpha n), "
+                  "cold (its shell-scale memo emptied before each call) and warm, "
                   "apply_I_alpha and apply_D_alpha_O at the order of q, apply_I01, and "
                   "laplace_transform over (lo, m + 1), m = W - 1, lo = max(1 - m, -floor(1023 / log2 q)), "
                   "at order 1",

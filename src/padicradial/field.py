@@ -43,7 +43,8 @@ class FieldParams:
     derivative and ``c_volterra`` is the prefactor of the logarithmic
     integration kernel.  Both are negative for every valid ``(q, alpha)``:
     parameters whose ``q^alpha``, ``theta_alpha`` or ``c_volterra`` is not
-    a finite nonzero double are refused.
+    a finite nonzero double, or whose ``q^-alpha`` is not a normal double,
+    are refused.
     """
 
     q: int
@@ -64,6 +65,11 @@ class FieldParams:
             raise ValueError(
                 f"q={self.q} and alpha={self.alpha!r} leave the double range: q^alpha, "
                 "theta_alpha and c_volterra must be finite and nonzero"
+            )
+        if consts[0] ** -1.0 < _TINY:  # ``_scan`` at base q^alpha strides by at least one shell
+            raise ValueError(
+                f"q={self.q} and alpha={self.alpha!r} leave the double range: q^-alpha must be "
+                "a normal double"
             )
 
     @property
@@ -126,6 +132,80 @@ def _shell_roots(q: float, lo: int) -> np.ndarray:
     return r
 
 
+_REACH = 2048  # a memoized shell scale covers the shells -_REACH .. _REACH
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+def _run_scales(q: float, a: float, lo: int, hi: int):
+    """``_scales_on(q, a, lo, hi)``, read from the memo where ``lo .. hi``
+    lies within its shells and formed otherwise; the bits are the same.
+
+    The scales of ``(q, -a)`` are those of ``(q, a)`` read backwards, bit
+    for bit: ``-a`` and its head negate exactly, so shell ``n`` forms
+    every exponent of shell ``-n``.  Both signs share one entry.
+    """
+    if not -_REACH <= lo <= hi <= _REACH:
+        return _scales_on(q, a, lo, hi)
+    first, second, (i0, i1) = _shell_scales(q, abs(a))
+    if a < 0:
+        first, second, (i0, i1) = first[::-1], second[::-1], (len(first) - i1, len(first) - i0)
+    i, n = lo + _REACH, hi - lo + 1
+    p0 = min(max(i0 - i, 0), n)
+    return first[i : i + n], second[i : i + n], (p0, min(max(i1 - i, p0), n))
+
+
+@functools.lru_cache(maxsize=32)
+def _shell_scales(q: float, a: float):
+    """``_scales_on`` the shells ``-_REACH .. _REACH``, computed once per
+    ``(q, a)``, ``a > 0``, and shared read-only.  The last 32 pairs are
+    kept, each at most two arrays of ``2 _REACH + 1`` doubles: 2.1 MB."""
+    return _scales_on(q, a, -_REACH, _REACH)
+
+
+def _scales_on(q: float, a: float, lo: int, hi: int):
+    """The scale ``q^(a n)`` on the shells ``lo .. hi`` in two factors.
+
+    The exponent ``a n`` is formed exactly: ``a`` splits into a 24-bit
+    head, whose products with shell indices are exact, and a small
+    remainder (a single rounded ``a n`` would cost ``n eps log q``
+    relative).  Where ``q^(a n)`` is a normal double, as told by its
+    exponent ``a n log2 q`` before any power is formed, the first factor
+    is ``q^(a n)`` and the second unused.  Elsewhere (the factor would
+    underflow, be subnormal or overflow) they are two half-powers, each
+    ``q^(head n / 2)``, the second times the remainder's power; a
+    half-power that is certainly 0 or inf is that value without being
+    formed.  The normal shells are one run, ``[i0, i1)`` in the arrays'
+    indices (empty where ``i0 == i1``).  Returns the read-only ``first``
+    and ``second`` (one array where ``a`` is its own head) and ``(i0, i1)``.
+    """
+    head = float(np.float32(a))
+    ns = np.arange(float(lo), hi + 1.0)
+    e2 = a * math.log2(q) * ns  # the factor is 2^e2
+    with np.errstate(over="ignore", under="ignore"):
+        # q^(head n / 2): below 2^-1077 it is 0, from 2^1025 on inf
+        first = np.where(e2 < 0.0, 0.0, np.inf)
+        live = np.abs(e2 + 52.0) < 2102.0
+        first[live] = np.power(q, head * ns[live] / 2.0)
+        second = first  # read on the half-power shells only
+        if a != head:  # the remainder enters once, with the second half
+            second = first.copy()
+            second[live] *= np.power(q, (a - head) * ns[live])
+        near = np.flatnonzero(np.abs(e2 - 1.0) < 1024.0)  # 2^e2 in (2^-1023, 2^1025): may be normal
+        factor = _power(q, head, a, ns[near])
+    ok = (factor >= _TINY) & (factor < np.inf)
+    normal = near[ok]
+    first[normal] = factor[ok]
+    first.flags.writeable = second.flags.writeable = False
+    return first, second, (int(normal[0]), int(normal[-1]) + 1) if normal.size else (0, 0)
+
+
+def _power(q: float, head: float, a: float, ns: np.ndarray) -> np.ndarray:
+    """``q^(a n)`` on the shells ``ns`` as ``q^(head n) q^((a - head) n)``;
+    the second factor is exactly 1 when ``a`` is its own head."""
+    power = np.power(q, head * ns)
+    return power if a == head else power * np.power(q, (a - head) * ns)
+
+
 def _ball_root(q: float, n_lo):
     """``q^((n_lo-1)/2)``, one per row for an array of ``n_lo``."""
     return _pow(q, (n_lo - 1.0) / 2.0)
@@ -169,7 +249,8 @@ def _decay(w: np.ndarray, base: float, seed=0j, upward: bool = False) -> np.ndar
     ``s <- (s + w) / base``, so only relative powers of ``q`` are ever
     formed and nothing overflows however deep the window.  Dividing by
     ``base`` rather than multiplying by its rounded reciprocal keeps the
-    error of each step at one rounding (the operators use ``_scan``).
+    error of each step at one rounding.  ``expand`` runs it; the operators
+    and the transform use ``_scan``.
     """
     ws = w.tolist()
     if upward:
@@ -184,7 +265,7 @@ def _decay(w: np.ndarray, base: float, seed=0j, upward: bool = False) -> np.ndar
     return np.array(out, dtype=complex)
 
 
-_LAG, _ROWS = 128, 64  # ``_scan``'s longest lag, and the rows it sums at once
+_LAG, _ROWS = 512, 64  # ``_scan``'s longest lag, and the rows it sums at once
 
 
 def _scan(w: np.ndarray, base: float, seed=0j, upward: bool = False, start=None) -> np.ndarray:
@@ -192,10 +273,13 @@ def _scan(w: np.ndarray, base: float, seed=0j, upward: bool = False, start=None)
 
     On ``e = [seed, w[:-1] / base]``, passes ``e[d:] += base^-d e[:-d]``,
     d = 1, 2, 4, .. < S, sum runs of S shells and strides ``e[i] += base^-S
-    e[i-S]`` chain them; ``base^-S`` is normal (a subnormal lag power would
-    spoil deep sums).  Each shell gets the same operations on the same
-    relative neighbours, and ``x + 0 p == x``: a row of ``w`` (shells by
-    rows) with its own ``seed`` and ``start`` (counted along the sums; 0
+    e[i-S]`` chain them.  The lag ``S`` is the longest power of two up to
+    512 whose ``base^-S`` is a normal double (a subnormal lag power would
+    spoil deep sums; ``FieldParams`` keeps ``S >= 1``): 512 for every base
+    up to ``2^(1022/512)``, 256 up to ``2^(1022/256)``, and so on.  It
+    depends on the base alone, each shell gets the same operations on the
+    same relative neighbours, and ``x + 0 p == x``: a row of ``w`` (shells
+    by rows) with its own ``seed`` and ``start`` (counted along the sums; 0
     before it) is bit for bit its one-row scan.
     """
     w, lag = (w[::-1] if upward else w), _LAG

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FieldParams, KRadialFunction, _decay, _pow
+from .field import FieldParams, KRadialFunction, _pow, _scan
 from .operators import _scaled, apply_D_alpha
 
 __all__ = [
@@ -60,13 +60,14 @@ def laplace_transform(phi: KRadialFunction, n_range: tuple[int, int]) -> Transfo
 
     With ``k = -n`` the value at ``q^n`` is
     ``q^k [(1 - 1/q) B(k) - phi(q^(k+1))]``, where
-    ``B(k) = sum_{j <= k} phi(q^j) q^(j-k)`` is one downward ``_decay``
-    recurrence in base ``q``, seeded by the closed-form sum ``t / (q - 1)``
-    of the constant inner tail, and ``_scaled`` applies ``q^k``.  Values
-    above the window are zero by representation, so every ``n <= -n_hi``
-    shares the value at ``k = n_hi``: ``k`` is clipped there, which keeps
-    the transform exactly constant above the support.  Only relative powers
-    of ``q`` enter the sums, and every computed value is exact for the
+    ``B(k) = sum_{j <= k} phi(q^j) q^(j-k)`` is one downward ``_scan`` in
+    base ``q``, seeded by the closed-form sum ``t / (q - 1)`` of the
+    constant inner tail, and ``_scaled`` applies ``q^k``.  Values above the
+    window are zero by representation, so every ``n <= -n_hi`` shares the
+    value at ``k = n_hi``: only the run of ``k`` up to ``n_hi`` is scaled,
+    and its value at ``n_hi`` is repeated above it, which keeps the
+    transform exactly constant above the support.  Only relative powers of
+    ``q`` enter the sums, and every computed value is exact for the
     represented function.
 
     Raises ``OverflowError`` when ``q^(-n)`` at the start ``n`` of the range
@@ -82,12 +83,16 @@ def laplace_transform(phi: KRadialFunction, n_range: tuple[int, int]) -> Transfo
         raise OverflowError(
             f"transform range starts at n={lo}: q^(-n) = {q:g}^{-lo} is beyond the double range"
         ) from None
-    start, top = min(-hi, phi.n_lo), min(-lo, phi.n_hi)
+    top = min(-lo, phi.n_hi)  # k = -n above the support reads as k = n_hi
+    bottom, start = min(-hi, top), min(-hi, phi.n_lo)
     w = phi.values_on(start, top + 1)
-    ball = w + _decay(w, q, phi.inner_tail / (q - 1.0))  # B(k) from ``start`` up
-    ks = np.minimum(np.arange(-lo, -hi - 1, -1), phi.n_hi)
-    i = ks - start
-    out = _scaled((1.0 - 1.0 / q) * ball[i] - w[i + 1], q, 1.0, ks.astype(float))
+    ball = w + _scan(w, q, phi.inner_tail / (q - 1.0))  # B(k) from ``start`` up
+    run = slice(bottom - start, top - start + 1)  # k = bottom .. top
+    bracket = (1.0 - 1.0 / q) * ball[run] - w[1:][run]
+    clipped = (hi - lo + 1) - (top - bottom + 1)  # the n whose k is above top
+    out = np.empty(hi - lo + 1, dtype=complex)
+    out[clipped:] = _scaled(bracket, q, 1.0, np.arange(float(bottom), top + 1.0))[::-1]
+    out[:clipped] = out[clipped]
     return TransformSequence(phi.params, lo, hi, out)
 
 

@@ -10,7 +10,6 @@ the origin is attached as the tail instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,9 @@ from .field import (
     _family_grid,
     _family_shells,
     _pow,
+    _TINY,
     _require_o,
+    _run_scales,
     _scan,
     _shell_roots,
     expand,
@@ -48,64 +49,33 @@ __all__ = [
 
 OPERATOR_NAMES = ("D1O", "I1", "I01", "J", "resolvent")
 
-# smallest normal double: a scaled value below it may have lost precision
-_TINY = np.finfo(float).tiny
-
-
-def _power(q: float, head: float, a: float, ns: np.ndarray) -> np.ndarray:
-    """``q^(a n)`` on the shells ``ns`` as ``q^(head n) q^((a - head) n)``;
-    the second factor is exactly 1 when ``a`` is its own head."""
-    power = np.power(q, head * ns)
-    return power if a == head else power * np.power(q, (a - head) * ns)
-
 
 def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarray:
-    """``bracket * q^(a n)`` on the shells ``ns``, a nonempty monotone run
-    (the first axis; rows, if any, on a second axis share the scale of
-    their shell).
+    """``bracket * q^(a n)`` on the shells ``ns``, a nonempty run of
+    consecutive shells, ascending or descending (the first axis; rows, if
+    any, on a second axis share the scale of their shell).
 
-    The exponent ``a n`` is formed exactly: ``a`` splits into a 24-bit head,
-    whose products with shell indices are exact, and a small remainder (a
-    single rounded ``a n`` would cost ``n eps log q`` relative).  A shell's
-    factor ``q^(a n)`` is formed only where it can be a normal double, as
-    told by its exponent ``a n log2 q`` before any power is formed; the two
-    end shells tell whether every factor is, which is the common case.  A
-    shell whose factor is not a normal double (it would underflow, be
-    subnormal or overflow) is scaled by two half-powers instead, each
-    ``q^(head n / 2)``, the second times the remainder's power; a
-    half-power that is certainly 0 or inf enters as that value without
-    being formed.  (A subnormal factor would keep only some of its bits.)
-    A normal factor enters in one product, rounded once, also where the
-    value is subnormal.  ``OverflowError`` is raised when a value itself
-    overflows, and when a subnormal bracket would be scaled up to a normal
-    value (its lost bits would show as a wrong result).
+    The scale is ``field._scales_on``'s: per shell one factor where
+    ``q^(a n)`` is a normal double, two half-powers elsewhere.  It is read
+    from the memo ``field._shell_scales`` (keyed by ``(q, |a|)``, at most
+    32 pairs, 2.1 MB) on runs within its shells, and formed for the run
+    otherwise (``field._run_scales``); the bits are the same.  The normal
+    shells of a run are one run, so the half-powers scale its two ends.  (A subnormal factor would
+    keep only some of its bits.)  A normal factor enters in one product,
+    rounded once, also where the value is subnormal.  ``OverflowError`` is
+    raised when a value itself overflows, and when a subnormal bracket
+    would be scaled up to a normal value (its lost bits would show as a
+    wrong result).
     """
-    head = float(np.float32(a))
-    lg = a * math.log2(q)  # a shell's factor is 2^(lg n)
+    if ns[-1] < ns[0]:  # descending: the ascending run, read backwards
+        return _scaled(bracket[::-1], q, a, ns[::-1])[::-1]
+    first, second, (p0, p1) = _run_scales(q, a, int(ns[0]), int(ns[-1]))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if max(abs(ns[0]), abs(ns[-1])) * abs(lg) < 1021.0:  # every factor is normal
-            out = bracket * _along(_power(q, head, a, ns), bracket)
-        else:
-            e2 = lg * ns
-            near = np.abs(e2 - 1.0) < 1024.0  # 2^e2 in (2^-1023, 2^1025): may be normal
-            factor = _power(q, head, a, ns[near])
-            normal = (factor >= _TINY) & (factor < np.inf)
-            single = near.copy()
-            single[near] = normal
-            halves = ~single
-            nh, e2h = ns[halves], e2[halves]
-            # q^(head n / 2): below 2^-1077 it is 0, from 2^1025 on inf
-            half = np.where(e2h < 0.0, 0.0, np.inf)
-            live = np.abs(e2h + 52.0) < 2102.0
-            half[live] = np.power(q, head * nh[live] / 2.0)
-            scale = np.empty(len(ns))
-            scale[single] = factor[normal]
-            scale[halves] = half
-            out = bracket * _along(scale, bracket)
-            if a != head:  # the remainder enters once, with the second half
-                half[live] *= np.power(q, (a - head) * nh[live])
-            out[halves] *= _along(half, out)
-        if (~np.isfinite(out) & np.isfinite(bracket)).any():
+        out = bracket * _along(first, bracket)
+        for end in (slice(0, p0), slice(p1, len(ns))):  # the shells off the normal run
+            if end.start < end.stop:
+                out[end] *= _along(second[end], out)
+        if not np.isfinite(out).all() and (~np.isfinite(out) & np.isfinite(bracket)).any():
             raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
         # a subnormal bracket has lost its low bits; scaled up to a normal
         # value it would pass them off as an accurate result

@@ -84,6 +84,17 @@ def test_field_params_outside_the_double_range_are_refused(k, alpha):
         FieldParams(2**k, alpha)
 
 
+def test_field_params_refuse_a_subnormal_q_to_the_minus_alpha():
+    # the operators scan in base q^alpha with a lag whose power base^-lag is
+    # a normal double: at q = 2 the last order with one is 1022
+    with pytest.raises(ValueError, match=r"q=2 and alpha=1022.5 .* q\^-alpha must be a normal double"):
+        FieldParams(2, 1022.5)
+    with pytest.raises(ValueError, match=r"q\^-alpha must be a normal double"):
+        FieldParams(3, 1022 / math.log2(3) + 1e-9)
+    assert FieldParams(2, 1022.0).alpha == 1022.0
+    assert FieldParams(3, 644.0).alpha == 644.0  # 3^-644 = 2^-1020.7
+
+
 def test_field_params_at_the_edge_of_the_double_range_keep_their_constants():
     for q, alpha in ((2**1000, 1.0), (2**600, 1.0), (2, 1000.0), (3, 1e-12)):
         p = FieldParams(q, alpha)
@@ -127,6 +138,37 @@ def test_root_measures_are_read_only_and_bounded(q):
     for lo in range(-100, 0):
         _root_measure(float(q), lo)
     assert padicradial.field._shell_roots.cache_info().currsize <= 16
+
+
+def test_shell_scale_memo_is_read_only_bounded_and_each_runs_own():
+    # one entry per (q, |a|), shared read-only; 32 entries of at most two
+    # arrays over the shells -2048 .. 2048 bound it at 2.1 MB; any run of
+    # its shells, for either sign of a, reads the scales formed for that run
+    # alone, bit for bit
+    memo, run_scales = padicradial.field._shell_scales, padicradial.field._run_scales
+    reach = padicradial.field._REACH
+    memo.cache_clear()
+    first, second, _ = run_scales(3.0, 0.9, -reach, reach)
+    assert run_scales(3.0, 0.9, -reach, reach)[0].base is first.base
+    assert run_scales(3.0, -0.9, 0, 5)[0].base is first.base
+    assert memo.cache_info().currsize == 1
+    for x in (first, second):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+    for k in range(100):
+        run_scales(2.0, 0.5 + k / 64, 0, 0)
+    assert memo.cache_info().maxsize == memo.cache_info().currsize == 32
+    assert first.shape == second.shape == (2 * reach + 1,)
+    assert 32 * (first.nbytes + second.nbytes) <= 2.1e6
+    assert memo(2.0, 1.0)[1] is memo(2.0, 1.0)[0]  # one array where a is its own head
+    rng = np.random.default_rng(3)
+    for q, a in ((3.0, 0.9), (3.0, -0.9), (2.0, -1.0), (7.0, 2.0), (5.0, -1.0 - 1e-13)):
+        for lo in rng.integers(-reach, reach, 20).tolist():
+            hi = min(lo + int(rng.integers(0, 1500)), reach)
+            got, want = run_scales(q, a, lo, hi), padicradial.field._scales_on(q, a, lo, hi)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert range(*got[2]) == range(*want[2])  # the normal run, or both empty
 
 
 def test_pairings_do_not_depend_on_the_memo(monkeypatch):
@@ -350,6 +392,30 @@ def test_decay_and_scan_are_the_geometric_shell_sums(base, upward, shells, seed)
         got = kernel(w, base, s0, upward=upward)
         got = got[::-1] if upward else got
         assert np.all(np.abs(got - want) <= 1e-14 * mass), kernel.__name__
+
+
+@pytest.mark.parametrize("upward", [False, True])
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("lag", [512, 256, 128])
+def test_scan_rows_are_one_row_scans_at_the_lag_thresholds(lag, side, upward):
+    # the lag halves where base^-lag leaves the normal range, at 2^(1022/lag);
+    # just below and just above each threshold a row of a batch is bit for
+    # bit its one-row scan, and every shell within 1e-14 of its term mass
+    base = 2.0 ** (1022 / lag) * (1.0 + side * 1e-12)
+    assert (base**-lag >= sys.float_info.min) == (side < 0)
+    shells = 1200
+    rng = np.random.default_rng(lag)
+    w = rng.standard_normal((shells, 3)) + 1j * rng.standard_normal((shells, 3))
+    seeds = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    start = np.array([0, 7, 600])
+    out = _scan(w, base, seeds, upward=upward, start=start)
+    for r, k in enumerate(start):
+        own = slice(0, shells - k) if upward else slice(k, shells)
+        one = _scan(w[own, r], base, seeds[r], upward=upward)
+        assert np.array_equal(out[own, r], one)
+        seq = _decay(w[own, r], base, seeds[r], upward=upward)
+        mass = np.abs(_decay(np.abs(w[own, r]), base, abs(seeds[r]), upward=upward))
+        assert np.all(np.abs(one - seq) <= 1e-14 * mass)
 
 
 @pytest.mark.parametrize("upward", [False, True])

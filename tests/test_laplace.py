@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from padicradial.laplace import (
 )
 
 P2 = FieldParams(2, 1.0)
+EPS = np.finfo(float).eps
 
 
 def oracle_transform(phi, n, terms=300):
@@ -85,6 +87,31 @@ def test_transform_matches_the_shell_sum(q, n_lo, width, tail, lo, length, seed)
         assert abs(got[i] - want[i]) <= 1e-14 * term_mass(phi, n), n
     above = got[: max(0, -phi.n_hi - lo + 1)]
     assert np.all(above == got[0])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_deep_transform_is_the_shell_sum_to_a_few_eps(q):
+    # a W = 1600 window with a tail, from the first n whose q^(-n) is a
+    # double (its k clipped at the window top) to 6 shells below the window:
+    # within 4 eps of each value's term mass of the shell sums in 40 digits
+    # (and one subnormal ulp, where the values fall below the normal range)
+    W = 1600
+    rng = np.random.default_rng(q)
+    vals = rng.standard_normal(W) + 1j * rng.standard_normal(W)
+    phi = KRadialFunction(FieldParams(q), 1 - W, 0, vals, complex(*rng.standard_normal(2)))
+    lo, hi = -int(1023 / math.log2(q)), W + 5
+    got = laplace_transform(phi, (lo, hi)).values
+    assert np.all(got[:-lo] == got[-lo])  # n < 0: the value at k = 0
+    with mpmath.workdps(40):
+        Q, t = mpmath.mpf(q), mpmath.mpc(phi.inner_tail)
+        ball, mass = t * Q / (Q - 1), abs(t) * Q / (Q - 1)  # B(k) below the window
+        for k in range(-hi, 1):
+            v = mpmath.mpc(phi.value_at(k))
+            ball, mass = v + ball / Q, abs(v) + mass / Q
+            up = mpmath.mpc(phi.value_at(k + 1))
+            exact = Q**k * ((1 - 1 / Q) * ball - up)
+            bound = 4 * EPS * Q**k * ((1 - 1 / Q) * mass + abs(up)) + mpmath.mpf(2) ** -1074
+            assert abs(mpmath.mpc(got[-k - lo]) - exact) <= bound, k
 
 
 def test_transform_domain_ends_where_q_to_minus_n_overflows():

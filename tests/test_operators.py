@@ -467,6 +467,84 @@ def test_operator_matrix_does_not_depend_on_the_memo(monkeypatch, basis):
             assert np.array_equal(a, b)
 
 
+def test_outputs_do_not_depend_on_the_scale_memo(monkeypatch):
+    # every operator, the transform and the f-gathered matrices without the
+    # shell-scale memo, on a cold one, repeated, and after 70 other (q, a)
+    # have evicted its entries.  The f-gather scales descending runs, the
+    # transform from -5 a clipped run, and 2100 shells reach beyond the
+    # memo's shells; deep derivatives overflow, and their messages count too
+    from padicradial.laplace import laplace_transform
+
+    rng = np.random.default_rng(9)
+    inputs = [KRadialFunction(FieldParams(q, alpha), 1 - W, 0,
+                              rng.standard_normal(W) + 1j * rng.standard_normal(W), 0.25 - 0.5j)
+              for q, alpha in ((2, 0.9), (3, 2.0), (7, 1.0)) for W in (40, 700, 2100)]
+    ops = (apply_D_alpha, apply_D_alpha_O, apply_I_alpha, apply_I01, apply_resolvent_D1O)
+
+    def outputs():
+        out = []
+        for u in inputs:
+            for op in ops:
+                try:
+                    image = op(u)
+                    out += [image.values, image.inner_tail]
+                except OverflowError as exc:
+                    out.append(str(exc))
+            out.append(laplace_transform(u, (-5, len(u.values) + 5)).values)
+        for q in (2, 3):
+            out += [operator_matrix(FieldParams(q), name, "f", 60).entries for name in ("D1O", "I1", "I01")]
+        return out
+
+    memo = padicradial.field._shell_scales
+    with monkeypatch.context() as m:
+        m.setattr(padicradial.field, "_shell_scales", memo.__wrapped__)
+        want = outputs()
+    memo.cache_clear()
+    runs = [outputs(), outputs()]
+    for k in range(70):
+        memo(5.0, 0.3 + k / 16)
+    runs.append(outputs())
+    for got in runs:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert type(a) is type(b) and np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([2, 3, 7]), a=st.sampled_from([0.9, -0.9, 2.0, -2.0, 1.0, 1.0 + 1e-13]),
+       first=st.integers(-2300, 2300), length=st.integers(1, 400), descending=st.booleans(),
+       rows=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_scaled_run_is_each_shell_on_its_own(q, a, first, length, descending, rows, seed):
+    # a run's scale, read from the memo by slices (or formed for a run beyond
+    # its shells), is each shell's own bit for bit, on either side of the
+    # normal range and in either direction; rows share their shell's scale
+    rng = np.random.default_rng(seed)
+    ns = np.arange(float(first), first + length)[:: -1 if descending else 1].copy()
+    shape = (length,) if rows == 0 else (length, rows)
+    bracket = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    scaled = padicradial.operators._scaled
+    try:
+        got = scaled(bracket, float(q), a, ns)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            for k in range(length):
+                scaled(bracket[k : k + 1], float(q), a, ns[k : k + 1])
+        return
+    for k in range(length):
+        assert np.array_equal(got[k], scaled(bracket[k : k + 1], float(q), a, ns[k : k + 1])[0])
+
+
+def test_operators_at_the_largest_order_of_q_2():
+    # q^-alpha = 2^-1022 is the smallest normal double: the scans at base
+    # q^alpha stride one shell at a time, and every operator runs
+    p = FieldParams(2, 1022.0)
+    u = KRadialFunction(p, 0, 0, [1.0], 0.5)
+    for op in (apply_I_alpha, apply_D_alpha, apply_D_alpha_O, apply_resolvent_D1O):
+        image = op(u)
+        assert np.isfinite(image.values).all() and math.isfinite(abs(image.inner_tail))
+    assert apply_I_alpha(u).values[0] == 2.0**-1022  # q^-alpha |x|^alpha u at |x| = 1
+
+
 def test_operator_matrix_beyond_the_double_range_raises():
     # the D1O image of e_N has shell values of order q^(3N/2): at q = 2 they
     # fit a double up to N = 682

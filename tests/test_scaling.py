@@ -38,7 +38,7 @@ def test_apply_layer_covers_both_fields_and_every_width(tmp_path):
                            "revision", "numpy", "python", "machine"}
     assert [(row["q"], row["W"]) for row in record["per_call"]] == [
         (q, W) for q in (3, 7) for W in (100, 400, 1600)]
-    names = ("_scaled", "apply_I_alpha", "apply_I01", "apply_D_alpha_O", "laplace_transform")
+    names = ("_scaled cold", "_scaled warm", "apply_I_alpha", "apply_I01", "apply_D_alpha_O", "laplace_transform")
     for row in record["per_call"]:
         for name in names:
             # a timed call, or the library's refusal of it
