@@ -28,13 +28,10 @@ Layers (``--layer``):
   values by ``q^(alpha n)``, cold (its memo of shell scales emptied
   before each call, so the scales are formed) and warm.  Deep windows
   take that scale out of the double range.
-- ``scan``: the shell-sum kernels at q = 3.  On one row, a seeded random
-  function's values on W in {100, 400, 1600} shells with a nonzero seed:
-  ``_decay``, the sequential loop of ``expand``, and ``_scan``, the
-  log-depth scan of the operators and the transform.  On ``operator_matrix``-shaped
-  grids, the e-family grid of dim in {40, 160, 640} (the shells
-  ``1 - dim .. 0`` by ``dim`` rows, each row seeded at its own window start):
-  ``_scan`` over every row at once.
+- ``scan``: the shell-sum kernels at q = 3, on a seeded random function's
+  values on W in {100, 400, 1600} shells with a nonzero seed: ``_decay``, the
+  sequential loop of ``expand``, and ``_scan``, the log-depth scan of the
+  operators and the transform.
 - ``charfn``: for q in {2, 3} and T in {50, 200, 800},
   ``characteristic_function`` up to order T and ``order_certificate`` of
   its entry g12 (``w_coefficients()[0, 1]``): the spectral calls of the
@@ -332,25 +329,18 @@ def apply_layer(timed) -> dict:
 
 
 def scan_layer(timed) -> dict:
-    widths, dims, q = (100, 400, 1600), (40, 160, 640), 3.0
+    widths, q = (100, 400, 1600), 3.0
     rng = np.random.default_rng(1)
     rows = []
     for W in widths:
         w, seed = rng.standard_normal(W) + 1j * rng.standard_normal(W), complex(*rng.standard_normal(2))
         rows.append({"W": W, "_decay": timed(lambda: field._decay(w, q, seed)),
                      "_scan": timed(lambda: field._scan(w, q, seed))})
-    grids = []
-    for dim in dims:
-        shells, tails, n_lo = field._family_shells(q, "e", dim)
-        w, seeds, start = field._family_grid(shells)[1:-1], tails / (q - 1.0), n_lo - (1 - dim)
-        grids.append({"dim": dim, "_scan rows": timed(lambda: field._scan(w, q, seeds, start=start))})
     return {
         "q": q,
-        "shapes": "one row: W shells, nonzero seed; rows: the e-family grid of operator_matrix "
-                  "(shells 1 - dim .. 0, dim rows, each seeded at its window start)",
-        "per_call": rows + grids,
-        "scaling_exponent": {**_exponents(widths, rows, ("_decay", "_scan")),
-                             **_exponents(dims, grids, ("_scan rows",))},
+        "shapes": "one row: W shells, nonzero seed",
+        "per_call": rows,
+        "scaling_exponent": _exponents(widths, rows, ("_decay", "_scan")),
     }
 
 

@@ -222,11 +222,6 @@ def _pow(x, k):
     return x**k
 
 
-def _along(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The per-shell vector ``x`` shaped to broadcast over ``grid``'s rows, if any."""
-    return x if grid.ndim == 1 else x[:, None]
-
-
 def _div(z, d: float):
     """``z / d`` for a complex ``z`` and a float ``d``, part by part.
 
@@ -265,11 +260,11 @@ def _decay(w: np.ndarray, base: float, seed=0j, upward: bool = False) -> np.ndar
     return np.array(out, dtype=complex)
 
 
-_LAG, _ROWS = 512, 64  # ``_scan``'s longest lag, and the rows it sums at once
+_LAG = 512  # ``_scan``'s longest lag
 
 
-def _scan(w: np.ndarray, base: float, seed=0j, upward: bool = False, start=None) -> np.ndarray:
-    """``_decay``'s sums by a log-depth scan, for one row or rows at once.
+def _scan(w: np.ndarray, base: float, seed=0j, upward: bool = False) -> np.ndarray:
+    """``_decay``'s sums of one row ``w`` by a log-depth scan.
 
     On ``e = [seed, w[:-1] / base]``, passes ``e[d:] += base^-d e[:-d]``,
     d = 1, 2, 4, .. < S, sum runs of S shells and strides ``e[i] += base^-S
@@ -277,32 +272,22 @@ def _scan(w: np.ndarray, base: float, seed=0j, upward: bool = False, start=None)
     512 whose ``base^-S`` is a normal double (a subnormal lag power would
     spoil deep sums; ``FieldParams`` keeps ``S >= 1``): 512 for every base
     up to ``2^(1022/512)``, 256 up to ``2^(1022/256)``, and so on.  It
-    depends on the base alone, each shell gets the same operations on the
-    same relative neighbours, and ``x + 0 p == x``: a row of ``w`` (shells
-    by rows) with its own ``seed`` and ``start`` (counted along the sums; 0
-    before it) is bit for bit its one-row scan.
+    depends on the base alone, and each shell gets the same operations on
+    the same relative neighbours: a shell's sum does not depend on how far
+    the window reaches past it (above it; below it, ``upward``).
     """
     w, lag = (w[::-1] if upward else w), _LAG
     while base**-lag < 2.0**-1022:  # the smallest normal double
         lag //= 2
-    e = np.empty(w.shape, dtype=complex)
-    e[1:] = w[:-1]
-    f = (e[:, None] if e.ndim == 1 else e).view(float)
-    f[1:] /= base
-    e[:1] = seed
-    if start is not None:
-        i = np.arange(len(e))[:, None]
-        np.copyto(e, np.where(i == start, seed, 0j), where=i <= start)
-    for c in range(0, f.shape[1], 2 * _ROWS):  # a block of rows, in cache, from its lowest start
-        k = 0 if start is None else start[c // 2 : c // 2 + _ROWS].min()
-        g = np.ascontiguousarray(f[k:, c : c + 2 * _ROWS])
-        d, n = 1, len(g)
-        while d < lag and d < n:
-            g[d:] += base**-d * g[:-d]
-            d *= 2
-        for i in range(lag, n, lag):
-            g[i : i + lag] += base**-lag * g[i - lag : min(i, n - lag)]
-        f[k:, c : c + 2 * _ROWS] = g
+    e = np.append(complex(seed), w[:-1])
+    g = e.view(float).reshape(-1, 2)  # real and imaginary parts, divided alike
+    g[1:] /= base
+    d, n = 1, len(g)
+    while d < lag and d < n:
+        g[d:] += base**-d * g[:-d]
+        d *= 2
+    for i in range(lag, n, lag):
+        g[i : i + lag] += base**-lag * g[i - lag : min(i, n - lag)]
     return e[::-1] if upward else e
 
 
@@ -544,21 +529,6 @@ def _family_shells(q: float, family: str, dim: int):
     return shells, scale.astype(complex), -n
 
 
-def _family_grid(shells: np.ndarray) -> np.ndarray:
-    """The elements of ``_family_shells`` as the rows of one grid.
-
-    The grid holds the shells ``-dim .. 1`` on its first axis, one below
-    the deepest window and one above the ball; each row carries its
-    element's two shells and zero elsewhere, below the window too.
-    """
-    dim = shells.shape[1]
-    n = np.arange(dim)
-    grid = np.zeros((dim + 2, dim), dtype=complex)
-    grid[dim - n, n] = shells[0]
-    grid[dim + 1 - n, n] = shells[1]
-    return grid
-
-
 def _element_integrals(q: float, shells: np.ndarray, t: np.ndarray, n_lo: np.ndarray):
     """``_ball_integral`` of every element of ``_family_shells``, without
     and with ``log``: bit for bit ``o_integral`` and ``o_log_integral / log q``
@@ -567,7 +537,7 @@ def _element_integrals(q: float, shells: np.ndarray, t: np.ndarray, n_lo: np.nda
     Each integral reads only the element's two shells, in
     ``_ball_integral``'s own operations: ``(v r) r`` per shell (times ``j``),
     the two added bottom-up, then the tail term.  The shells it skips would
-    add exact zeros.  O(dim), where a pass over the whole grid is O(dim^2).
+    add exact zeros.  O(dim), where a pass over every element's window is O(dim^2).
     """
     lo = 1 - shells.shape[1]
     js = n_lo + np.arange(2)[:, None]  # shells n_lo, n_lo + 1

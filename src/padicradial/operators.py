@@ -10,17 +10,17 @@ the origin is attached as the tail instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import (
     FieldParams,
     KRadialFunction,
-    _along,
     _div,
     _element_integrals,
-    _family_grid,
     _family_shells,
     _pow,
     _TINY,
@@ -71,10 +71,11 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
         return _scaled(bracket[::-1], q, a, ns[::-1])[::-1]
     first, second, (p0, p1) = _run_scales(q, a, int(ns[0]), int(ns[-1]))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out = bracket * _along(first, bracket)
+        rows = (slice(None),) + (None,) * (bracket.ndim - 1)  # one scale per shell, on every row
+        out = bracket * first[rows]
         for end in (slice(0, p0), slice(p1, len(ns))):  # the shells off the normal run
             if end.start < end.stop:
-                out[end] *= _along(second[end], out)
+                out[end] *= second[end][rows]
         if not np.isfinite(out).all() and (~np.isfinite(out) & np.isfinite(bracket)).any():
             raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
         # a subnormal bracket has lost its low bits; scaled up to a normal
@@ -85,38 +86,22 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
     return out
 
 
-def _below(grid: np.ndarray, start) -> np.ndarray:
-    """Mask of each row's shells below its ``start`` index."""
-    return np.arange(len(grid))[:, None] < start
+# The operator cores below act on the shell values ``vals`` (or the deviation
+# ``dev``) of one function on the shells ``ns``; with ``ns=None`` they return the
+# bracket, the output before ``_scaled``, which depends only on the shells'
+# places in the window: the dilation covariance the matrices are gathered by.
 
 
-# The operator cores below act on the shell values ``vals`` (or the
-# deviation ``dev``) of one function on the shells ``ns``, or on many at
-# once: a second axis of ``vals`` holds one row per function, with its tail
-# ``t`` and its window start ``start`` (an index into ``ns``) on a common
-# grid.  Every row equals the one-row result on its own window bit for bit;
-# below its window it is 0, or, for the derivative, its value at ``m``.
-# With ``ns=None`` a core returns the bracket, its output before ``_scaled``.
-
-
-def _derivative(dev: np.ndarray, t, p: FieldParams, ns: np.ndarray, m=None) -> np.ndarray:
-    """``D^alpha`` on the shells ``ns`` from the deviation ``dev = u - t``,
-    which may reach above them.  ``dev`` vanishes up to ``ns[m]``, the shell
-    below the first one where ``u`` differs from ``t`` (``ns[0]`` for one
-    row), so the downward sums start there at exactly 0."""
+def _derivative(dev: np.ndarray, t, p: FieldParams, ns: np.ndarray) -> np.ndarray:
+    """``D^alpha`` on the shells ``ns`` from the deviation ``dev = u - t``, which may
+    reach above them.  ``dev`` vanishes at ``ns[0]``, the shell below the first one
+    where ``u`` differs from ``t``, so the downward sums start there at exactly 0."""
     q, a = float(p.q), p.alpha
     qa = q**a
-    down_up = _scan(dev, q, start=m) + _scan(dev, qa, _div(-t, qa - 1.0), upward=True)
+    down_up = _scan(dev, q) + _scan(dev, qa, _div(-t, qa - 1.0), upward=True)
     diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
     bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
-    if m is not None:  # no row reads its upward sums below its m; they must not overflow
-        bracket[_below(bracket, m)] = 0
-    if ns is None:
-        return bracket
-    out = _scaled(bracket[: len(ns)], q, -a, ns)
-    if m is not None:  # the input is constant below ns[m], so the output is too
-        np.copyto(out, out[m, np.arange(out.shape[1])], where=_below(out, m))
-    return out
+    return bracket if ns is None else _scaled(bracket[: len(ns)], q, -a, ns)
 
 
 def apply_D_alpha(
@@ -177,28 +162,27 @@ def apply_D_alpha_O(u: KRadialFunction) -> KRadialFunction:
     return apply_D_alpha(u, (u.n_lo, 0))
 
 
-def _volterra_sums(vals: np.ndarray, t, q: float, qa: float, start=None) -> np.ndarray:
+def _volterra_sums(vals: np.ndarray, t, q: float, qa: float) -> np.ndarray:
     """``G(n) = sum_{k<n} K(n-k) q^(k-n) u_k`` on every shell of ``vals``
     with the divided difference ``K(m) = (r^m - 1) / (r - 1)``,
     ``r = q / qa = q^(1-alpha)``, which tends to ``K(m) = m`` at ``alpha = 1``.
 
     ``G`` runs as two recurrences, ``S(n) = sum_{k<n} q^(k-n) u_k`` and
     ``G(n) = S(n) + G(n-1) / q^alpha``, each seeded with the closed-form sum
-    over the constant ``t`` on every shell below ``vals`` (below ``start``
-    for rows, which read 0 there).
+    over the constant ``t`` on every shell below ``vals``.
     """
     tail_s = _div(t, q - 1.0)
-    s = _scan(vals, q, tail_s, start=start)
-    return s + _scan(s, qa, _div(tail_s, qa - 1.0), start=start)
+    s = _scan(vals, q, tail_s)
+    return s + _scan(s, qa, _div(tail_s, qa - 1.0))
 
 
-def _integral(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray, start=None) -> np.ndarray:
+def _integral(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray) -> np.ndarray:
     """``I^alpha`` of the values ``vals`` with tail ``t`` on the shells ``ns``."""
     q, a = float(p.q), p.alpha
     qa = q**a
     # (1-1/q) (1-q^-alpha) q^(1-alpha)
     coef = (1.0 - 1.0 / q) * (qa - 1.0) * q / (qa * qa)
-    bracket = vals / qa - coef * _volterra_sums(vals, t, q, qa, start)
+    bracket = vals / qa - coef * _volterra_sums(vals, t, q, qa)
     return bracket if ns is None else _scaled(bracket, q, a, ns)
 
 
@@ -224,10 +208,10 @@ def apply_I_alpha(u: KRadialFunction, out_hi: int = 0) -> KRadialFunction:
     return KRadialFunction(u.params, u.n_lo, out_hi, out)
 
 
-def _volterra(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray, start=None) -> np.ndarray:
+def _volterra(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray) -> np.ndarray:
     """``I01`` of the values ``vals`` with tail ``t`` on the shells ``ns``."""
     q = float(p.q)
-    bracket = -((1.0 - 1.0 / q) ** 2) * _volterra_sums(vals, t, q, q, start)
+    bracket = -((1.0 - 1.0 / q) ** 2) * _volterra_sums(vals, t, q, q)
     return bracket if ns is None else _scaled(bracket, q, 1.0, ns)
 
 
@@ -248,11 +232,10 @@ def apply_I01(u: KRadialFunction) -> KRadialFunction:
     return KRadialFunction(u.params, u.n_lo, 0, out)
 
 
-def _resolvent(vals: np.ndarray, t, integral, p: FieldParams, ns: np.ndarray, start=None):
-    """The resolvent's values on ``ns[:-1]`` and its tail ``c``, from the
-    values on ``ns`` (one shell above the ball) and ``int_O u``."""
+def _resolvent(image: np.ndarray, integral, p: FieldParams):
+    """The resolvent's values on the shells of ``image[:-1]`` and its tail ``c``, from
+    ``I^alpha u`` up to one shell above the ball (a column per function) and ``int_O u``."""
     q = float(p.q)
-    image = _integral(vals, t, p, ns, start)
     c = _div((1.0 - q**-p.alpha) * integral, q - 1.0) - image[-1]
     return image[:-1] + c, c
 
@@ -271,8 +254,8 @@ def apply_resolvent_D1O(u: KRadialFunction) -> KRadialFunction:
     origin.
     """
     _require_o(u, "apply_resolvent_D1O")
-    vals, c = _resolvent(u.values_on(u.n_lo, 1), u.inner_tail, o_integral(u), u.params,
-                         np.arange(u.n_lo, 2.0))
+    image = _integral(u.values_on(u.n_lo, 1), u.inner_tail, u.params, np.arange(u.n_lo, 2.0))
+    vals, c = _resolvent(image, o_integral(u), u.params)
     return KRadialFunction(u.params, u.n_lo, 0, vals, c)
 
 
@@ -308,20 +291,70 @@ def _f_entries(p: FieldParams, name: str, shells: np.ndarray) -> np.ndarray:
     r, rows = _shell_roots(q, 1 - dim), np.arange(0.0, -dim, -1.0)  # row j is the shell -j
     def toeplitz(diagonals):  # a view: diagonals[n - j] at row j, column n >= j, 0 below
         return np.ndarray((dim, dim), float, np.append(np.zeros(dim - 1), diagonals), (dim - 1) * 8, (-8, 8))
-    if name == "D1O":  # f_0 and f_(dim-1) on the shells -dim .. 0
-        dev = np.zeros((dim + 1, 2), complex)
-        dev[-1, 0], dev[1, 1] = shells[0, 0], shells[0, -1]
-        bracket = _derivative(dev, 0j, p, None, np.array([dim - 1, 0])).real
-        below = np.append(0.0, q * bracket[-2, 0] * r[-2::-1])  # L r_(-1), .., L r_lo
-        return (_scaled(toeplitz(bracket[1:, 1] * r), q, -1.0, rows)
+    if name == "D1O":  # f_0 on the shells -1, 0 and f_(dim-1) on -dim .. 0
+        f0 = _derivative(np.array([0j, shells[0, 0]]), 0j, p, None).real
+        dev = np.zeros(dim + 1, complex)
+        dev[1] = shells[0, -1]
+        bracket = _derivative(dev, 0j, p, None).real
+        below = np.append(0.0, q * f0[0] * r[-2::-1])  # L r_(-1), .., L r_lo
+        return (_scaled(toeplitz(bracket[1:] * r), q, -1.0, rows)
                 + _scaled(toeplitz(below), q, -1.0, rows).T)
     vals = np.append(shells[0, -1], np.zeros(dim - 1))
     bracket = (_volterra if name == "I01" else _integral)(vals, 0j, p, None).real
     return _scaled(toeplitz(bracket * r), q, 1.0, rows)
 
 
+def _e_images(p: FieldParams, name: str, shells: np.ndarray, t: np.ndarray, n_lo: np.ndarray):
+    """The images of ``e_0 .. e_(dim-1)`` on the shells ``1-dim .. 0``, a column each, and
+    their tails.  ``v_N`` is ``v_(dim-1)`` moved ``d = dim-1-N`` shells up, and so is its
+    image's bracket, formed once for ``2^k v_(dim-1)``, ``2^k >= s_(dim-1)`` (a power of
+    two changes none of its bits, and keeps it normal as deep as ``e_(dim-1)``'s), and
+    taken times ``s_N / 2^k`` into column ``N`` before ``_scaled``.  Below ``e_N``'s
+    window its image is 0, or the derivative's value at ``-N``.  ``e_0`` has its own
+    one-row call; the resolvent is ``I1`` taken to the shell 1 plus ``c(e_N)``."""
+    q, dim = float(p.q), shells.shape[1]
+    ns = np.arange(1.0 - dim, 2.0 if name == "resolvent" else 1.0)
+    unit = math.ldexp(1.0, math.frexp(t[-1].real)[1])
+    deep = np.zeros(len(ns), complex)
+    deep[:2] = unit, -unit / (q - 1.0)  # 2^k v_(dim-1) on the shells ns
+    top = ns[dim - 1 :]  # the shells of e_0 from 0
+    if name == "D1O":
+        bracket = _derivative(deep - unit, unit, p, None)
+        e0 = _derivative(np.zeros(2, complex), 1.0, p, np.array([-1.0, 0.0]))  # no deviation on -1, 0
+    else:
+        core = _volterra if name == "I01" else _integral
+        bracket = core(deep, unit, p, None)
+        e0 = core((top == 0.0).astype(complex), 1.0, p, top)
+    d = dim - 1 - np.arange(dim)
+    moved = sliding_window_view(np.append(np.zeros(dim - 1), bracket), len(ns)).T  # [i, N]: bracket[i - d]
+    image = _scaled(moved * (t.real / unit), q, -1.0 if name == "D1O" else 1.0, ns)
+    image[:, 0] = np.append(np.zeros(dim - 1), e0[-len(top) :])
+    if name == "resolvent":
+        return _resolvent(image, _element_integrals(q, shells, t, n_lo)[0], p)
+    if name != "D1O":
+        return image, np.zeros(dim)
+    tails = np.append(e0[0], image[d[1:], np.arange(1, dim)])
+    return np.where(np.arange(dim)[:, None] < d, tails, image), tails
+
+
+def _f_resolvent(q: float, dim: int) -> np.ndarray:
+    """The resolvent's f-matrix from its exact symmetric kernel, which does not cancel.
+
+    For the indicator ``u = 1_(-m)`` of a shell of measure ``mu_m = (1-1/q) q^-m``,
+    ``I^1 u`` is ``mu_m / (q-1)`` on the shell ``-m``, ``-(1-1/q) (n+m) mu_m`` on a shell
+    ``n > -m`` and 0 below, and ``c(u) = int_O u / q - (I^1 u)(q) = (1 + (1-1/q) m) mu_m``.
+    So ``R u = I^1 u + c(u)`` is ``(1 + (1-1/q) min(j, m) + [j = m]/(q-1)) mu_m`` on the
+    shell ``-j``, and with ``f_n = 1_(-n) / r_n``, ``r_n = sqrt(mu_n)``, the entry
+    ``(j, n)`` is ``r_j r_n (1 + (1-1/q) min(j, n) + [j = n]/(q-1))``: no term cancels,
+    where ``I1`` plus ``c(f_n) r_j`` cancels to 1/136 of its terms at dim 160.
+    """
+    j, roots = np.arange(dim), (1.0 - 1.0 / q) * _pow(q, -np.arange(2.0 * dim - 1.0) / 2.0)  # r_j r_n at j + n
+    kernel = 1.0 + (1.0 - 1.0 / q) * np.minimum.outer(j, j) + np.eye(dim) / (q - 1.0)
+    return sliding_window_view(roots, dim) * kernel
+
+
 def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
-    """The matrix of ``name``, from its structure or one pass over the basis."""
+    """The matrix of ``name``, from its structure."""
     q = float(p.q)
     lo = 1 - dim  # the window start of element dim - 1: every image lives on lo..0
     shells, t, n_lo = _family_shells(q, basis, dim)
@@ -330,24 +363,9 @@ def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
         ones, logs = _element_integrals(q, shells, t, n_lo)
         ones, logs = ones.real, (logs * p.ln_q).real
         return kap * (np.outer(logs, ones) - np.outer(ones, logs))
-    if basis == "f" and name != "resolvent":
-        return _f_entries(p, name, shells)
-    grid = _family_grid(shells)  # shells lo-1 .. 1
-    start = n_lo - lo  # each row's window start on the shells lo..
-    if name == "D1O":
-        # m indexes the shell below e_N's top one (shell 0 for e_0) on the grid from lo - 1
-        m = np.minimum(n_lo + 1, 0) - lo
-        dev = np.where(_below(grid[:-1], m + 1), 0j, grid[:-1] - t)
-        out = _derivative(dev, t, p, np.arange(lo - 1, 1.0), m)
-        image, tails = out[1:], out[m, np.arange(dim)]
-    elif name == "resolvent":
-        integral = _element_integrals(q, shells, t, n_lo)[0]
-        image, tails = _resolvent(grid[1:], t, integral, p, np.arange(lo, 2.0), start)
-    else:
-        core = _integral if name == "I1" else _volterra
-        image, tails = core(grid[1:-1], t, p, np.arange(lo, 1.0), start), np.zeros(dim)
-    if basis == "f":  # expand(image_n, "f", dim) for every n: f_j's coefficient is w_(-j)
-        return (image * _shell_roots(q, lo)[:, None])[::-1]
+    if basis == "f":
+        return _f_resolvent(q, dim) if name == "resolvent" else _f_entries(p, name, shells)
+    image, tails = _e_images(p, name, shells, t, n_lo)
     return np.column_stack([
         expand(KRadialFunction(p, lo, 0, image[:, n], tails[n]), basis, dim) for n in range(dim)
     ])
@@ -358,19 +376,18 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
 
     Column ``n`` is the expansion of the operator's image of basis element
     ``n``, at closed-form accuracy.  The operators commute with the dilation
-    ``x -> pi x`` up to a power of q, so the f-family ``D1O``, ``I1`` and
-    ``I01`` matrices are Toeplitz after a row scaling, gathered from the
-    images of ``f_(dim-1)`` and ``f_0``: each entry within a few eps of its
-    column's largest entry in the column loop, exactly 0 below the diagonal
-    of ``I1`` and on and below that of ``I01``.  The others come from one
-    pass: the elements are the rows of one grid of shell values, scanned at
-    once (``field._scan``), and each column is bit for bit the operator
-    applied to ``make_basis`` and expanded.  The f-family resolvent is one
-    array product with the root measures (as ``I1`` plus ``c(f_n) r_(-j)``
-    it would cancel to 1/136 of its terms at dim 160); an e-family image
-    costs one ``expand``, as ``perfbench/test_perfbench.py`` pins one
-    ``field.expand`` span per column of the ``I1`` e-matrix.  The five
-    operators are order-one objects, so the matrix is formed at
+    ``x -> pi x`` up to a power of q, so an image is that of the deepest
+    element moved up, and the matrix is gathered along its diagonals: the
+    f-family ``D1O``, ``I1``, ``I01`` from ``f_(dim-1)`` and ``f_0`` (Toeplitz
+    after a row scaling, exactly 0 below the diagonal of ``I1`` and on and
+    below that of ``I01``), the e-family from ``e_(dim-1)`` and ``e_0``, with
+    one ``expand`` per column (``perfbench/test_perfbench.py`` pins one
+    ``field.expand`` span per column of the ``I1`` e-matrix).  The f-family
+    resolvent is its exact kernel, ``J`` reads each element's two shells.
+    The entries are rounded otherwise than the column loop's (one operator
+    application and one ``expand`` per column), to the same order of their
+    term mass; at q = 2 the ``I1``, ``I01`` and resolvent e-matrices are its
+    bits.  The five operators are order-one objects, so the matrix is formed at
     ``alpha = 1`` whatever the ``alpha`` of ``params``.  ``ValueError``
     names the operator, family, ``q`` and ``dim`` where an image or an entry
     leaves the double range: at q = 2 (3) the ``D1O`` e-matrix from dim 684

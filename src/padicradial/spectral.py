@@ -4,6 +4,18 @@ Covers the eigenpairs of the order-one integral on the ball, nilpotency
 diagnostics of its Volterra part, the rank-2 imaginary part, and the
 2x2 characteristic matrix-function of inverse argument together with a
 growth certificate for its entries.
+
+The characteristic function is that of the colligation of ``A = I01``.  With
+``<u, v> = int_O u conj(v)``, ``h1 = kap1``, ``h2 = -log|x|`` and
+``Phi u = (<u, h1>, <u, h2>) / sqrt 2``, the imaginary part is
+``J = -(<., h1> h2 + <., h2> h1) / 2 = Phi* Sigma Phi``, ``Sigma = -S`` (``S`` the
+swap), so ``A - A* = 2i Phi* Sigma Phi``.  For ``R = (I - zA)^-1`` that gives
+``|z|^2 R* Phi* Sigma Phi R = (z R - conj(z) R*) / 2i - Im z R* R``, so
+``Theta = I + 2i z Sigma Phi R Phi*`` has ``Theta* S Theta - S = 4 Im z Phi R* R Phi*``:
+0 on the real axis (J-unitary), positive definite above it, negative definite below.
+As ``(Phi R Phi*)_ab = <R h_b, h_a> / 2 = G_ba / 2``, ``Theta = E - i z S G^T``, and
+``W = S Theta^T S = E - i z S G`` shares all three (``Theta S Theta* - S`` has the sign
+of ``Theta* S Theta - S``); ``det W = det Theta`` is 1 on the axis to rounding.
 """
 
 from __future__ import annotations
@@ -122,9 +134,9 @@ class MatrixPowerSeries:
     """Power-series data of the characteristic matrix-function.
 
     ``g[a, b, n]`` is the pairing of the n-th Volterra iterate of channel
-    ``a`` against channel ``b``; the function itself is
-    ``W = E + i z (j @ G(z))`` with the swap matrix ``j``, so ``W`` is the
-    identity exactly at ``z = 0``.
+    ``a`` against channel ``b``; the function itself is ``W = E - i z (S @ G(z))``
+    with the swap matrix ``S``, signed by the colligation (module docstring), so
+    ``W`` is the identity exactly at ``z = 0``.
     """
 
     params: FieldParams
@@ -143,13 +155,13 @@ class MatrixPowerSeries:
     def evaluate(self, z: complex) -> np.ndarray:
         powers = np.power(complex(z), np.arange(self.order + 1))
         G = np.tensordot(self.g, powers, axes=([2], [0]))
-        return np.eye(2, dtype=complex) + 1j * z * (_SWAP @ G)
+        return np.eye(2, dtype=complex) - 1j * z * (_SWAP @ G)
 
     def w_coefficients(self) -> np.ndarray:
         """Taylor coefficients of the four entries, shape (2, 2, order + 2)."""
         out = np.zeros((2, 2, self.order + 2), dtype=complex)
         out[:, :, 0] = np.eye(2)
-        out[:, :, 1:] = 1j * np.einsum("ag,gbn->abn", _SWAP, self.g)
+        out[:, :, 1:] = -1j * np.einsum("ag,gbn->abn", _SWAP, self.g)
         return out
 
 

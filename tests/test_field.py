@@ -349,25 +349,22 @@ BASES = [2.0, 3.0**0.7, 5.0**2.3, math.sqrt(3.0), 1.0, 49.0, 101.0**3]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(base=st.sampled_from(BASES), upward=st.booleans(), shells=st.integers(1, 40), rows=st.integers(1, 6),
-       order=st.sampled_from(["random", "ascending", "descending"]), seed=st.integers(0, 2**32 - 1))
-def test_scan_rows_are_one_row_scans_on_their_own_windows(base, upward, shells, rows, order, seed):
-    # a row started at ``start`` (counted in the direction of the sums) runs
-    # bit for bit as the one-row scan from there, and reads 0 before it; 49 is
-    # a derivative base q^alpha = 7^2, and at 101^3 the lag power caps the lag
-    # at 32 shells, so the strides run too
+@given(base=st.sampled_from(BASES), upward=st.booleans(), shells=st.integers(1, 40), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_scan_sums_do_not_depend_on_the_window_past_them(base, upward, shells, data, seed):
+    # a shell's sum is bit for bit the same whether the window ends above it or
+    # reaches further (starts below it or further, upward); 49 is a derivative
+    # base q^alpha = 7^2, and at 101^3 the lag power caps the lag at 32 shells,
+    # so the strides run too
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal((shells, rows)) + 1j * rng.standard_normal((shells, rows))
-    seeds = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
-    start = rng.integers(0, shells + 1, rows)
-    if order != "random":
-        start = np.sort(start)[:: 1 if order == "ascending" else -1].copy()
-    out = _scan(w, base, seeds, upward=upward, start=start)
-    for r, k in enumerate(start):
-        own = slice(0, shells - k) if upward else slice(k, shells)
-        held = slice(shells - k, shells) if upward else slice(0, k)
-        assert np.array_equal(out[own, r], _scan(w[own, r], base, seeds[r], upward=upward))
-        assert np.all(out[held, r] == 0)
+    w = rng.standard_normal(shells) + 1j * rng.standard_normal(shells)
+    s0 = complex(*rng.standard_normal(2))
+    k = data.draw(st.integers(1, shells))
+    whole = _scan(w, base, s0, upward=upward)
+    if upward:
+        assert np.array_equal(_scan(w[shells - k :], base, s0, upward=True), whole[shells - k :])
+    else:
+        assert np.array_equal(_scan(w[:k], base, s0), whole[:k])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -397,25 +394,23 @@ def test_decay_and_scan_are_the_geometric_shell_sums(base, upward, shells, seed)
 @pytest.mark.parametrize("upward", [False, True])
 @pytest.mark.parametrize("side", [-1, 1])
 @pytest.mark.parametrize("lag", [512, 256, 128])
-def test_scan_rows_are_one_row_scans_at_the_lag_thresholds(lag, side, upward):
+def test_scan_at_the_lag_thresholds(lag, side, upward):
     # the lag halves where base^-lag leaves the normal range, at 2^(1022/lag);
-    # just below and just above each threshold a row of a batch is bit for
-    # bit its one-row scan, and every shell within 1e-14 of its term mass
+    # just below and just above each threshold every shell is within 1e-14 of
+    # its term mass of the loop, and a window cut 7 or 600 shells short of this
+    # one has its sums bit for bit
     base = 2.0 ** (1022 / lag) * (1.0 + side * 1e-12)
     assert (base**-lag >= sys.float_info.min) == (side < 0)
     shells = 1200
     rng = np.random.default_rng(lag)
-    w = rng.standard_normal((shells, 3)) + 1j * rng.standard_normal((shells, 3))
-    seeds = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    start = np.array([0, 7, 600])
-    out = _scan(w, base, seeds, upward=upward, start=start)
-    for r, k in enumerate(start):
-        own = slice(0, shells - k) if upward else slice(k, shells)
-        one = _scan(w[own, r], base, seeds[r], upward=upward)
-        assert np.array_equal(out[own, r], one)
-        seq = _decay(w[own, r], base, seeds[r], upward=upward)
-        mass = np.abs(_decay(np.abs(w[own, r]), base, abs(seeds[r]), upward=upward))
-        assert np.all(np.abs(one - seq) <= 1e-14 * mass)
+    w = rng.standard_normal(shells) + 1j * rng.standard_normal(shells)
+    s0 = complex(*rng.standard_normal(2))
+    whole = _scan(w, base, s0, upward=upward)
+    mass = np.abs(_decay(np.abs(w), base, abs(s0), upward=upward))
+    assert np.all(np.abs(whole - _decay(w, base, s0, upward=upward)) <= 1e-14 * mass)
+    for k in (7, 600):
+        part = slice(k, shells) if upward else slice(0, shells - k)
+        assert np.array_equal(_scan(w[part], base, s0, upward=upward), whole[part])
 
 
 @pytest.mark.parametrize("upward", [False, True])

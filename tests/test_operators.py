@@ -376,8 +376,12 @@ def pairing_matrix(params, name, basis, dim):
 def test_operator_matrix_matches_pairings(q, basis, name):
     got = operator_matrix(FieldParams(q), name, basis, 40).entries
     want = pairing_matrix(FieldParams(q), name, basis, 40)
-    # column by column: the entries of the D1O e-matrix span twelve decades
-    assert np.all(np.abs(got - want).max(axis=0) <= 1e-14 * np.abs(want).max(axis=0))
+    if name == "resolvent" and basis == "e":
+        # past its first columns the e-matrix is the cancellation noise of diagonal
+        # entries q^-n, so it is held to the terms it sums (3.3e-7 of a column at q = 3)
+        assert np.all(np.abs(got - want) <= 8 * EPS * loop_term_mass(FieldParams(q), name, basis, 40))
+    else:  # column by column: the entries of the D1O e-matrix span twelve decades
+        assert np.all(np.abs(got - want).max(axis=0) <= 1e-14 * np.abs(want).max(axis=0))
 
 
 def test_i01_f_matrix_is_exactly_strictly_triangular():
@@ -402,15 +406,43 @@ def oracle_operator_matrix(params, name, basis, dim):
     return np.column_stack([expand(op(b), basis, dim) for b in members])
 
 
-def assert_is_the_column_loop(got, want, name, basis):
-    """One batched pass over all basis elements gives the column loop's bits;
-    an f-family matrix gathered along its diagonals (D1O, I1, I01) is
-    rounded differently, and each entry is within 8 eps of its column's
-    largest entry (at most 3.7 eps measured)."""
-    if basis == "f" and name in ("D1O", "I1", "I01"):
+def loop_term_mass(params, name, basis, dim):
+    """The term mass of each entry of the ``I1``, ``I01`` or resolvent matrix: per shell
+    the magnitudes its image value sums (``I01`` of ``|b_n|`` sums terms of one sign,
+    ``I1`` adds the diagonal term, the resolvent its constant's), paired with ``|b_j|``."""
+    p = replace(params, alpha=1.0)
+    q, lo = float(p.q), 1 - dim
+    members = [make_basis(p, basis, n) for n in range(dim)]
+    s = np.abs([b.values[0] for b in members])  # e_j is s_j on the shells <= -j, f_j on -j
+    mu = (1.0 - 1.0 / q) * q ** -np.arange(float(dim))  # the shells 0, -1, .., lo
+    out = np.empty((dim, dim))
+    for n, b in enumerate(members):
+        a = KRadialFunction(p, b.n_lo, 0, np.abs(b.values_on(b.n_lo, 0)), abs(b.inner_tail))
+        mass = -apply_I01(a).values.real + (name != "I01") * q ** np.arange(a.n_lo - 1.0, 0.0) * a.values.real
+        c = o_integral(a).real / q - apply_I_alpha(a, out_hi=1).value_at(1).real if name == "resolvent" else 0.0
+        w = KRadialFunction(p, a.n_lo, 0, mass + c, c).values_on(lo, 0).real[::-1] * mu
+        if basis == "f":
+            out[:, n] = s * w
+        else:  # the ball below the shell -j, and e_j's second shell -j + 1
+            below = c * q ** (lo - 1.0) + np.cumsum(w[::-1])[::-1]
+            out[:, n] = s * below + s / (q - 1.0) * np.append(0.0, w[:-1])
+    return out
+
+
+def assert_is_the_column_loop(got, want, name, basis, params):
+    """``J`` is the column loop's bits, and so are the ``I1``, ``I01`` and resolvent
+    e-matrices at q = 2, where the powers of two that scale each moved image are exact.
+    Elsewhere a matrix gathered along its diagonals is rounded differently: ``D1O`` and
+    the f-family ``I1``, ``I01`` within 8 eps of their column's largest entry (at most
+    3.7 eps measured), the rest, whose columns cancel, within a few eps of each entry's
+    term mass (at most 2.1 eps measured in the e-family, 6.0 for the f resolvent)."""
+    if name == "J" or (basis == "e" and name != "D1O" and params.q == 2):
+        assert np.array_equal(got, want)
+    elif name == "D1O" or basis == "f" and name != "resolvent":
         assert np.all(np.abs(got - want) <= 8 * EPS * np.abs(want).max(axis=0))
     else:
-        assert np.array_equal(got, want)
+        mass = loop_term_mass(params, name, basis, len(got))
+        assert np.all(np.abs(got - want) <= (4 if basis == "e" else 8) * EPS * mass)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 40, 160])
@@ -419,7 +451,8 @@ def assert_is_the_column_loop(got, want, name, basis):
 @pytest.mark.parametrize("name", OPERATOR_NAMES)
 def test_operator_matrix_is_the_column_loop(name, basis, q, dim):
     got = operator_matrix(FieldParams(q, 0.5), name, basis, dim).entries
-    assert_is_the_column_loop(got, oracle_operator_matrix(FieldParams(q), name, basis, dim), name, basis)
+    want = oracle_operator_matrix(FieldParams(q), name, basis, dim)
+    assert_is_the_column_loop(got, want, name, basis, FieldParams(q))
 
 
 @pytest.mark.parametrize("name, basis", [("I1", "e"), ("I01", "e"), ("I1", "f"), ("I01", "f"),
@@ -427,7 +460,7 @@ def test_operator_matrix_is_the_column_loop(name, basis, q, dim):
 def test_operator_matrix_is_the_column_loop_at_dim_640(name, basis):
     # J reads each element's two shells
     got = operator_matrix(P2, name, basis, 640).entries
-    assert_is_the_column_loop(got, oracle_operator_matrix(P2, name, basis, 640), name, basis)
+    assert_is_the_column_loop(got, oracle_operator_matrix(P2, name, basis, 640), name, basis, P2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 9, 101])
@@ -600,6 +633,41 @@ def test_d1o_f_matrix_at_its_range_limit_against_direct_sums(q, dim):
         assert abs(mat[j, n] - exact) <= 4 * EPS * abs(exact), (j, n)
 
 
+@pytest.mark.parametrize("q", [3, 7])
+def test_mp_ball_image_is_the_truncated_direct_sums(q):
+    # the closed-form tails of the matrix oracle below against mp_I_alpha's and
+    # mp_D_alpha's sums over 60 shells past the window, on every output shell
+    p = FieldParams(q)
+    for basis, n in [("e", 0), ("e", 1), ("e", 6), ("f", 0), ("f", 5)]:
+        u = make_basis(p, basis, n)
+        with mpmath.workdps(40):
+            lo, vals, t = mp_basis(q, basis, n)
+            for name, oracle in [("I1", mp_I_alpha), ("I01", lambda u, k, terms: mp_I_alpha(u, k, terms, False)),
+                                 ("D1O", mp_D_alpha)]:
+                image, _ = mp_ball_image(q, name, lo, vals, t)
+                for k, (value, mass) in image.items():
+                    want, want_mass = oracle(u, k, terms=60)
+                    assert abs(value - want) <= 1e-14 * want_mass and abs(mass - want_mass) <= 1e-14 * want_mass
+
+
+@pytest.mark.parametrize("dim", [40, 160])
+@pytest.mark.parametrize("q", [3, 7])
+@pytest.mark.parametrize("name, basis", [("D1O", "e"), ("I1", "e"), ("I01", "e"), ("resolvent", "e"),
+                                         ("resolvent", "f")])
+def test_matrices_from_one_image_against_direct_sums(name, basis, q, dim):
+    # every row (row 0 too) of the first, middle and deepest columns against 40-digit
+    # sums, in units of each entry's term mass: within 4 eps (2.5 measured), the
+    # derivative's within dim / 2 eps (42.5 at q = 3, dim 160, where the column loop's
+    # is 59.9); the f resolvent also within 4 eps of its column's largest entry (1.04)
+    mat = operator_matrix(FieldParams(q), name, basis, dim).entries
+    for n in sorted({0, 1, dim // 2, dim - 2, dim - 1}):
+        exact, mass = map(np.array, zip(*mp_matrix_column(q, name, basis, n, dim)))
+        gap = np.abs(mat[:, n] - exact)
+        assert np.all(gap <= (dim / 2 if name == "D1O" else 4) * EPS * mass), n
+        if basis == "f":
+            assert gap.max() <= 4 * EPS * np.abs(exact).max(), n
+
+
 def test_operator_matrix_makes_no_pairings(monkeypatch):
     # the basis is written in closed form and each column is one closed-form expansion
     calls = {"inner_product": 0, "make_basis": 0}
@@ -727,6 +795,77 @@ def mp_D_alpha(u, n, terms=300):
         up = [(val[k] - val[n]) * q ** (-a * k) for k in range(n + 1, u.n_hi + terms + 1)]
         unit = theta * (1 - 1 / q)
         return unit * mpmath.fsum(down + up), abs(unit) * mpmath.fsum(abs(x) for x in down + up)
+
+
+def mp_basis(q, basis, n):
+    """``b_n`` of the e- or f-family in mpmath: its window start, shell values and tail."""
+    q = mpmath.mpf(q)
+    if basis == "f":
+        return -n, [q ** (mpmath.mpf(n) / 2) / mpmath.sqrt(1 - 1 / q)], 0
+    if n == 0:
+        return 0, [mpmath.mpf(1)], 1
+    s = mpmath.sqrt(1 - 1 / q) * q ** (mpmath.mpf(n) / 2)
+    return -n, [s, -s / (q - 1)], s
+
+
+def mp_ball_image(q, name, lo, vals, t):
+    """The order-one ``name`` of the ball function with the shell values ``vals`` from
+    ``lo`` and the tail ``t``: ``mp_I_alpha``'s and ``mp_D_alpha``'s sums with the shells
+    below ``lo`` (and above the ball) summed in closed form.  Returns ``{n: (value, term
+    mass)}`` on ``lo .. 0`` and the ``(value, mass)`` stored below it as the tail."""
+    q = mpmath.mpf(q)
+    unit, hi = 1 - 1 / q, lo + len(vals) - 1
+    val = lambda k: t if k < lo else vals[k - lo] if k <= hi else 0  # noqa: E731
+
+    def integral(n, diagonal=True):  # at a shell n >= lo
+        local = q ** (n - 1) * val(n) if diagonal else 0
+        terms = [-(unit**2) * (n - k) * val(k) * q**k for k in range(lo, min(n, hi + 1)) if val(k) != 0]
+        # sum_{k<lo} (n-k) q^k = q^lo ((n-lo)/(q-1) + q/(q-1)^2)
+        terms.append(-(unit**2) * t * q**lo * ((n - lo) / (q - 1) + q / (q - 1) ** 2))
+        return local + mpmath.fsum(terms), abs(local) + mpmath.fsum(map(abs, terms))
+
+    def derivative(n):  # at a shell n >= lo - 1
+        un = val(n)
+        terms = [(val(k) - un) * q ** (k - 2 * n) for k in range(lo, n) if val(k) != un]
+        terms.append((t - un) * q ** (min(n, lo) - 2 * n) / (q - 1))  # the shells below both
+        terms += [(val(k) - un) / q**k for k in range(n + 1, 1) if val(k) != un]
+        terms.append(-un / (q - 1))  # the shells above the ball
+        c = (1 - q) / (1 - q**-2) * unit
+        return c * mpmath.fsum(terms), abs(c) * mpmath.fsum(map(abs, terms))
+
+    if name == "D1O":
+        return {n: derivative(n) for n in range(lo, 1)}, derivative(lo - 1)
+    image = {n: integral(n, name != "I01") for n in range(lo, 1)}
+    if name != "resolvent":
+        return image, (0, 0)
+    # c = int_O u / q - (I1 u)(q), added on every shell
+    ball = [v * unit * q**k for k, v in zip(range(lo, hi + 1), vals)] + [t * q ** (lo - 1)]
+    at_q = integral(1)
+    c = (mpmath.fsum(ball) / q - at_q[0], mpmath.fsum(map(abs, ball)) / q + at_q[1])
+    return {n: (v + c[0], m + c[1]) for n, (v, m) in image.items()}, c
+
+
+def mp_matrix_column(q, name, basis, n, dim):
+    """Column ``n`` of the order-one ``name`` matrix in 40 digits: each entry
+    ``<image, b_j>`` with its term mass, as complex and float pairs."""
+    with mpmath.workdps(40):
+        lo, vals, t = mp_basis(q, basis, n)
+        image, (c, cm) = mp_ball_image(q, name, lo, vals, t)
+        qm = mpmath.mpf(q)
+        mu = lambda k: (1 - 1 / qm) * qm**k  # noqa: E731
+        at = lambda k: image.get(k, (c, cm))  # noqa: E731
+        # below[k]: the value and mass of the image over the shells under k
+        below = {lo: (c * qm ** (lo - 1), cm * qm ** (lo - 1))}
+        for k in range(lo, 1):
+            below[k + 1] = (below[k][0] + image[k][0] * mu(k), below[k][1] + image[k][1] * mu(k))
+        out = []
+        for j in range(dim):
+            jl, jv, jt = mp_basis(q, basis, j)
+            under = below.get(jl, (c * qm ** (jl - 1), cm * qm ** (jl - 1)))
+            terms = [(under[0] * jt, under[1] * abs(jt))]
+            terms += [(at(jl + i)[0] * v * mu(jl + i), at(jl + i)[1] * abs(v) * mu(jl + i)) for i, v in enumerate(jv)]
+            out.append((complex(mpmath.fsum(x for x, _ in terms)), float(mpmath.fsum(m for _, m in terms))))
+        return out
 
 
 def _random_ball_function(params, width, seed):
