@@ -506,7 +506,11 @@ def _unit_scale(q: float, family: str, N):
     """The factor that makes ``v_N`` (N >= 1) the unit ``e_N``, or the
     shell indicator of ``q^-N`` the unit ``f_N``; one per ``N`` of an array."""
     unit = math.sqrt(1.0 - 1.0 / q) if family == "e" else (1.0 - 1.0 / q) ** -0.5
-    return unit * _pow(q, N / 2.0)
+    try:
+        return unit * _pow(q, N / 2.0)
+    except OverflowError:
+        n = int(np.max(N))
+        raise ValueError(f"the unit factor q^(N/2) = {q:g}^({n}/2) of {family}_{n} at q={q:g} overflows") from None
 
 
 def _family_shells(q: float, family: str, dim: int):

@@ -232,14 +232,6 @@ def apply_I01(u: KRadialFunction) -> KRadialFunction:
     return KRadialFunction(u.params, u.n_lo, 0, out)
 
 
-def _resolvent(image: np.ndarray, integral, p: FieldParams):
-    """The resolvent's values on the shells of ``image[:-1]`` and its tail ``c``, from
-    ``I^alpha u`` up to one shell above the ball (a column per function) and ``int_O u``."""
-    q = float(p.q)
-    c = _div((1.0 - q**-p.alpha) * integral, q - 1.0) - image[-1]
-    return image[:-1] + c, c
-
-
 def apply_resolvent_D1O(u: KRadialFunction) -> KRadialFunction:
     """Inverse of ``D^alpha_O`` on the unit ball, for every order.
 
@@ -254,9 +246,10 @@ def apply_resolvent_D1O(u: KRadialFunction) -> KRadialFunction:
     origin.
     """
     _require_o(u, "apply_resolvent_D1O")
-    image = _integral(u.values_on(u.n_lo, 1), u.inner_tail, u.params, np.arange(u.n_lo, 2.0))
-    vals, c = _resolvent(image, o_integral(u), u.params)
-    return KRadialFunction(u.params, u.n_lo, 0, vals, c)
+    p, q = u.params, float(u.params.q)
+    image = _integral(u.values_on(u.n_lo, 1), u.inner_tail, p, np.arange(u.n_lo, 2.0))
+    c = _div((1.0 - q**-p.alpha) * o_integral(u), q - 1.0) - image[-1]
+    return KRadialFunction(p, u.n_lo, 0, image[:-1] + c, c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,37 +297,37 @@ def _f_entries(p: FieldParams, name: str, shells: np.ndarray) -> np.ndarray:
     return _scaled(toeplitz(bracket * r), q, 1.0, rows)
 
 
-def _e_images(p: FieldParams, name: str, shells: np.ndarray, t: np.ndarray, n_lo: np.ndarray):
-    """The images of ``e_0 .. e_(dim-1)`` on the shells ``1-dim .. 0``, a column each, and
-    their tails.  ``v_N`` is ``v_(dim-1)`` moved ``d = dim-1-N`` shells up, and so is its
-    image's bracket, formed once for ``2^k v_(dim-1)``, ``2^k >= s_(dim-1)`` (a power of
-    two changes none of its bits, and keeps it normal as deep as ``e_(dim-1)``'s), and
-    taken times ``s_N / 2^k`` into column ``N`` before ``_scaled``.  Below ``e_N``'s
-    window its image is 0, or the derivative's value at ``-N``.  ``e_0`` has its own
-    one-row call; the resolvent is ``I1`` taken to the shell 1 plus ``c(e_N)``."""
-    q, dim = float(p.q), shells.shape[1]
-    ns = np.arange(1.0 - dim, 2.0 if name == "resolvent" else 1.0)
+def _e_images(p: FieldParams, name: str, t: np.ndarray) -> np.ndarray:
+    """The ``I1`` or ``I01`` images of ``e_0 .. e_(dim-1)`` (tails ``t``) on the shells
+    ``1-dim .. 0``, a column each.  ``v_N`` is ``v_(dim-1)`` moved ``d = dim-1-N`` shells
+    up, and so is its image's bracket, formed once for ``2^k v_(dim-1)``,
+    ``2^k >= s_(dim-1)`` (a power of two changes none of its bits, and keeps it normal as
+    deep as ``e_(dim-1)``'s), and taken times ``s_N / 2^k`` into column ``N`` before
+    ``_scaled``.  Below ``e_N``'s window its image is 0; ``e_0`` has its own one-row call."""
+    q, dim = float(p.q), len(t)
+    ns = np.arange(1.0 - dim, 1.0)
     unit = math.ldexp(1.0, math.frexp(t[-1].real)[1])
-    deep = np.zeros(len(ns), complex)
+    deep = np.zeros(dim, complex)
     deep[:2] = unit, -unit / (q - 1.0)  # 2^k v_(dim-1) on the shells ns
-    top = ns[dim - 1 :]  # the shells of e_0 from 0
-    if name == "D1O":
-        bracket = _derivative(deep - unit, unit, p, None)
-        e0 = _derivative(np.zeros(2, complex), 1.0, p, np.array([-1.0, 0.0]))  # no deviation on -1, 0
-    else:
-        core = _volterra if name == "I01" else _integral
-        bracket = core(deep, unit, p, None)
-        e0 = core((top == 0.0).astype(complex), 1.0, p, top)
-    d = dim - 1 - np.arange(dim)
-    moved = sliding_window_view(np.append(np.zeros(dim - 1), bracket), len(ns)).T  # [i, N]: bracket[i - d]
-    image = _scaled(moved * (t.real / unit), q, -1.0 if name == "D1O" else 1.0, ns)
-    image[:, 0] = np.append(np.zeros(dim - 1), e0[-len(top) :])
-    if name == "resolvent":
-        return _resolvent(image, _element_integrals(q, shells, t, n_lo)[0], p)
-    if name != "D1O":
-        return image, np.zeros(dim)
-    tails = np.append(e0[0], image[d[1:], np.arange(1, dim)])
-    return np.where(np.arange(dim)[:, None] < d, tails, image), tails
+    core = _volterra if name == "I01" else _integral
+    bracket = core(deep, unit, p, None)
+    e0 = core(np.ones(1, complex), 1.0, p, ns[-1:])  # e_0 on the shell 0
+    moved = sliding_window_view(np.append(np.zeros(dim - 1), bracket), dim).T  # [i, N]: bracket[i - d]
+    image = _scaled(moved * (t.real / unit), q, 1.0, ns)
+    image[:, 0] = np.append(np.zeros(dim - 1), e0)
+    return image
+
+
+def _e_eigenvalues(q: float, name: str, dim: int) -> np.ndarray:
+    """The ``D1O`` or resolvent e-matrix: ``D1O e_N = q^N e_N`` (N >= 1) and
+    ``D1O e_0 = lambda_1 e_0``, ``lambda_1 = q/(q+1)``; the resolvent inverts both."""
+    sign = 1.0 if name == "D1O" else -1.0
+    try:
+        eigenvalues = _pow(q, sign * np.arange(dim, dtype=float))
+    except OverflowError:
+        raise OverflowError(f"the eigenvalue q^N = {q:g}^{dim - 1} of e_{dim - 1} overflows") from None
+    eigenvalues[0] = q / (q + 1.0) if name == "D1O" else (q + 1.0) / q
+    return np.diag(eigenvalues)
 
 
 def _f_resolvent(q: float, dim: int) -> np.ndarray:
@@ -356,6 +349,8 @@ def _f_resolvent(q: float, dim: int) -> np.ndarray:
 def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
     """The matrix of ``name``, from its structure."""
     q = float(p.q)
+    if basis == "e" and name in ("D1O", "resolvent"):
+        return _e_eigenvalues(q, name, dim)
     lo = 1 - dim  # the window start of element dim - 1: every image lives on lo..0
     shells, t, n_lo = _family_shells(q, basis, dim)
     if name == "J":  # kappa (<u, 1> log|x| - <u, log|x|>): rank 2
@@ -365,34 +360,34 @@ def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
         return kap * (np.outer(logs, ones) - np.outer(ones, logs))
     if basis == "f":
         return _f_resolvent(q, dim) if name == "resolvent" else _f_entries(p, name, shells)
-    image, tails = _e_images(p, name, shells, t, n_lo)
-    return np.column_stack([
-        expand(KRadialFunction(p, lo, 0, image[:, n], tails[n]), basis, dim) for n in range(dim)
-    ])
+    image = _e_images(p, name, t)
+    return np.column_stack([expand(KRadialFunction(p, lo, 0, image[:, n]), basis, dim) for n in range(dim)])
 
 
 def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> OperatorMatrix:
     """Matrix of one of the order-one operators in the e- or f-family.
 
     Column ``n`` is the expansion of the operator's image of basis element
-    ``n``, at closed-form accuracy.  The operators commute with the dilation
-    ``x -> pi x`` up to a power of q, so an image is that of the deepest
-    element moved up, and the matrix is gathered along its diagonals: the
-    f-family ``D1O``, ``I1``, ``I01`` from ``f_(dim-1)`` and ``f_0`` (Toeplitz
-    after a row scaling, exactly 0 below the diagonal of ``I1`` and on and
-    below that of ``I01``), the e-family from ``e_(dim-1)`` and ``e_0``, with
-    one ``expand`` per column (``perfbench/test_perfbench.py`` pins one
-    ``field.expand`` span per column of the ``I1`` e-matrix).  The f-family
-    resolvent is its exact kernel, ``J`` reads each element's two shells.
-    The entries are rounded otherwise than the column loop's (one operator
-    application and one ``expand`` per column), to the same order of their
-    term mass; at q = 2 the ``I1``, ``I01`` and resolvent e-matrices are its
-    bits.  The five operators are order-one objects, so the matrix is formed at
-    ``alpha = 1`` whatever the ``alpha`` of ``params``.  ``ValueError``
-    names the operator, family, ``q`` and ``dim`` where an image or an entry
-    leaves the double range: at q = 2 (3) the ``D1O`` e-matrix from dim 684
-    (432), as the image of ``e_N`` reaches ``q^(3N/2)``, and the ``D1O``
-    f-matrix from dim 1025 (647).
+    ``n``, at closed-form accuracy.  The ``v_N`` are eigenfunctions of
+    ``D1O``, so its e-matrix is the diagonal of ``q/(q+1)``, ``q``, ``q^2``,
+    .. and the resolvent's that of their inverses.  The other operators
+    commute with the dilation ``x -> pi x`` up to a power of q, so an image
+    is that of the deepest element moved up, and the matrix is gathered
+    along its diagonals: the f-family ``D1O``, ``I1``, ``I01`` from
+    ``f_(dim-1)`` and ``f_0`` (Toeplitz after a row scaling, exactly 0 below
+    the diagonal of ``I1`` and on and below that of ``I01``), the e-family
+    ``I1``, ``I01`` from ``e_(dim-1)`` and ``e_0``, with one ``expand`` per
+    column (``perfbench/test_perfbench.py`` pins one ``field.expand`` span
+    per column of the ``I1`` e-matrix).  The f-family resolvent is its exact
+    kernel, ``J`` reads each element's two shells.  The gathered entries are
+    rounded otherwise than the column loop's (one operator application and
+    one ``expand`` per column), to the same order of their term mass; at
+    q = 2 the ``I1`` and ``I01`` e-matrices are its bits.  The matrix is
+    formed at ``alpha = 1`` whatever the ``alpha`` of ``params``.
+    ``ValueError`` names the operator, family, ``q`` and ``dim`` where an
+    image, an entry or a unit factor ``q^(N/2)`` leaves the double range:
+    the ``D1O`` matrices from dim 1025 at q = 2 (648 in the e-, 647 in the
+    f-family at q = 3), every matrix from dim 731 at q = 7.
     """
     if name not in OPERATOR_NAMES:
         raise ValueError(f"unknown operator {name!r}, expected one of {OPERATOR_NAMES}")
@@ -405,7 +400,7 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
         try:
             entries = _entries(p1, name, basis, dim)
             beyond = None if np.all(np.isfinite(entries)) else "an entry is not finite"
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:  # an image, an entry or a unit factor
             beyond = str(exc)
     if beyond:
         raise ValueError(

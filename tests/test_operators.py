@@ -377,8 +377,9 @@ def test_operator_matrix_matches_pairings(q, basis, name):
     got = operator_matrix(FieldParams(q), name, basis, 40).entries
     want = pairing_matrix(FieldParams(q), name, basis, 40)
     if name == "resolvent" and basis == "e":
-        # past its first columns the e-matrix is the cancellation noise of diagonal
-        # entries q^-n, so it is held to the terms it sums (3.3e-7 of a column at q = 3)
+        # past their first columns the pairings are the cancellation noise of the
+        # diagonal entries q^-n, so they are held to the terms they sum (3.3e-7 of a
+        # column at q = 3)
         assert np.all(np.abs(got - want) <= 8 * EPS * loop_term_mass(FieldParams(q), name, basis, 40))
     else:  # column by column: the entries of the D1O e-matrix span twelve decades
         assert np.all(np.abs(got - want).max(axis=0) <= 1e-14 * np.abs(want).max(axis=0))
@@ -430,13 +431,14 @@ def loop_term_mass(params, name, basis, dim):
 
 
 def assert_is_the_column_loop(got, want, name, basis, params):
-    """``J`` is the column loop's bits, and so are the ``I1``, ``I01`` and resolvent
-    e-matrices at q = 2, where the powers of two that scale each moved image are exact.
-    Elsewhere a matrix gathered along its diagonals is rounded differently: ``D1O`` and
-    the f-family ``I1``, ``I01`` within 8 eps of their column's largest entry (at most
-    3.7 eps measured), the rest, whose columns cancel, within a few eps of each entry's
-    term mass (at most 2.1 eps measured in the e-family, 6.0 for the f resolvent)."""
-    if name == "J" or (basis == "e" and name != "D1O" and params.q == 2):
+    """``J`` is the column loop's bits, and so are the ``I1`` and ``I01`` e-matrices at
+    q = 2, where the powers of two that scale each moved image are exact.  Elsewhere a
+    matrix gathered along its diagonals or read off its eigenvalues is rounded
+    differently: ``D1O`` and the f-family ``I1``, ``I01`` within 8 eps of their column's
+    largest entry (at most 3.7 eps measured), the rest, whose columns cancel in the
+    loop, within a few eps of each entry's term mass (at most 2.1 eps measured in the
+    e-family, 6.0 for the f resolvent)."""
+    if name == "J" or (basis == "e" and name in ("I1", "I01") and params.q == 2):
         assert np.array_equal(got, want)
     elif name == "D1O" or basis == "f" and name != "resolvent":
         assert np.all(np.abs(got - want) <= 8 * EPS * np.abs(want).max(axis=0))
@@ -579,8 +581,7 @@ def test_operators_at_the_largest_order_of_q_2():
 
 
 def test_operator_matrix_beyond_the_double_range_raises():
-    # the D1O image of e_N has shell values of order q^(3N/2): at q = 2 they
-    # fit a double up to N = 682
+    # the D1O e-matrix's diagonal q^N fits a double up to N = 1023 at q = 2
     assert np.all(np.isfinite(operator_matrix(P2, "D1O", "e", 683).entries))
     with pytest.raises(ValueError, match=r"D1O matrix in the e-family at q=2, dim=1280"):
         operator_matrix(P2, "D1O", "e", 1280)
@@ -606,15 +607,48 @@ def test_f_matrices_are_toeplitz_after_a_row_scaling(q):
     assert np.all(np.abs(rank1 - np.outer(ones, rank1[0] / ones[0])) <= 4 * EPS * terms)
 
 
-@pytest.mark.parametrize("q, basis, last", [(2, "e", 683), (2, "f", 1024), (3, "e", 431), (3, "f", 646)])
+@pytest.mark.parametrize("q, basis, last", [(2, "e", 1024), (2, "f", 1024), (3, "e", 647), (3, "f", 646)])
 def test_d1o_matrix_refusal_boundary(q, basis, last):
-    # the D1O image of e_N has shell values of order q^(3N/2); the gathered
-    # f-matrix runs to its own range limit, a diagonal entry of order q^N
-    # (at q = 2 the entry (1024, 1024) is 2.4e308)
+    # both matrices run to their entries' own range limit: the e-matrix to
+    # its eigenvalue q^N, N = last - 1, the gathered f-matrix to a diagonal
+    # entry of order q^N (at q = 2 the entry (1024, 1024) is 2.4e308)
     assert np.all(np.isfinite(operator_matrix(FieldParams(q), "D1O", basis, last).entries))
     match = rf"the D1O matrix in the {basis}-family at q={q}, dim={last + 1} leaves the double range"
     with pytest.raises(ValueError, match=match):
         operator_matrix(FieldParams(q), "D1O", basis, last + 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_d1o_and_resolvent_e_matrices_are_their_eigenvalues(q):
+    # D1O v_N = q^N v_N (N >= 1) and D1O 1_O = q/(q+1) 1_O, and the resolvent
+    # inverts both: every entry off the diagonal is an exact zero, and every
+    # one on it is within one ulp of its 40-digit eigenvalue
+    dim = 160
+    for name, sign in (("D1O", 1), ("resolvent", -1)):
+        mat = operator_matrix(FieldParams(q, 0.5), name, "e", dim).entries
+        assert np.all(mat[~np.eye(dim, dtype=bool)] == 0.0) and np.all(mat.imag == 0.0)
+        with mpmath.workdps(40):
+            exact = [(mpmath.mpf(q) / (q + 1)) ** sign] + [mpmath.mpf(q) ** (sign * n) for n in range(1, dim)]
+            for n, got in enumerate(np.diagonal(mat).real):
+                assert abs(mpmath.mpf(got) - exact[n]) <= np.spacing(got), (name, n)
+
+
+def test_range_limits_name_the_element_and_its_power():
+    # a unit factor q^(N/2) or a D1O eigenvalue q^N beyond the double range is
+    # named, where Python's pow would report only an errno tuple
+    cases = [(lambda: make_basis(FieldParams(7), "e", 1280), r"q\^\(N/2\) = 7\^\(1280/2\) of e_1280 at q=7"),
+             (lambda: make_basis(FieldParams(2), "f", 2100), r"q\^\(N/2\) = 2\^\(2100/2\) of f_2100 at q=2"),
+             (lambda: operator_matrix(P2, "D1O", "e", 1025),
+              r"D1O matrix in the e-family at q=2, dim=1025 leaves the double range: "
+              r"the eigenvalue q\^N = 2\^1024 of e_1024 overflows")]
+    for basis in ("e", "f"):
+        cases.append((lambda basis=basis: operator_matrix(FieldParams(7), "I1", basis, 1280),
+                      rf"I1 matrix in the {basis}-family at q=7, dim=1280 leaves the double range: "
+                      rf"the unit factor q\^\(N/2\) = 7\^\(1279/2\) of {basis}_1279 at q=7 overflows"))
+    for make, match in cases:
+        with pytest.raises(ValueError, match=match) as info:
+            make()
+        assert "(34," not in str(info.value)
 
 
 @pytest.mark.parametrize("q, dim", [(2, 1024), (3, 646)])
