@@ -8,11 +8,11 @@ Layers (``--layer``):
   transform with ``m_max = m``: the calls of the ``shell-sweep`` benchmark.
 - ``operator_matrix``: for q = 2 and dim in {40, 160, 640, 1280},
   ``operator_matrix`` of D1O, I1, I01 and the resolvent in the e-family and
-  of all five operators in the f-family, and the spectral work built on
-  two of them: ``i1_eigenpairs`` (the I1 e-matrix and a dense ``eig``) and
-  ``volterra_check`` (the I01 f-matrix, its lower triangle, diagonal and
-  superdiagonal; no ``eigvals`` or ``svd``).  Their ``dense_share`` is the
-  part of their time not spent forming the matrix.
+  of all five operators in the f-family, ``volterra_check`` (the I01
+  f-matrix, its lower triangle, diagonal and superdiagonal; no ``eigvals``
+  or ``svd``), whose ``dense_share`` is the part of its time not spent
+  forming that matrix, and ``i1_eigenpairs`` (the closed-form eigenpairs
+  of the I1 e-matrix; it forms no matrix).
 - ``expand``: for q = 2, ``expand`` in the e- and f-family of a seeded
   random function shaped like an ``operator_matrix`` image (the shells
   ``1 - dim .. 0``, a nonzero tail, ``count = dim``) at dim in
@@ -223,8 +223,7 @@ def laplace_layer(timed) -> dict:
 
 MATRICES = (("D1O", "e"), ("I1", "e"), ("I01", "e"), ("resolvent", "e"),
             ("D1O", "f"), ("I1", "f"), ("I01", "f"), ("resolvent", "f"), ("J", "f"))
-# the dense spectral work and the matrix it is built on
-SPECTRAL = {"i1_eigenpairs": ("I1", "e"), "volterra_check": ("I01", "f")}
+SPECTRAL = ("volterra_check", "i1_eigenpairs")
 
 
 def operator_matrix_layer(timed) -> dict:
@@ -236,11 +235,11 @@ def operator_matrix_layer(timed) -> dict:
         row = {"dim": dim}
         for name, basis in MATRICES:
             row[f"{name} {basis}"] = timed(lambda: operator_matrix(p, name, basis, dim))
-        for fn, (name, basis) in SPECTRAL.items():
+        for fn in SPECTRAL:
             row[fn] = timed(lambda: getattr(spectral, fn)(p, dim))
-            matrix = row[f"{name} {basis}"]
-            if "median" in row[fn] and "median" in matrix:
-                row[fn]["dense_share"] = round(1.0 - matrix["median"] / row[fn]["median"], 3)
+        check, matrix = row["volterra_check"], row["I01 f"]  # the matrix it is built on
+        if "median" in check and "median" in matrix:
+            check["dense_share"] = round(1.0 - matrix["median"] / check["median"], 3)
         rows.append(row)
     return {
         "q": Q,

@@ -94,8 +94,7 @@ GOLDEN_DOCS = {
     ),
     "spectrum": (
         ["spectrum", "--dim", "3"],
-        '{"q": 2, "dim": 3, "eigenvalues": [[0.50000000000000011, 0], '
-        '[0.25000000000000006, 0], [0, 0]], "max_gap_to_analytic": 1.1102230246251565e-16}\n',
+        '{"q": 2, "dim": 3, "eigenvalues": [[0.5, 0], [0.25, 0], [0, 0]], "max_gap_to_analytic": 0}\n',
     ),
 }
 

@@ -5,9 +5,11 @@ import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
+from padicradial import spectral
 from padicradial.field import FieldParams, make_basis, norm
 from padicradial.operators import d_constant, moment_a, moment_b, moment_m0, operator_matrix
 from padicradial.spectral import (
@@ -20,6 +22,7 @@ from padicradial.spectral import (
 )
 
 P2 = FieldParams(2, 1.0)
+EPS = float(np.finfo(float).eps)
 
 
 def test_i1_eigenvalues_contain_geometric_sequence():
@@ -56,6 +59,45 @@ def test_i1_eigenvectors_match_closed_form(q):
         k = int(np.argmin(np.abs(spec.eigenvalues - float(q) ** -m)))
         coords = i1_analytic_eigenvector(q, 20, m)
         assert abs(np.vdot(coords, spec.eigenvectors[:, k])) == pytest.approx(1.0, abs=1e-11)
+
+
+I1_DIMS = (2, 3, 40, 160)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("dim", I1_DIMS)
+def test_i1_eigenpairs_hold_against_the_matrix(q, dim):
+    # the closed-form pairs against the column-loop e-matrix, an independent oracle
+    spec = i1_eigenpairs(FieldParams(q), dim)
+    M, V, ev = operator_matrix(FieldParams(q), "I1", "e", dim).entries, spec.eigenvectors, spec.eigenvalues
+    assert np.abs(M @ V - V * ev).max() <= 4 * EPS * np.abs(M).max()
+    assert np.abs(np.linalg.norm(V, axis=0) - 1.0).max() <= 2 * EPS
+    with mpmath.workdps(40):
+        exact = [mpmath.power(q, -N) for N in range(1, dim)]
+    assert all(abs(mpmath.mpf(z.real) - x) <= math.ulp(float(x)) for z, x in zip(ev, exact))
+    assert ev[-1] == 0 and not ev.imag.any()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("dim", I1_DIMS)
+def test_i1_eigenvectors_match_the_dense_solver(q, dim):
+    # the dense eig of the matrix, kept here as an oracle, for the pairs q^-N, N <= 20
+    spec = i1_eigenpairs(FieldParams(q), dim)
+    dense, vecs = np.linalg.eig(operator_matrix(FieldParams(q), "I1", "e", dim).entries)
+    for N in range(1, min(dim, 21)):
+        k = int(np.argmin(np.abs(dense - float(q) ** -N)))
+        assert abs(np.vdot(vecs[:, k], spec.eigenvectors[:, N - 1])) == pytest.approx(1.0, abs=1e-11)
+
+
+def test_i1_eigenpairs_form_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("operator_matrix called")
+
+    monkeypatch.setattr(spectral, "operator_matrix", refuse)
+    spec = i1_eigenpairs(FieldParams(3, 0.5), 5)
+    assert spec.params.alpha == 1.0 and spec.dim == 5
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        i1_eigenpairs(P2, 1)
 
 
 def test_i1_two_by_two_truncation():
