@@ -274,6 +274,10 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", ent)
 
 
+def _toeplitz(d: np.ndarray) -> np.ndarray:  # a view: d[n - j] at (j, n >= j), 0 below the diagonal
+    return np.ndarray((len(d), len(d)), float, np.append(np.zeros(len(d) - 1), d), (len(d) - 1) * 8, (-8, 8))
+
+
 def _f_entries(p: FieldParams, name: str, shells: np.ndarray) -> np.ndarray:
     """The f-family matrix of ``name`` along its diagonals: ``f_n`` is ``f_(dim-1)`` moved
     ``d = dim-1-n`` shells up over ``q^(d/2)``, and so is its image's bracket, so that of
@@ -282,23 +286,21 @@ def _f_entries(p: FieldParams, name: str, shells: np.ndarray) -> np.ndarray:
     diagonal are ``q^n L r_(n-j)``, ``L`` the image of ``f_0`` below its shell)."""
     q, dim = float(p.q), shells.shape[1]
     r, rows = _shell_roots(q, 1 - dim), np.arange(0.0, -dim, -1.0)  # row j is the shell -j
-    def toeplitz(diagonals):  # a view: diagonals[n - j] at row j, column n >= j, 0 below
-        return np.ndarray((dim, dim), float, np.append(np.zeros(dim - 1), diagonals), (dim - 1) * 8, (-8, 8))
     if name == "D1O":  # f_0 on the shells -1, 0 and f_(dim-1) on -dim .. 0
         f0 = _derivative(np.array([0j, shells[0, 0]]), 0j, p, None).real
         dev = np.zeros(dim + 1, complex)
         dev[1] = shells[0, -1]
         bracket = _derivative(dev, 0j, p, None).real
         below = np.append(0.0, q * f0[0] * r[-2::-1])  # L r_(-1), .., L r_lo
-        return (_scaled(toeplitz(bracket[1:] * r), q, -1.0, rows)
-                + _scaled(toeplitz(below), q, -1.0, rows).T)
+        return (_scaled(_toeplitz(bracket[1:] * r), q, -1.0, rows)
+                + _scaled(_toeplitz(below), q, -1.0, rows).T)
     vals = np.append(shells[0, -1], np.zeros(dim - 1))
     bracket = (_volterra if name == "I01" else _integral)(vals, 0j, p, None).real
-    return _scaled(toeplitz(bracket * r), q, 1.0, rows)
+    return _scaled(_toeplitz(bracket * r), q, 1.0, rows)
 
 
-def _e_images(p: FieldParams, name: str, t: np.ndarray) -> np.ndarray:
-    """The ``I1`` or ``I01`` images of ``e_0 .. e_(dim-1)`` (tails ``t``) on the shells
+def _e_images(p: FieldParams, t: np.ndarray) -> np.ndarray:
+    """The ``I1`` images of ``e_0 .. e_(dim-1)`` (tails ``t``) on the shells
     ``1-dim .. 0``, a column each.  ``v_N`` is ``v_(dim-1)`` moved ``d = dim-1-N`` shells
     up, and so is its image's bracket, formed once for ``2^k v_(dim-1)``,
     ``2^k >= s_(dim-1)`` (a power of two changes none of its bits, and keeps it normal as
@@ -309,13 +311,31 @@ def _e_images(p: FieldParams, name: str, t: np.ndarray) -> np.ndarray:
     unit = math.ldexp(1.0, math.frexp(t[-1].real)[1])
     deep = np.zeros(dim, complex)
     deep[:2] = unit, -unit / (q - 1.0)  # 2^k v_(dim-1) on the shells ns
-    core = _volterra if name == "I01" else _integral
-    bracket = core(deep, unit, p, None)
-    e0 = core(np.ones(1, complex), 1.0, p, ns[-1:])  # e_0 on the shell 0
+    bracket = _integral(deep, unit, p, None)
+    e0 = _integral(np.ones(1, complex), 1.0, p, ns[-1:])  # e_0 on the shell 0
     moved = sliding_window_view(np.append(np.zeros(dim - 1), bracket), dim).T  # [i, N]: bracket[i - d]
     image = _scaled(moved * (t.real / unit), q, 1.0, ns)
     image[:, 0] = np.append(np.zeros(dim - 1), e0)
     return image
+
+
+def _e_volterra(q: float, dim: int) -> np.ndarray:
+    """The ``I01`` e-matrix in closed form, which does not cancel.  The log kernel's weight
+    ``n - k`` counts the balls ``|x| <= q^m``, ``k <= m < n``, so ``(I01 u)(q^n)`` is ``-(1-1/q)``
+    times the sum over ``m < n`` of ``u``'s integral over the ball ``|x| <= q^m``: ``q^m`` up to
+    ``m = -N`` and 0 above for ``v_N`` (N >= 1).  On ``v_N``'s window (below it the image is its
+    stored tail 0) ``I01 v_N`` is ``-q^(-N-1)`` on the shell ``-N`` and ``-q^-N`` above, with no
+    term linear in the shell; ``I01 v_0`` is ``-1/q`` on the shell 0.  A pairing with ``v_j``
+    (j >= 1) integrates over ``|x| <= q^-j`` less ``q^-j`` times the shell ``1-j``.  So with
+    ``e_N = s q^(N/2) v_N``, ``u = 1-1/q = s^2``, ``kappa = 1-u/q``, row 0 is ``-u/q``, then
+    ``s (kappa q^(-3N/2) - q^(-N/2))``; (1, 0) is ``s q^(-3/2)``; (j, n), 1 <= j <= n, is ``u kappa
+    q^-j q^(-3(n-j)/2)``; (n+1, n), n >= 1, is ``u q^(-n-3/2)``; all else is 0 (none overflows)."""
+    u, n = (q - 1.0) / q, np.arange(float(dim))
+    kappa, s, deep = 1.0 - u / q, math.sqrt(u), _pow(q, -1.5 * n)
+    out = _toeplitz(deep) * (u * kappa * _pow(q, -n))[:, None]
+    out[0], out[:2, 0] = s * (kappa * deep - _pow(q, -0.5 * n)), (-u / q, s * deep[1])
+    np.fill_diagonal(out[2:, 1:], u * _pow(q, -1.5 - n[1:-1]))
+    return out
 
 
 def _e_eigenvalues(q: float, name: str, dim: int) -> np.ndarray:
@@ -349,8 +369,8 @@ def _f_resolvent(q: float, dim: int) -> np.ndarray:
 def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
     """The matrix of ``name``, from its structure."""
     q = float(p.q)
-    if basis == "e" and name in ("D1O", "resolvent"):
-        return _e_eigenvalues(q, name, dim)
+    if basis == "e" and name in ("D1O", "resolvent", "I01"):
+        return _e_volterra(q, dim) if name == "I01" else _e_eigenvalues(q, name, dim)
     lo = 1 - dim  # the window start of element dim - 1: every image lives on lo..0
     shells, t, n_lo = _family_shells(q, basis, dim)
     if name == "J":  # kappa (<u, 1> log|x| - <u, log|x|>): rank 2
@@ -360,7 +380,7 @@ def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
         return kap * (np.outer(logs, ones) - np.outer(ones, logs))
     if basis == "f":
         return _f_resolvent(q, dim) if name == "resolvent" else _f_entries(p, name, shells)
-    image = _e_images(p, name, t)
+    image = _e_images(p, t)
     return np.column_stack([expand(KRadialFunction(p, lo, 0, image[:, n]), basis, dim) for n in range(dim)])
 
 
@@ -376,18 +396,18 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
     along its diagonals: the f-family ``D1O``, ``I1``, ``I01`` from
     ``f_(dim-1)`` and ``f_0`` (Toeplitz after a row scaling, exactly 0 below
     the diagonal of ``I1`` and on and below that of ``I01``), the e-family
-    ``I1``, ``I01`` from ``e_(dim-1)`` and ``e_0``, with one ``expand`` per
-    column (``perfbench/test_perfbench.py`` pins one ``field.expand`` span
-    per column of the ``I1`` e-matrix).  The f-family resolvent is its exact
-    kernel, ``J`` reads each element's two shells.  The gathered entries are
-    rounded otherwise than the column loop's (one operator application and
-    one ``expand`` per column), to the same order of their term mass; at
-    q = 2 the ``I1`` and ``I01`` e-matrices are its bits.  The matrix is
-    formed at ``alpha = 1`` whatever the ``alpha`` of ``params``.
+    ``I1`` from ``e_(dim-1)`` and ``e_0``, one ``expand`` per column (as
+    ``perfbench/test_perfbench.py`` pins).  The e-family ``I01`` is a closed
+    form, the f-family resolvent its exact kernel; ``J`` reads each
+    element's two shells.  The others are rounded otherwise than the column
+    loop (one operator application and one ``expand`` per column), to the
+    same order of their term mass; at q = 2 the ``I1`` e-matrix is its bits.  The
+    matrix is formed at ``alpha = 1`` whatever the ``alpha`` of ``params``.
     ``ValueError`` names the operator, family, ``q`` and ``dim`` where an
     image, an entry or a unit factor ``q^(N/2)`` leaves the double range:
     the ``D1O`` matrices from dim 1025 at q = 2 (648 in the e-, 647 in the
-    f-family at q = 3), every matrix from dim 731 at q = 7.
+    f-family at q = 3), at q = 7 every matrix from dim 731 but the e-family
+    ``I01`` and resolvent, which form no unit factor and only underflow.
     """
     if name not in OPERATOR_NAMES:
         raise ValueError(f"unknown operator {name!r}, expected one of {OPERATOR_NAMES}")
