@@ -16,8 +16,11 @@ Layers (``--layer``):
 - ``expand``: for q = 2, ``expand`` in the e- and f-family of a seeded
   random function shaped like an ``operator_matrix`` image (the shells
   ``1 - dim .. 0``, a nonzero tail, ``count = dim``) at dim in
-  {40, 160, 640}, and ``inner_product`` of two seeded random functions on
-  the shells ``1 - W .. 0`` (nonzero tails) at W in {100, 400, 1600}.
+  {40, 160, 640}; ``expand`` of ``e_9`` (its recurrence runs over the ten
+  shells ``-9 .. 0``) into the e-family at count in {40, 160, 640}, the
+  short windows below which the tail's closed form does the work; and
+  ``inner_product`` of two seeded random functions on the shells
+  ``1 - W .. 0`` (nonzero tails) at W in {100, 400, 1600}.
 - ``apply``: for q in {3, 7} and W in {100, 400, 1600}, a seeded random
   function on the shells ``1 - W .. 0`` with a nonzero tail, as in the
   ``shell-sweep`` benchmark: ``apply_I_alpha`` and ``apply_D_alpha_O`` at
@@ -29,9 +32,10 @@ Layers (``--layer``):
   before each call, so the scales are formed) and warm.  Deep windows
   take that scale out of the double range.
 - ``scan``: the shell-sum kernels at q = 3, on a seeded random function's
-  values on W in {100, 400, 1600} shells with a nonzero seed: ``_decay``, the
-  sequential loop of ``expand``, and ``_scan``, the log-depth scan of the
-  operators and the transform.
+  values on W in {10, 40, 100, 400, 1600} shells with a nonzero seed:
+  ``_decay``, the sequential loop of ``expand``, and ``_scan``, the
+  log-depth scan of the operators and the transform.  W = 10 and 40 are the
+  windows of ``verify``'s basis elements, where a call's set-up counts most.
 - ``charfn``: for q in {2, 3} and T in {50, 200, 800},
   ``characteristic_function`` up to order T and ``order_certificate`` of
   its entry g12 (``w_coefficients()[0, 1]``): the spectral calls of the
@@ -262,6 +266,8 @@ def expand_layer(timed) -> dict:
         image = _random(rng, dim)
         rows.append({"dim": dim, **{f"expand {family}": timed(lambda: expand(image, family, dim))
                                     for family in ("e", "f")}})
+    short = field.make_basis(FieldParams(Q), "e", 9)
+    counts = [{"count": count, "expand e_9": timed(lambda: expand(short, "e", count))} for count in dims]
     pairs = []
     for W in widths:
         u, v = _random(rng, W), _random(rng, W)
@@ -269,9 +275,11 @@ def expand_layer(timed) -> dict:
     return {
         "q": Q,
         "shapes": "expand: shells 1 - dim .. 0, nonzero tail, count = dim; "
+                  "expand e_9: e_9 into count e-coefficients; "
                   "inner_product: shells 1 - W .. 0, nonzero tails",
-        "per_call": rows + pairs,
+        "per_call": rows + counts + pairs,
         "scaling_exponent": {**_exponents(dims, rows, ("expand e", "expand f")),
+                             **_exponents(dims, counts, ("expand e_9",)),
                              **_exponents(widths, pairs, ("inner_product",))},
     }
 
@@ -328,7 +336,7 @@ def apply_layer(timed) -> dict:
 
 
 def scan_layer(timed) -> dict:
-    widths, q = (100, 400, 1600), 3.0
+    widths, q = (10, 40, 100, 400, 1600), 3.0
     rng = np.random.default_rng(1)
     rows = []
     for W in widths:

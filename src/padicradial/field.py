@@ -263,6 +263,16 @@ def _decay(w: np.ndarray, base: float, seed=0j, upward: bool = False) -> np.ndar
 _LAG = 512  # ``_scan``'s longest lag
 
 
+@functools.lru_cache(maxsize=32)
+def _scan_plan(base: float):
+    """``_scan``'s lag ``S``, ``base^-S`` and the pass powers ``(d, base^-d)``,
+    d = 1, 2, 4, .. < S, formed once per base; the last 32 bases are kept."""
+    lag = _LAG
+    while base**-lag < 2.0**-1022:  # the smallest normal double
+        lag //= 2
+    return lag, base**-lag, tuple((2**k, base ** -(2**k)) for k in range(lag.bit_length() - 1))
+
+
 def _scan(w: np.ndarray, base: float, seed=0j, upward: bool = False) -> np.ndarray:
     """``_decay``'s sums of one row ``w`` by a log-depth scan.
 
@@ -272,22 +282,19 @@ def _scan(w: np.ndarray, base: float, seed=0j, upward: bool = False) -> np.ndarr
     512 whose ``base^-S`` is a normal double (a subnormal lag power would
     spoil deep sums; ``FieldParams`` keeps ``S >= 1``): 512 for every base
     up to ``2^(1022/512)``, 256 up to ``2^(1022/256)``, and so on.  It
-    depends on the base alone, and each shell gets the same operations on
-    the same relative neighbours: a shell's sum does not depend on how far
-    the window reaches past it (above it; below it, ``upward``).
+    depends on the base alone (``_scan_plan``), and each shell gets the same
+    operations on the same relative neighbours: a shell's sum does not depend
+    on how far the window reaches past it (above it; below it, ``upward``).
     """
-    w, lag = (w[::-1] if upward else w), _LAG
-    while base**-lag < 2.0**-1022:  # the smallest normal double
-        lag //= 2
-    e = np.append(complex(seed), w[:-1])
+    w, (lag, stride, passes) = (w[::-1] if upward else w), _scan_plan(base)
+    e, n = np.empty(len(w), complex), len(w)
+    e[0], e[1:] = seed, w[:-1]
     g = e.view(float).reshape(-1, 2)  # real and imaginary parts, divided alike
     g[1:] /= base
-    d, n = 1, len(g)
-    while d < lag and d < n:
-        g[d:] += base**-d * g[:-d]
-        d *= 2
+    for d, power in passes[: (n - 1).bit_length()]:  # d < n
+        g[d:] += power * g[:-d]
     for i in range(lag, n, lag):
-        g[i : i + lag] += base**-lag * g[i - lag : min(i, n - lag)]
+        g[i : i + lag] += stride * g[i - lag : min(i, n - lag)]
     return e[::-1] if upward else e
 
 
@@ -566,8 +573,11 @@ def expand(u: KRadialFunction, family: str, count: int) -> np.ndarray:
     ``sqrt(q)`` seeded by the closed-form tail sum, it is
     ``(1-1/q) B(-N) - w_(-N+1) / sqrt(q)``, and ``sqrt(1-1/q) B(0)`` for
     ``e_0``.  Only relative powers of ``q`` are formed, so deep indices stay
-    finite, and the cost is one pass over the window and the ``count``
-    shells.
+    finite.  The recurrence runs over the window ``n_lo .. 0`` alone: below
+    it ``B`` is the tail's closed form ``t q^(n/2) / sqrt(1-1/q)``, and where
+    both shells of ``v_N`` lie below it (N > 1 - n_lo) the coefficient is
+    ``t`` times the integral of ``v_N``, exactly 0.  So the cost is O(W)
+    Python steps and O(count) array work.
     """
     if family not in ("e", "f"):
         raise ValueError(f"family must be 'e' or 'f', got {family!r}")
@@ -576,18 +586,19 @@ def expand(u: KRadialFunction, family: str, count: int) -> np.ndarray:
     _require_o(u, "expand")
     q = float(u.params.q)
     lo = min(u.n_lo, 1 - count)
-    r, h = _root_measure(q, lo)
-    w = u.values_on(lo, 0) * r
-    down = w[::-1][:count]  # w_(-n) for n = 0 .. count-1
-    if family == "f":
-        return down
-    root_q = math.sqrt(q)
-    # sum_{j < lo} w_j q^((j-lo)/2) with w_j = t sqrt(1-1/q) q^(j/2)
-    seed = u.inner_tail * h / math.sqrt(q - 1.0)
-    ball = (w + _decay(w, root_q, seed))[::-1][:count]  # B(-N)
-    out = (1.0 - 1.0 / q) * ball
-    out[1:] -= down[:-1] / root_q
-    out[:1] = math.sqrt(1.0 - 1.0 / q) * ball[:1]
+    r = _shell_roots(q, lo)
+    if family == "f" or count == 0:
+        return (u.values_on(lo, 0) * r)[::-1][:count]  # w_(-n) for n = 0 .. count-1
+    root_q, n = math.sqrt(q), 1 - u.n_lo  # the window's n shells
+    w = u.values_on(u.n_lo, 0) * r[u.n_lo - lo :]
+    # sum_{j < n_lo} w_j q^((j-n_lo)/2) with w_j = t sqrt(1-1/q) q^(j/2): B(n_lo - 1) / sqrt(q)
+    seed = u.inner_tail * _ball_root(q, u.n_lo) / math.sqrt(q - 1.0)
+    ball = (w + _decay(w, root_q, seed))[::-1][:count]  # B(-N), N < n
+    out = np.zeros(count, complex)
+    np.multiply(ball, 1.0 - 1.0 / q, out=out[:n])
+    out[n : n + 1] = (1.0 - 1.0 / q) * root_q * seed  # with B(n_lo - 1), the tail's
+    out[1 : n + 1] -= w[::-1][: count - 1] / root_q
+    out[0] = math.sqrt(1.0 - 1.0 / q) * ball[0]
     return out
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import (
     FieldParams,
@@ -65,7 +64,8 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
     rounded once, also where the value is subnormal.  ``OverflowError`` is
     raised when a value itself overflows, and when a subnormal bracket
     would be scaled up to a normal value (its lost bits would show as a
-    wrong result).
+    wrong result).  Neither can happen on a run where no factor exceeds 1
+    (``a n <= 0`` on every shell), which is returned unchecked.
     """
     if ns[-1] < ns[0]:  # descending: the ascending run, read backwards
         return _scaled(bracket[::-1], q, a, ns[::-1])[::-1]
@@ -76,6 +76,8 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
         for end in (slice(0, p0), slice(p1, len(ns))):  # the shells off the normal run
             if end.start < end.stop:
                 out[end] *= second[end][rows]
+        if a * ns[0] <= 0.0 and a * ns[-1] <= 0.0:
+            return out
         if not np.isfinite(out).all() and (~np.isfinite(out) & np.isfinite(bracket)).any():
             raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
         # a subnormal bracket has lost its low bits; scaled up to a normal
@@ -313,7 +315,7 @@ def _e_images(p: FieldParams, t: np.ndarray) -> np.ndarray:
     deep[:2] = unit, -unit / (q - 1.0)  # 2^k v_(dim-1) on the shells ns
     bracket = _integral(deep, unit, p, None)
     e0 = _integral(np.ones(1, complex), 1.0, p, ns[-1:])  # e_0 on the shell 0
-    moved = sliding_window_view(np.append(np.zeros(dim - 1), bracket), dim).T  # [i, N]: bracket[i - d]
+    moved = np.ndarray((dim, dim), complex, np.append(np.zeros(dim - 1), bracket), 0, (16, 16))  # bracket[i - d]
     image = _scaled(moved * (t.real / unit), q, 1.0, ns)
     image[:, 0] = np.append(np.zeros(dim - 1), e0)
     return image
@@ -363,7 +365,7 @@ def _f_resolvent(q: float, dim: int) -> np.ndarray:
     """
     j, roots = np.arange(dim), (1.0 - 1.0 / q) * _pow(q, -np.arange(2.0 * dim - 1.0) / 2.0)  # r_j r_n at j + n
     kernel = 1.0 + (1.0 - 1.0 / q) * np.minimum.outer(j, j) + np.eye(dim) / (q - 1.0)
-    return sliding_window_view(roots, dim) * kernel
+    return np.ndarray((dim, dim), float, roots, 0, (8, 8)) * kernel  # roots[j + n], as a view
 
 
 def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
@@ -371,7 +373,6 @@ def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
     q = float(p.q)
     if basis == "e" and name in ("D1O", "resolvent", "I01"):
         return _e_volterra(q, dim) if name == "I01" else _e_eigenvalues(q, name, dim)
-    lo = 1 - dim  # the window start of element dim - 1: every image lives on lo..0
     shells, t, n_lo = _family_shells(q, basis, dim)
     if name == "J":  # kappa (<u, 1> log|x| - <u, log|x|>): rank 2
         kap = (1.0 - q) / (2j * q * p.ln_q)
@@ -380,8 +381,10 @@ def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
         return kap * (np.outer(logs, ones) - np.outer(ones, logs))
     if basis == "f":
         return _f_resolvent(q, dim) if name == "resolvent" else _f_entries(p, name, shells)
-    image = _e_images(p, t)
-    return np.column_stack([expand(KRadialFunction(p, lo, 0, image[:, n]), basis, dim) for n in range(dim)])
+    image, out = _e_images(p, t), np.empty((dim, dim), complex)
+    for n in range(dim):  # e_N's image is 0 below its window -N .. 0
+        out[:, n] = expand(KRadialFunction(p, -n, 0, image[dim - 1 - n :, n]), basis, dim)
+    return out
 
 
 def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> OperatorMatrix:

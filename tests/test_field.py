@@ -432,6 +432,97 @@ def test_scan_lag_powers_stay_normal_under_a_deep_value(base, upward):
     assert all(abs(Fraction(got[i].real) - exact[i - 1]) <= 4 * eps * exact[i - 1] for i in normal)
 
 
+def scan_reference(w, base, seed=0j, upward=False):
+    """``_scan`` as it was before its plan was memoized: the lag searched and the
+    buffer appended on every call.  The kernel must keep its bits."""
+    w, lag = (w[::-1] if upward else w), 512
+    while base**-lag < 2.0**-1022:
+        lag //= 2
+    e = np.append(complex(seed), w[:-1])
+    g = e.view(float).reshape(-1, 2)
+    g[1:] /= base
+    d, n = 1, len(g)
+    while d < lag and d < n:
+        g[d:] += base**-d * g[:-d]
+        d *= 2
+    for i in range(lag, n, lag):
+        g[i : i + lag] += base**-lag * g[i - lag : min(i, n - lag)]
+    return e[::-1] if upward else e
+
+
+THRESHOLD_BASES = [2.0 ** (1022 / lag) * (1.0 + side * 1e-12) for lag in (512, 256, 128) for side in (-1, 1)]
+
+
+@pytest.mark.parametrize("upward", [False, True])
+@pytest.mark.parametrize("base", BASES + THRESHOLD_BASES)
+def test_scan_is_the_reference_kernel_bit_for_bit(base, upward):
+    # the memoized plan and the buffer filled in place change no bit, at the
+    # widths around the lag (strides or none) and on a one-shell window
+    lag = 512
+    while base**-lag < sys.float_info.min:
+        lag //= 2
+    rng = np.random.default_rng(lag)
+    for width in (1, 2, 3, lag - 1, lag, lag + 1, 1200):
+        w = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        s0 = complex(*rng.standard_normal(2))
+        assert np.array_equal(_scan(w, base, s0, upward=upward), scan_reference(w, base, s0, upward=upward))
+
+
+def test_expand_recurs_over_the_window_only(monkeypatch):
+    # the I1 e-matrix expands column N on e_N's window -N .. 0, N + 1 steps:
+    # dim (dim + 1) / 2 in all, where a recurrence over every column's shells
+    # 1 - dim .. 0 runs dim^2; a one-shell function at -7 runs the shells -7 .. 0
+    from padicradial.operators import operator_matrix
+
+    lengths, decay = [], padicradial.field._decay
+
+    def recorded(w, *args, **kwargs):
+        lengths.append(len(w))
+        return decay(w, *args, **kwargs)
+
+    monkeypatch.setattr(padicradial.field, "_decay", recorded)
+    operator_matrix(P2, "I1", "e", 40)
+    assert len(lengths) == 40 and sum(lengths) == 820
+    lengths.clear()
+    expand(make_basis(P2, "f", 7), "e", 61)
+    assert lengths == [8]
+
+
+def expand_reference(u, count):
+    """The e-coefficients by the recurrence over every shell from ``1 - count``
+    up, tail shells included, and their term mass: the same sums over ``|w|``."""
+    q = float(u.params.q)
+    lo = min(u.n_lo, 1 - count)
+    r, h = _root_measure(q, lo)
+    w = u.values_on(lo, 0) * r
+
+    def sums(w, t):  # the ball sums B(-N) and the shells w_(-N)
+        return (w + _decay(w, math.sqrt(q), t * h / math.sqrt(q - 1.0)))[::-1][:count], w[::-1][:count]
+
+    (ball, down), (ball_mass, down_mass) = sums(w, u.inner_tail), sums(np.abs(w), abs(u.inner_tail))
+    want, mass = (1.0 - 1.0 / q) * ball, (1.0 - 1.0 / q) * ball_mass.real
+    want[1:] -= down[:-1] / math.sqrt(q)
+    mass[1:] += down_mass[:-1] / math.sqrt(q)
+    want[:1], mass[:1] = math.sqrt(1.0 - 1.0 / q) * ball[:1], math.sqrt(1.0 - 1.0 / q) * ball_mass[:1].real
+    return want, mass
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+@pytest.mark.parametrize("width, count", [(1, 40), (5, 6), (17, 300), (60, 61)])
+def test_expand_below_the_window_is_the_tail_closed_form(q, width, count):
+    # a nonzero tail and more coefficients than the window has shells: below the
+    # window the ball sums are the tail's closed form, not the recurrence, and
+    # every coefficient is within 4 eps of its term mass of the recurrence's
+    rng = np.random.default_rng(width)
+    vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    u = KRadialFunction(FieldParams(q), 1 - width, 0, vals, complex(*rng.standard_normal(2)))
+    want, mass = expand_reference(u, count)
+    got = expand(u, "e", count)
+    assert np.all(np.abs(got - want) <= 4 * sys.float_info.epsilon * mass)
+    # both shells of v_N below the window: u is its tail there, and <t, v_N> = 0
+    assert np.all(got[width + 1 :] == 0)
+
+
 def test_expand_rejects_a_negative_count():
     with pytest.raises(ValueError, match="count"):
         expand(make_basis(P2, "e", 1), "e", -1)

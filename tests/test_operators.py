@@ -1010,6 +1010,60 @@ def test_scaled_against_exact_products(q, alpha, sign, edge, descending, data):
                 assert abs(mpmath.mpf(got) - exact) <= 2.0**-51 * abs(exact), (n, part)
 
 
+def scaled_reference(bracket, q, a, ns):
+    """``_scaled`` with both checks on every run: the products, then the
+    overflow and the underflow refusal."""
+    if ns[-1] < ns[0]:
+        return scaled_reference(bracket[::-1], q, a, ns[::-1])[::-1]
+    first, second, (p0, p1) = padicradial.field._run_scales(q, a, int(ns[0]), int(ns[-1]))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        rows = (slice(None),) + (None,) * (bracket.ndim - 1)
+        out = bracket * first[rows]
+        for end in (slice(0, p0), slice(p1, len(ns))):
+            if end.start < end.stop:
+                out[end] *= second[end][rows]
+        if not np.isfinite(out).all() and (~np.isfinite(out) & np.isfinite(bracket)).any():
+            raise OverflowError("overflow")
+        small = np.abs(bracket) < padicradial.field._TINY
+        if small.any() and (np.abs(out[small]) >= padicradial.field._TINY).any():
+            raise OverflowError("underflow")
+    return out
+
+
+@pytest.mark.parametrize("q, a", [(2, 1.0), (3, 0.9), (7, -2.0), (3, -1.0 - 1e-13)])
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("rows", [0, 2])
+def test_scaled_returns_unchecked_where_no_factor_exceeds_1(q, a, descending, rows):
+    # a n <= 0 on every shell, shell 0 included: brackets of inf, nan, 0 and
+    # subnormal parts, next to normal ones, from the normal run into the
+    # half-powers and past the memo's shells, keep the checked path's bits and
+    # raise nothing
+    specials = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -2.0**-1030, 2.0**-1022, 1.5, -1e300]
+    rng = np.random.default_rng(rows)
+    for start, length in ((0, 60), (1800, 300), (0, 2301)):  # |n| from start up
+        ns = np.sort(np.arange(float(start), start + length) * -math.copysign(1.0, a))
+        ns = ns[:: -1 if descending else 1].copy()
+        assert np.all(a * ns <= 0.0)
+        bracket = np.empty((length,) if rows == 0 else (length, rows), complex)
+        bracket.real, bracket.imag = rng.choice(specials, size=(2, *bracket.shape))
+        got = padicradial.operators._scaled(bracket, float(q), a, ns)
+        assert got.tobytes() == scaled_reference(bracket, float(q), a, ns).tobytes()
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_scaled_refusals_fire_where_a_factor_exceeds_1(descending):
+    # a run reaching from a n <= 0 up to 2^59: a finite bracket that overflows
+    # there, and a subnormal one that would be scaled up to a normal value, are
+    # refused as before
+    ns = np.arange(-40.0, 60.0)
+    for value, match in ((1e308, "beyond the double range"), (2.0**-1070, "underflow")):
+        bracket = np.zeros(len(ns), complex)
+        bracket[-1] = value
+        order = slice(None, None, -1 if descending else 1)
+        with pytest.raises(OverflowError, match=match):
+            padicradial.operators._scaled(bracket[order].copy(), 2.0, 1.0, ns[order].copy())
+
+
 def test_scaled_rounds_a_subnormal_value_once():
     # the factor 3^-15 is a normal double and the value b 3^-15 a subnormal
     # one: it is the exact product rounded once (two half-powers round twice)

@@ -24,9 +24,10 @@ def test_expand_layer_writes_a_record_with_finite_exponents(tmp_path):
                            "revision", "numpy", "python", "machine"}
     assert record["speed_factor"] > 0
     assert record["layer"] == "expand"
-    assert [row.get("dim") or row.get("W") for row in record["per_call"]] == [40, 160, 640, 100, 400, 1600]
+    sizes = [row.get("dim") or row.get("count") or row.get("W") for row in record["per_call"]]
+    assert sizes == [40, 160, 640, 40, 160, 640, 100, 400, 1600]
     exponents = record["scaling_exponent"]
-    assert set(exponents) == {"expand e", "expand f", "inner_product"}
+    assert set(exponents) == {"expand e", "expand f", "expand e_9", "inner_product"}
     assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())
 
 
@@ -54,7 +55,7 @@ def test_scan_layer_times_both_kernels_at_every_width(tmp_path):
     assert load_scaling().main(["--layer", "scan", "--seconds", "0", "--into", str(dst)]) == 0
     record = json.loads(dst.read_text())["run"]
     assert record["layer"] == "scan"
-    assert [row["W"] for row in record["per_call"]] == [100, 400, 1600]
+    assert [row["W"] for row in record["per_call"]] == [10, 40, 100, 400, 1600]
     assert all("median" in row[name] for row in record["per_call"] for name in row if name != "W")
     exponents = record["scaling_exponent"]
     assert set(exponents) == {"_decay", "_scan"}
