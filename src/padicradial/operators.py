@@ -26,7 +26,7 @@ from .field import (
     _require_o,
     _run_scales,
     _scan,
-    _shell_roots,
+    _unit_scale,
     expand,
     o_integral,
 )
@@ -50,9 +50,8 @@ OPERATOR_NAMES = ("D1O", "I1", "I01", "J", "resolvent")
 
 
 def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarray:
-    """``bracket * q^(a n)`` on the shells ``ns``, a nonempty run of
-    consecutive shells, ascending or descending (the first axis; rows, if
-    any, on a second axis share the scale of their shell).
+    """``bracket * q^(a n)`` on the shells ``ns``, a nonempty ascending run of
+    consecutive shells.
 
     The scale is ``field._scales_on``'s: per shell one factor where
     ``q^(a n)`` is a normal double, two half-powers elsewhere.  It is read
@@ -67,15 +66,12 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
     wrong result).  Neither can happen on a run where no factor exceeds 1
     (``a n <= 0`` on every shell), which is returned unchecked.
     """
-    if ns[-1] < ns[0]:  # descending: the ascending run, read backwards
-        return _scaled(bracket[::-1], q, a, ns[::-1])[::-1]
     first, second, (p0, p1) = _run_scales(q, a, int(ns[0]), int(ns[-1]))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rows = (slice(None),) + (None,) * (bracket.ndim - 1)  # one scale per shell, on every row
-        out = bracket * first[rows]
+        out = bracket * first
         for end in (slice(0, p0), slice(p1, len(ns))):  # the shells off the normal run
             if end.start < end.stop:
-                out[end] *= second[end][rows]
+                out[end] *= second[end]
         if a * ns[0] <= 0.0 and a * ns[-1] <= 0.0:
             return out
         if not np.isfinite(out).all() and (~np.isfinite(out) & np.isfinite(bracket)).any():
@@ -86,24 +82,6 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
         if small.any() and (np.abs(out[small]) >= _TINY).any():
             raise OverflowError(f"operator value lost to underflow (scale q^({a!r} n), q={q:g})")
     return out
-
-
-# The operator cores below act on the shell values ``vals`` (or the deviation
-# ``dev``) of one function on the shells ``ns``; with ``ns=None`` they return the
-# bracket, the output before ``_scaled``, which depends only on the shells'
-# places in the window: the dilation covariance the matrices are gathered by.
-
-
-def _derivative(dev: np.ndarray, t, p: FieldParams, ns: np.ndarray) -> np.ndarray:
-    """``D^alpha`` on the shells ``ns`` from the deviation ``dev = u - t``, which may
-    reach above them.  ``dev`` vanishes at ``ns[0]``, the shell below the first one
-    where ``u`` differs from ``t``, so the downward sums start there at exactly 0."""
-    q, a = float(p.q), p.alpha
-    qa = q**a
-    down_up = _scan(dev, q) + _scan(dev, qa, _div(-t, qa - 1.0), upward=True)
-    diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
-    bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
-    return bracket if ns is None else _scaled(bracket[: len(ns)], q, -a, ns)
 
 
 def apply_D_alpha(
@@ -140,15 +118,21 @@ def apply_D_alpha(
             f"output window must start at or below the input window ({lo} > {u.n_lo})"
         )
 
-    t = u.inner_tail
+    t, q, a = u.inner_tail, float(p.q), p.alpha
     # the recurrence starts at the lowest shell whose value differs from the
     # tail: below it the input is constant, so the output is the constant
     # ``out[0]`` there, however far the input or output window reaches
     moved = np.flatnonzero(u.values != t)
     first = u.n_lo + (int(moved[0]) if moved.size else len(u.values) - 1)
     m, top = first - 1, max(hi, first)
-    dev = u.values_on(m, max(top, u.n_hi)) - t  # zero below ``first``, -t above the window
-    out = _derivative(dev, t, p, np.arange(m, top + 1.0))
+    # the deviation is 0 on the shell ``m``, where the downward sums start at
+    # exactly 0, and -t above the window
+    dev = u.values_on(m, max(top, u.n_hi)) - t
+    qa = q**a
+    down_up = _scan(dev, q) + _scan(dev, qa, _div(-t, qa - 1.0), upward=True)
+    diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
+    bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
+    out = _scaled(bracket[: top - m + 1], q, -a, np.arange(m, top + 1.0))
     image = KRadialFunction(p, first, top, out[1:], out[0])
     return image if (lo, hi) == (first, top) else KRadialFunction(p, lo, hi, image.values_on(lo, hi), out[0])
 
@@ -184,8 +168,7 @@ def _integral(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray) -> np.ndarray
     qa = q**a
     # (1-1/q) (1-q^-alpha) q^(1-alpha)
     coef = (1.0 - 1.0 / q) * (qa - 1.0) * q / (qa * qa)
-    bracket = vals / qa - coef * _volterra_sums(vals, t, q, qa)
-    return bracket if ns is None else _scaled(bracket, q, a, ns)
+    return _scaled(vals / qa - coef * _volterra_sums(vals, t, q, qa), q, a, ns)
 
 
 def apply_I_alpha(u: KRadialFunction, out_hi: int = 0) -> KRadialFunction:
@@ -210,13 +193,6 @@ def apply_I_alpha(u: KRadialFunction, out_hi: int = 0) -> KRadialFunction:
     return KRadialFunction(u.params, u.n_lo, out_hi, out)
 
 
-def _volterra(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray) -> np.ndarray:
-    """``I01`` of the values ``vals`` with tail ``t`` on the shells ``ns``."""
-    q = float(p.q)
-    bracket = -((1.0 - 1.0 / q) ** 2) * _volterra_sums(vals, t, q, q)
-    return bracket if ns is None else _scaled(bracket, q, 1.0, ns)
-
-
 def apply_I01(u: KRadialFunction) -> KRadialFunction:
     """Volterra part of the order-one integral: logarithmic kernel only.
 
@@ -230,7 +206,9 @@ def apply_I01(u: KRadialFunction) -> KRadialFunction:
     (``u.with_window``) to see more of them.
     """
     _require_o(u, "apply_I01")
-    out = _volterra(u.values_on(u.n_lo, 0), u.inner_tail, u.params, np.arange(u.n_lo, 1.0))
+    q = float(u.params.q)
+    sums = _volterra_sums(u.values_on(u.n_lo, 0), u.inner_tail, q, q)
+    out = _scaled(-((1.0 - 1.0 / q) ** 2) * sums, q, 1.0, np.arange(u.n_lo, 1.0))
     return KRadialFunction(u.params, u.n_lo, 0, out)
 
 
@@ -276,49 +254,19 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", ent)
 
 
-def _toeplitz(d: np.ndarray) -> np.ndarray:  # a view: d[n - j] at (j, n >= j), 0 below the diagonal
-    return np.ndarray((len(d), len(d)), float, np.append(np.zeros(len(d) - 1), d), (len(d) - 1) * 8, (-8, 8))
+def _toeplitz(d: np.ndarray, below: np.ndarray | None = None) -> np.ndarray:
+    """A view: ``d[n - j]`` at (j, n >= j), and ``below[j - n - 1]`` (or 0) below the diagonal."""
+    lower = np.zeros(len(d) - 1) if below is None else below[::-1]
+    return np.ndarray((len(d), len(d)), float, np.append(lower, d), (len(d) - 1) * 8, (-8, 8))
 
 
-def _f_entries(p: FieldParams, name: str, shells: np.ndarray) -> np.ndarray:
-    """The f-family matrix of ``name`` along its diagonals: ``f_n`` is ``f_(dim-1)`` moved
-    ``d = dim-1-n`` shells up over ``q^(d/2)``, and so is its image's bracket, so that of
-    ``f_(dim-1)`` on the shell ``k + 1 - dim`` times its root measure is the entry (j, j + k)
-    over ``q^(-a j)`` (``a`` = 1 for ``I1``, ``I01``; -1 for ``D1O``, whose entries below the
-    diagonal are ``q^n L r_(n-j)``, ``L`` the image of ``f_0`` below its shell)."""
-    q, dim = float(p.q), shells.shape[1]
-    r, rows = _shell_roots(q, 1 - dim), np.arange(0.0, -dim, -1.0)  # row j is the shell -j
-    if name == "D1O":  # f_0 on the shells -1, 0 and f_(dim-1) on -dim .. 0
-        f0 = _derivative(np.array([0j, shells[0, 0]]), 0j, p, None).real
-        dev = np.zeros(dim + 1, complex)
-        dev[1] = shells[0, -1]
-        bracket = _derivative(dev, 0j, p, None).real
-        below = np.append(0.0, q * f0[0] * r[-2::-1])  # L r_(-1), .., L r_lo
-        return (_scaled(_toeplitz(bracket[1:] * r), q, -1.0, rows)
-                + _scaled(_toeplitz(below), q, -1.0, rows).T)
-    vals = np.append(shells[0, -1], np.zeros(dim - 1))
-    bracket = (_volterra if name == "I01" else _integral)(vals, 0j, p, None).real
-    return _scaled(_toeplitz(bracket * r), q, 1.0, rows)
-
-
-def _e_images(p: FieldParams, t: np.ndarray) -> np.ndarray:
-    """The ``I1`` images of ``e_0 .. e_(dim-1)`` (tails ``t``) on the shells
-    ``1-dim .. 0``, a column each.  ``v_N`` is ``v_(dim-1)`` moved ``d = dim-1-N`` shells
-    up, and so is its image's bracket, formed once for ``2^k v_(dim-1)``,
-    ``2^k >= s_(dim-1)`` (a power of two changes none of its bits, and keeps it normal as
-    deep as ``e_(dim-1)``'s), and taken times ``s_N / 2^k`` into column ``N`` before
-    ``_scaled``.  Below ``e_N``'s window its image is 0; ``e_0`` has its own one-row call."""
-    q, dim = float(p.q), len(t)
-    ns = np.arange(1.0 - dim, 1.0)
-    unit = math.ldexp(1.0, math.frexp(t[-1].real)[1])
-    deep = np.zeros(dim, complex)
-    deep[:2] = unit, -unit / (q - 1.0)  # 2^k v_(dim-1) on the shells ns
-    bracket = _integral(deep, unit, p, None)
-    e0 = _integral(np.ones(1, complex), 1.0, p, ns[-1:])  # e_0 on the shell 0
-    moved = np.ndarray((dim, dim), complex, np.append(np.zeros(dim - 1), bracket), 0, (16, 16))  # bracket[i - d]
-    image = _scaled(moved * (t.real / unit), q, 1.0, ns)
-    image[:, 0] = np.append(np.zeros(dim - 1), e0)
-    return image
+def _powers(q: float, sign: float, dim: int, what: str = "", basis: str = "") -> np.ndarray:
+    """``q^(sign N)`` for N = 0 .. dim-1.  An overflowing ``q^N`` is named as the ``what`` of the
+    deepest element of the family ``basis``, where Python's pow reports an errno tuple."""
+    try:
+        return _pow(q, sign * np.arange(dim, dtype=float))
+    except OverflowError:
+        raise OverflowError(f"the {what} q^N = {q:g}^{dim - 1} of {basis}_{dim - 1} overflows") from None
 
 
 def _e_volterra(q: float, dim: int) -> np.ndarray:
@@ -343,74 +291,98 @@ def _e_volterra(q: float, dim: int) -> np.ndarray:
 def _e_eigenvalues(q: float, name: str, dim: int) -> np.ndarray:
     """The ``D1O`` or resolvent e-matrix: ``D1O e_N = q^N e_N`` (N >= 1) and
     ``D1O e_0 = lambda_1 e_0``, ``lambda_1 = q/(q+1)``; the resolvent inverts both."""
-    sign = 1.0 if name == "D1O" else -1.0
-    try:
-        eigenvalues = _pow(q, sign * np.arange(dim, dtype=float))
-    except OverflowError:
-        raise OverflowError(f"the eigenvalue q^N = {q:g}^{dim - 1} of e_{dim - 1} overflows") from None
+    eigenvalues = _powers(q, 1.0 if name == "D1O" else -1.0, dim, "eigenvalue", "e")
     eigenvalues[0] = q / (q + 1.0) if name == "D1O" else (q + 1.0) / q
     return np.diag(eigenvalues)
 
 
-def _f_resolvent(q: float, dim: int) -> np.ndarray:
-    """The resolvent's f-matrix from its exact symmetric kernel, which does not cancel.
+def _e_i1(p: FieldParams, dim: int) -> np.ndarray:
+    """The ``I1`` e-matrix, one ``expand`` per column.  ``I1 e_0 = 0``, and with
+    ``e_N = t_N v_N`` (N >= 1), ``I1 v_N`` is ``I01 v_N`` (see ``_e_volterra``) plus the
+    diagonal term ``q^(n-1) v_N``: ``-q^-N (0, q/(q-1), 1, .., 1)`` on the shells
+    ``-N .. 0``, and 0 below, where ``v_N`` is constant.  ``t_N q^-N`` is formed in two
+    halves ``q^(-N/2)``: ``q^-N`` alone turns subnormal while ``t_N`` is still a double."""
+    q, n = float(p.q), np.arange(dim)
+    half = _pow(q, -n / 2.0)
+    scale = _unit_scale(q, "e", n) * half * half
+    shape = np.append([0.0, -q / (q - 1.0)], -np.ones(dim - 2))
+    out = np.empty((dim, dim), complex)
+    for N in range(dim):  # e_0's column: 0 on the shell 0
+        out[:, N] = expand(KRadialFunction(p, -N, 0, scale[N] * shape[: N + 1]), "e", dim)
+    return out
 
-    For the indicator ``u = 1_(-m)`` of a shell of measure ``mu_m = (1-1/q) q^-m``,
-    ``I^1 u`` is ``mu_m / (q-1)`` on the shell ``-m``, ``-(1-1/q) (n+m) mu_m`` on a shell
-    ``n > -m`` and 0 below, and ``c(u) = int_O u / q - (I^1 u)(q) = (1 + (1-1/q) m) mu_m``.
-    So ``R u = I^1 u + c(u)`` is ``(1 + (1-1/q) min(j, m) + [j = m]/(q-1)) mu_m`` on the
-    shell ``-j``, and with ``f_n = 1_(-n) / r_n``, ``r_n = sqrt(mu_n)``, the entry
-    ``(j, n)`` is ``r_j r_n (1 + (1-1/q) min(j, n) + [j = n]/(q-1))``: no term cancels,
-    where ``I1`` plus ``c(f_n) r_j`` cancels to 1/136 of its terms at dim 160.
+
+def _f_kernel(q: float, name: str, dim: int) -> np.ndarray:
+    """The f-family matrix of ``name`` from its exact kernel, which does not cancel.
+
+    With ``u = 1-1/q``, ``f_n = 1_(-n) / r_n``, ``r_n = sqrt(u q^-n)``, the entry ``(j, n)``
+    is ``r_j`` times the image of ``f_n`` on the shell ``-j``.  The log kernel's weight
+    ``n - j`` counts the balls between the shells, each of mass ``u q^-n`` for ``1_(-n)``,
+    so ``I01`` is ``-u^2 (n-j) q^(-(j+n)/2)`` above the diagonal and 0 on and below it,
+    and ``I1`` adds its diagonal term ``q^(-j-1)``: a Toeplitz matrix times ``q^-j``.
+    ``D1O f_n`` on a shell ``-j`` above ``-n`` is ``theta u q^(2j-n) / r_n`` (the downward
+    sum), below it ``theta u q^n / r_n`` (the upward sum), and on it the diagonal
+    coefficient ``(2q-2)/(1-q^-2)/q`` times ``q^n / r_n``: with ``theta u q^j q^(-(n-j)/2)``
+    above the diagonal, a symmetric Toeplitz matrix times ``q^min(j, n)``.
+
+    For the resolvent, with ``mu_m = u q^-m``, ``I^1 1_(-m)`` is ``mu_m / (q-1)`` on the
+    shell ``-m``, ``-u (n+m) mu_m`` on a shell ``n > -m`` and 0 below, and
+    ``c(1_(-m)) = int_O 1_(-m) / q - (I^1 1_(-m))(q) = (1 + u m) mu_m``.  So ``R 1_(-m)``
+    is ``(1 + u min(j, m) + [j = m]/(q-1)) mu_m`` on the shell ``-j``, and the entry is
+    ``r_j r_n (1 + u min(j, n) + [j = n]/(q-1))``: no term cancels, where ``I1`` plus
+    ``c(f_n) r_j`` cancels to 1/136 of its terms at dim 160.
     """
-    j, roots = np.arange(dim), (1.0 - 1.0 / q) * _pow(q, -np.arange(2.0 * dim - 1.0) / 2.0)  # r_j r_n at j + n
-    kernel = 1.0 + (1.0 - 1.0 / q) * np.minimum.outer(j, j) + np.eye(dim) / (q - 1.0)
-    return np.ndarray((dim, dim), float, roots, 0, (8, 8)) * kernel  # roots[j + n], as a view
+    u, k = 1.0 - 1.0 / q, np.arange(float(dim))
+    if name == "resolvent":
+        roots = u * _pow(q, -np.arange(2.0 * dim - 1.0) / 2.0)  # r_j r_n at j + n
+        kernel = 1.0 + u * np.minimum.outer(k, k) + np.eye(dim) / (q - 1.0)
+        return np.ndarray((dim, dim), float, roots, 0, (8, 8)) * kernel  # roots[j + n], as a view
+    half = _pow(q, -k / 2.0)
+    if name == "D1O":
+        d = (1.0 - q) / (1.0 - q**-2.0) * u * half  # theta_1 u q^(-k/2)
+        d[0] = (2.0 * q - 2.0) / (1.0 - q**-2.0) / q
+        power = _powers(q, 1.0, dim, "diagonal factor", "f")
+        return _toeplitz(d, d[1:]) * np.minimum.outer(power, power)  # q^min(j, n) = min(q^j, q^n)
+    d = -u * u * k * half
+    d[0] = 0.0 if name == "I01" else 1.0 / q
+    return _toeplitz(d) * _powers(q, -1.0, dim)[:, None]
 
 
 def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
     """The matrix of ``name``, from its structure."""
     q = float(p.q)
-    if basis == "e" and name in ("D1O", "resolvent", "I01"):
-        return _e_volterra(q, dim) if name == "I01" else _e_eigenvalues(q, name, dim)
-    shells, t, n_lo = _family_shells(q, basis, dim)
     if name == "J":  # kappa (<u, 1> log|x| - <u, log|x|>): rank 2
         kap = (1.0 - q) / (2j * q * p.ln_q)
-        ones, logs = _element_integrals(q, shells, t, n_lo)
+        ones, logs = _element_integrals(q, *_family_shells(q, basis, dim))
         ones, logs = ones.real, (logs * p.ln_q).real
         return kap * (np.outer(logs, ones) - np.outer(ones, logs))
     if basis == "f":
-        return _f_resolvent(q, dim) if name == "resolvent" else _f_entries(p, name, shells)
-    image, out = _e_images(p, t), np.empty((dim, dim), complex)
-    for n in range(dim):  # e_N's image is 0 below its window -N .. 0
-        out[:, n] = expand(KRadialFunction(p, -n, 0, image[dim - 1 - n :, n]), basis, dim)
-    return out
+        return _f_kernel(q, name, dim)
+    if name == "I1":
+        return _e_i1(p, dim)
+    return _e_volterra(q, dim) if name == "I01" else _e_eigenvalues(q, name, dim)
 
 
 def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> OperatorMatrix:
     """Matrix of one of the order-one operators in the e- or f-family.
 
     Column ``n`` is the expansion of the operator's image of basis element
-    ``n``, at closed-form accuracy.  The ``v_N`` are eigenfunctions of
-    ``D1O``, so its e-matrix is the diagonal of ``q/(q+1)``, ``q``, ``q^2``,
-    .. and the resolvent's that of their inverses.  The other operators
-    commute with the dilation ``x -> pi x`` up to a power of q, so an image
-    is that of the deepest element moved up, and the matrix is gathered
-    along its diagonals: the f-family ``D1O``, ``I1``, ``I01`` from
-    ``f_(dim-1)`` and ``f_0`` (Toeplitz after a row scaling, exactly 0 below
-    the diagonal of ``I1`` and on and below that of ``I01``), the e-family
-    ``I1`` from ``e_(dim-1)`` and ``e_0``, one ``expand`` per column (as
-    ``perfbench/test_perfbench.py`` pins).  The e-family ``I01`` is a closed
-    form, the f-family resolvent its exact kernel; ``J`` reads each
-    element's two shells.  The others are rounded otherwise than the column
-    loop (one operator application and one ``expand`` per column), to the
-    same order of their term mass; at q = 2 the ``I1`` e-matrix is its bits.  The
-    matrix is formed at ``alpha = 1`` whatever the ``alpha`` of ``params``.
-    ``ValueError`` names the operator, family, ``q`` and ``dim`` where an
-    image, an entry or a unit factor ``q^(N/2)`` leaves the double range:
+    ``n``, written from the operator's structure: the ``D1O`` and resolvent
+    e-matrices from their eigenvalues (the ``v_N`` are eigenfunctions of
+    ``D1O``), the ``I01`` e-matrix in closed form, every f-matrix from its
+    exact kernel, ``J`` from each element's two shells, and the ``I1``
+    e-matrix by one ``expand`` of each column's closed-form image (as
+    ``perfbench/test_perfbench.py`` pins).  Each entry is rounded otherwise
+    than by the column loop (one operator application and one ``expand`` per
+    column), to the same order of its term mass; ``J``, and at q = 2 the
+    ``I1`` e-matrix, are its bits.  The matrix is formed at ``alpha = 1``
+    whatever the ``alpha`` of ``params``.  ``ValueError`` names the
+    operator, family, ``q`` and ``dim`` where an entry, the power ``q^N`` of
+    a ``D1O`` diagonal or a unit factor ``q^(N/2)`` leaves the double range:
     the ``D1O`` matrices from dim 1025 at q = 2 (648 in the e-, 647 in the
-    f-family at q = 3), at q = 7 every matrix from dim 731 but the e-family
-    ``I01`` and resolvent, which form no unit factor and only underflow.
+    f-family at q = 3), and at q = 7 ``J`` and the ``I1`` e-matrix from dim
+    731.  The e-family ``I01`` and resolvent and the f-family ``I1``, ``I01``
+    and resolvent form no unit factor and only underflow.
     """
     if name not in OPERATOR_NAMES:
         raise ValueError(f"unknown operator {name!r}, expected one of {OPERATOR_NAMES}")
@@ -423,7 +395,7 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
         try:
             entries = _entries(p1, name, basis, dim)
             beyond = None if np.all(np.isfinite(entries)) else "an entry is not finite"
-        except (OverflowError, ValueError) as exc:  # an image, an entry or a unit factor
+        except (OverflowError, ValueError) as exc:  # an entry, a power q^N or a unit factor
             beyond = str(exc)
     if beyond:
         raise ValueError(
