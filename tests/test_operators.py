@@ -718,18 +718,29 @@ def test_matrices_from_one_image_against_direct_sums(name, basis, q, dim):
             assert gap.max() <= 4 * EPS * np.abs(exact).max(), n
 
 
-@pytest.mark.parametrize("dim", [2, 3, 24, 40])
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
-@pytest.mark.parametrize("name, basis", [("I01", "e"), ("D1O", "f"), ("I1", "f"), ("I01", "f")])
-def test_i01_e_matrix_against_100_digit_sums(name, basis, q, dim):
-    # the closed forms and exact kernels hold every entry to 8 ulp of itself (3 measured
-    # for the I01 e-matrix, 4 for the f-matrices) and have the oracle's exact zeros; at
-    # 40 digits the oracle itself cannot resolve the deep entries (at q = 11, dim 40 it
-    # reads the I01 e-matrix's M[1, 39] = 3.314e-61 as 8.92e-61)
+def assert_is_the_100_digit_matrix(q, name, basis, dim):
+    """Every entry within 8 ulp of itself, with the oracle's exact zeros."""
     mat = operator_matrix(FieldParams(q), name, basis, dim).entries
     exact = np.column_stack([[v for v, _ in mp_matrix_column(q, name, basis, n, dim, dps=100)] for n in range(dim)])
     assert np.array_equal(mat == 0.0, exact == 0.0) and np.all(mat.imag == 0.0)
     assert np.all(np.abs(mat - exact) <= 8 * np.spacing(np.abs(exact)))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 24, 40])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_i01_e_matrix_against_100_digit_sums(q, dim):
+    # the closed form holds every entry to 8 ulp of itself (3 measured) and has the
+    # oracle's exact zeros; at 40 digits the oracle itself cannot resolve the deep entries
+    # (at q = 11, dim 40 it reads M[1, 39] = 3.314e-61 as 8.92e-61)
+    assert_is_the_100_digit_matrix(q, "I01", "e", dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 24, 40])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("name", ["D1O", "I1", "I01"])
+def test_f_matrices_against_100_digit_sums(name, q, dim):
+    # the exact kernels hold every entry to the same 8 ulp (4 measured)
+    assert_is_the_100_digit_matrix(q, name, "f", dim)
 
 
 @pytest.mark.xfail(strict=True, reason="the I1 e-matrix is expanded per column, "
@@ -1030,33 +1041,47 @@ def scaled_reference(bracket, q, a, ns):
     return out
 
 
+def strided_run(values, descending, rows):
+    """``values`` as a 1-D view: stored in reverse and read through a negative
+    stride if ``descending``, and as column 0 of a ``(len, rows)`` array if
+    ``rows``; the shells it is scaled on stay one ascending run."""
+    storage = np.zeros((len(values), max(rows, 1)), complex)
+    view = storage[::-1, 0] if descending else storage[:, 0]
+    view[:] = values
+    return view
+
+
 @pytest.mark.parametrize("q, a", [(2, 1.0), (3, 0.9), (7, -2.0), (3, -1.0 - 1e-13)])
-def test_scaled_returns_unchecked_where_no_factor_exceeds_1(q, a):
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("rows", [0, 2])
+def test_scaled_returns_unchecked_where_no_factor_exceeds_1(q, a, descending, rows):
     # a n <= 0 on every shell, shell 0 included: brackets of inf, nan, 0 and
     # subnormal parts, next to normal ones, from the normal run into the
     # half-powers and past the memo's shells, keep the checked path's bits and
-    # raise nothing
+    # raise nothing, whatever the bracket's memory layout
     specials = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -2.0**-1030, 2.0**-1022, 1.5, -1e300]
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(rows)
     for start, length in ((0, 60), (1800, 300), (0, 2301)):  # |n| from start up
         ns = np.sort(np.arange(float(start), start + length) * -math.copysign(1.0, a))
         assert np.all(a * ns <= 0.0)
-        bracket = np.empty(length, complex)
-        bracket.real, bracket.imag = rng.choice(specials, size=(2, *bracket.shape))
+        values = np.empty(length, complex)
+        values.real, values.imag = rng.choice(specials, size=(2, length))
+        bracket = strided_run(values, descending, rows)
         got = padicradial.operators._scaled(bracket, float(q), a, ns)
-        assert got.tobytes() == scaled_reference(bracket, float(q), a, ns).tobytes()
+        assert got.tobytes() == scaled_reference(values, float(q), a, ns).tobytes()
 
 
-def test_scaled_refusals_fire_where_a_factor_exceeds_1():
+@pytest.mark.parametrize("descending", [False, True])
+def test_scaled_refusals_fire_where_a_factor_exceeds_1(descending):
     # a run reaching from a n <= 0 up to 2^59: a finite bracket that overflows
     # there, and a subnormal one that would be scaled up to a normal value, are
-    # refused as before
+    # refused as before, whatever the bracket's memory layout
     ns = np.arange(-40.0, 60.0)
     for value, match in ((1e308, "beyond the double range"), (2.0**-1070, "underflow")):
-        bracket = np.zeros(len(ns), complex)
-        bracket[-1] = value
+        values = np.zeros(len(ns), complex)
+        values[-1] = value
         with pytest.raises(OverflowError, match=match):
-            padicradial.operators._scaled(bracket, 2.0, 1.0, ns)
+            padicradial.operators._scaled(strided_run(values, descending, 0), 2.0, 1.0, ns)
 
 
 def test_scaled_rounds_a_subnormal_value_once():
