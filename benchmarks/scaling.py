@@ -7,12 +7,12 @@ Layers (``--layer``):
   range ``(1 - m, m + 1)``, ``m = W - 1``, and ``laplace_invert`` of that
   transform with ``m_max = m``: the calls of the ``shell-sweep`` benchmark.
 - ``operator_matrix``: for q = 2 and dim in {40, 160, 640, 1280},
-  ``operator_matrix`` of D1O, I1, I01 and the resolvent in the e-family and
-  of all five operators in the f-family, ``volterra_check`` (the I01
-  f-matrix, its lower triangle, diagonal and superdiagonal; no ``eigvals``
-  or ``svd``), whose ``dense_share`` is the part of its time not spent
-  forming that matrix, and ``i1_eigenpairs`` (the closed-form eigenpairs
-  of the I1 e-matrix; it forms no matrix).
+  ``operator_matrix`` of all five operators in the e- and the f-family,
+  ``volterra_check`` (the I01 f-matrix, its lower triangle, diagonal and
+  superdiagonal; no ``eigvals`` or ``svd``), whose ``dense_share`` is the
+  part of its time not spent forming that matrix, ``i1_eigenpairs`` (the
+  closed-form eigenpairs of the I1 e-matrix; it forms no matrix) and
+  ``j_diagnostics`` (the J e-matrix's trace and Frobenius norm).
 - ``expand``: for q = 2, ``expand`` in the e- and f-family of a seeded
   random function shaped like an ``operator_matrix`` image (the shells
   ``1 - dim .. 0``, a nonzero tail, ``count = dim``) at dim in
@@ -225,9 +225,9 @@ def laplace_layer(timed) -> dict:
     }
 
 
-MATRICES = (("D1O", "e"), ("I1", "e"), ("I01", "e"), ("resolvent", "e"),
+MATRICES = (("D1O", "e"), ("I1", "e"), ("I01", "e"), ("resolvent", "e"), ("J", "e"),
             ("D1O", "f"), ("I1", "f"), ("I01", "f"), ("resolvent", "f"), ("J", "f"))
-SPECTRAL = ("volterra_check", "i1_eigenpairs")
+SPECTRAL = ("volterra_check", "i1_eigenpairs", "j_diagnostics")
 
 
 def operator_matrix_layer(timed) -> dict:
@@ -247,7 +247,7 @@ def operator_matrix_layer(timed) -> dict:
         rows.append(row)
     return {
         "q": Q,
-        "families": "D1O, I1, I01, resolvent in e; D1O, I1, I01, resolvent, J in f",
+        "families": "D1O, I1, I01, resolvent, J in e and f",
         "per_call": rows,
         "scaling_exponent": _exponents(dims, rows, series),
     }

@@ -206,8 +206,8 @@ def _power(q: float, head: float, a: float, ns: np.ndarray) -> np.ndarray:
     return power if a == head else power * np.power(q, (a - head) * ns)
 
 
-def _ball_root(q: float, n_lo):
-    """``q^((n_lo-1)/2)``, one per row for an array of ``n_lo``."""
+def _ball_root(q: float, n_lo: int) -> float:
+    """``q^((n_lo-1)/2)``."""
     return _pow(q, (n_lo - 1.0) / 2.0)
 
 
@@ -220,18 +220,6 @@ def _pow(x, k):
     if isinstance(k, np.ndarray):
         return np.fromiter(map(pow, itertools.repeat(x), k.ravel().tolist()), float, k.size).reshape(k.shape)
     return x**k
-
-
-def _div(z, d: float):
-    """``z / d`` for a complex ``z`` and a float ``d``, part by part.
-
-    This is how Python divides a complex by a float; numpy's complex
-    division multiplies by a rounded reciprocal instead, so an array of
-    per-row scalars would differ from the one-row results in the last bit.
-    """
-    if isinstance(z, np.ndarray):
-        return (np.ascontiguousarray(z, dtype=complex).view(float) / d).view(complex)
-    return complex(z) / d
 
 
 def _decay(w: np.ndarray, base: float, seed=0j, upward: bool = False) -> np.ndarray:
@@ -518,48 +506,6 @@ def _unit_scale(q: float, family: str, N):
     except OverflowError:
         n = int(np.max(N))
         raise ValueError(f"the unit factor q^(N/2) = {q:g}^({n}/2) of {family}_{n} at q={q:g} overflows") from None
-
-
-def _family_shells(q: float, family: str, dim: int):
-    """``e_0 .. e_(dim-1)`` or ``f_0 .. f_(dim-1)`` by their two shells.
-
-    Row 0 holds each element's value on its window start ``n_lo = -n`` and
-    row 1 its value on ``n_lo + 1``, bit for bit those of ``make_basis``;
-    an element is zero on every other shell of the ball.  Returned with the
-    elements' tails and window starts.
-    """
-    n = np.arange(dim)
-    scale = _unit_scale(q, family, n)
-    shells = np.zeros((2, dim), dtype=complex)
-    if family == "f":
-        shells[0] = scale
-        return shells, np.zeros(dim, dtype=complex), -n
-    scale[0] = 1.0  # e_0 = v_0, the constant 1
-    shells[0] = scale
-    shells[1, 1:] = -scale[1:] / (q - 1.0)
-    return shells, scale.astype(complex), -n
-
-
-def _element_integrals(q: float, shells: np.ndarray, t: np.ndarray, n_lo: np.ndarray):
-    """``_ball_integral`` of every element of ``_family_shells``, without
-    and with ``log``: bit for bit ``o_integral`` and ``o_log_integral / log q``
-    of ``make_basis``.
-
-    Each integral reads only the element's two shells, in
-    ``_ball_integral``'s own operations: ``(v r) r`` per shell (times ``j``),
-    the two added bottom-up, then the tail term.  The shells it skips would
-    add exact zeros.  O(dim), where a pass over every element's window is O(dim^2).
-    """
-    lo = 1 - shells.shape[1]
-    js = n_lo + np.arange(2)[:, None]  # shells n_lo, n_lo + 1
-    # the second shell of e_0 and f_0 lies above the ball, where both hold 0
-    r = np.append(_shell_roots(q, lo), 0.0)[js - lo]
-    h = _ball_root(q, n_lo)
-    terms = shells * r * r
-    tail = t * h * h
-    logs = terms * js
-    return (terms[0] + terms[1] + tail,
-            logs[0] + logs[1] + tail * (n_lo - 1.0 - 1.0 / (q - 1.0)))
 
 
 def expand(u: KRadialFunction, family: str, count: int) -> np.ndarray:

@@ -18,9 +18,6 @@ import numpy as np
 from .field import (
     FieldParams,
     KRadialFunction,
-    _div,
-    _element_integrals,
-    _family_shells,
     _pow,
     _TINY,
     _require_o,
@@ -129,7 +126,7 @@ def apply_D_alpha(
     # exactly 0, and -t above the window
     dev = u.values_on(m, max(top, u.n_hi)) - t
     qa = q**a
-    down_up = _scan(dev, q) + _scan(dev, qa, _div(-t, qa - 1.0), upward=True)
+    down_up = _scan(dev, q) + _scan(dev, qa, -t / (qa - 1.0), upward=True)
     diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
     bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
     out = _scaled(bracket[: top - m + 1], q, -a, np.arange(m, top + 1.0))
@@ -157,9 +154,9 @@ def _volterra_sums(vals: np.ndarray, t, q: float, qa: float) -> np.ndarray:
     ``G(n) = S(n) + G(n-1) / q^alpha``, each seeded with the closed-form sum
     over the constant ``t`` on every shell below ``vals``.
     """
-    tail_s = _div(t, q - 1.0)
+    tail_s = t / (q - 1.0)
     s = _scan(vals, q, tail_s)
-    return s + _scan(s, qa, _div(tail_s, qa - 1.0))
+    return s + _scan(s, qa, tail_s / (qa - 1.0))
 
 
 def _integral(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray) -> np.ndarray:
@@ -228,7 +225,7 @@ def apply_resolvent_D1O(u: KRadialFunction) -> KRadialFunction:
     _require_o(u, "apply_resolvent_D1O")
     p, q = u.params, float(u.params.q)
     image = _integral(u.values_on(u.n_lo, 1), u.inner_tail, p, np.arange(u.n_lo, 2.0))
-    c = _div((1.0 - q**-p.alpha) * o_integral(u), q - 1.0) - image[-1]
+    c = (1.0 - q**-p.alpha) * o_integral(u) / (q - 1.0) - image[-1]
     return KRadialFunction(p, u.n_lo, 0, image[:-1] + c, c)
 
 
@@ -288,6 +285,19 @@ def _e_volterra(q: float, dim: int) -> np.ndarray:
     return out
 
 
+def _e_imaginary(q: float, dim: int) -> np.ndarray:
+    """The ``J`` e-matrix.  ``J u = kappa (int_O u log|x| - log|x| int_O u)``, ``kappa = (q-1) /
+    (2i q log q)``, pairs only the integrals of the elements: ``int_O e_0 = 1``, ``int_O e_0 log|x|
+    = -log q / (q-1)``, and for N >= 1 ``int_O e_N = 0`` exactly (``v_N``'s ball below ``q^-N``
+    cancels its shell ``1-N``) and ``int_O e_N log|x| = -log q s q^(-N/2) q/(q-1)``, ``s =
+    sqrt(1-1/q)``.  So ``J[0, N] = (i/2) s q^(-N/2) = -J[N, 0]`` (N >= 1), and every other entry is
+    0; none overflows."""
+    out = np.zeros((dim, dim), complex)
+    out.imag[0, 1:] = 0.5 * math.sqrt(1.0 - 1.0 / q) * _pow(q, -0.5 * np.arange(1.0, dim))
+    out.imag[1:, 0] = -out.imag[0, 1:]
+    return out
+
+
 def _e_eigenvalues(q: float, name: str, dim: int) -> np.ndarray:
     """The ``D1O`` or resolvent e-matrix: ``D1O e_N = q^N e_N`` (N >= 1) and
     ``D1O e_0 = lambda_1 e_0``, ``lambda_1 = q/(q+1)``; the resolvent inverts both."""
@@ -331,12 +341,21 @@ def _f_kernel(q: float, name: str, dim: int) -> np.ndarray:
     is ``(1 + u min(j, m) + [j = m]/(q-1)) mu_m`` on the shell ``-j``, and the entry is
     ``r_j r_n (1 + u min(j, n) + [j = n]/(q-1))``: no term cancels, where ``I1`` plus
     ``c(f_n) r_j`` cancels to 1/136 of its terms at dim 160.
+
+    ``J`` (see ``_e_imaginary``) pairs ``int_O f_n = r_n`` and ``int_O f_n log|x| = -n log q r_n``
+    into ``(i u/2) (n-j) r_j r_n``, on the same roots.
     """
     u, k = 1.0 - 1.0 / q, np.arange(float(dim))
-    if name == "resolvent":
+    if name in ("resolvent", "J"):
         roots = u * _pow(q, -np.arange(2.0 * dim - 1.0) / 2.0)  # r_j r_n at j + n
-        kernel = 1.0 + u * np.minimum.outer(k, k) + np.eye(dim) / (q - 1.0)
-        return np.ndarray((dim, dim), float, roots, 0, (8, 8)) * kernel  # roots[j + n], as a view
+        if name == "J":  # (i u/2) (n - j) r_j r_n, written into the imaginary part
+            roots *= 0.5 * u
+        at_sum = np.ndarray((dim, dim), float, roots, 0, (8, 8))  # roots[j + n], as a view
+        if name == "resolvent":
+            return at_sum * (1.0 + u * np.minimum.outer(k, k) + np.eye(dim) / (q - 1.0))
+        out = np.zeros((dim, dim), complex)
+        np.multiply(k - k[:, None], at_sum, out=out.imag)
+        return out
     half = _pow(q, -k / 2.0)
     if name == "D1O":
         d = (1.0 - q) / (1.0 - q**-2.0) * u * half  # theta_1 u q^(-k/2)
@@ -351,15 +370,12 @@ def _f_kernel(q: float, name: str, dim: int) -> np.ndarray:
 def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
     """The matrix of ``name``, from its structure."""
     q = float(p.q)
-    if name == "J":  # kappa (<u, 1> log|x| - <u, log|x|>): rank 2
-        kap = (1.0 - q) / (2j * q * p.ln_q)
-        ones, logs = _element_integrals(q, *_family_shells(q, basis, dim))
-        ones, logs = ones.real, (logs * p.ln_q).real
-        return kap * (np.outer(logs, ones) - np.outer(ones, logs))
     if basis == "f":
         return _f_kernel(q, name, dim)
     if name == "I1":
         return _e_i1(p, dim)
+    if name == "J":
+        return _e_imaginary(q, dim)
     return _e_volterra(q, dim) if name == "I01" else _e_eigenvalues(q, name, dim)
 
 
@@ -369,20 +385,19 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
     Column ``n`` is the expansion of the operator's image of basis element
     ``n``, written from the operator's structure: the ``D1O`` and resolvent
     e-matrices from their eigenvalues (the ``v_N`` are eigenfunctions of
-    ``D1O``), the ``I01`` e-matrix in closed form, every f-matrix from its
-    exact kernel, ``J`` from each element's two shells, and the ``I1``
-    e-matrix by one ``expand`` of each column's closed-form image (as
-    ``perfbench/test_perfbench.py`` pins).  Each entry is rounded otherwise
-    than by the column loop (one operator application and one ``expand`` per
-    column), to the same order of its term mass; ``J``, and at q = 2 the
-    ``I1`` e-matrix, are its bits.  The matrix is formed at ``alpha = 1``
-    whatever the ``alpha`` of ``params``.  ``ValueError`` names the
-    operator, family, ``q`` and ``dim`` where an entry, the power ``q^N`` of
-    a ``D1O`` diagonal or a unit factor ``q^(N/2)`` leaves the double range:
-    the ``D1O`` matrices from dim 1025 at q = 2 (648 in the e-, 647 in the
-    f-family at q = 3), and at q = 7 ``J`` and the ``I1`` e-matrix from dim
-    731.  The e-family ``I01`` and resolvent and the f-family ``I1``, ``I01``
-    and resolvent form no unit factor and only underflow.
+    ``D1O``), the ``I01`` and ``J`` e-matrices in closed form, every f-matrix
+    from its exact kernel, and the ``I1`` e-matrix by one ``expand`` of each
+    column's closed-form image (as ``perfbench/test_perfbench.py`` pins).
+    Each entry is rounded otherwise than by the column loop (one operator
+    application and one ``expand`` per column), to the same order of its
+    term mass; at q = 2 the ``I1`` e-matrix is its bits.  The matrix is
+    formed at ``alpha = 1`` whatever the ``alpha`` of ``params``.
+    ``ValueError`` names the operator, family, ``q`` and ``dim`` where an
+    entry (named by its row and column), the power ``q^N`` of a ``D1O``
+    diagonal or a unit factor ``q^(N/2)`` leaves the double range: the
+    ``D1O`` matrices from dim 1025 at q = 2 (648 in the e-, 647 in the
+    f-family at q = 3), and at q = 7 the ``I1`` e-matrix from dim 731.  Every
+    other matrix forms no unit factor and only underflows.
     """
     if name not in OPERATOR_NAMES:
         raise ValueError(f"unknown operator {name!r}, expected one of {OPERATOR_NAMES}")
@@ -394,7 +409,8 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             entries = _entries(p1, name, basis, dim)
-            beyond = None if np.all(np.isfinite(entries)) else "an entry is not finite"
+            finite = np.isfinite(entries)
+            beyond = None if finite.all() else "the entry ({}, {}) is not finite".format(*np.argwhere(~finite)[0])
         except (OverflowError, ValueError) as exc:  # an entry, a power q^N or a unit factor
             beyond = str(exc)
     if beyond:

@@ -86,11 +86,11 @@ GOLDEN_DOCS = {
     "matrix-json": (
         ["matrix", "J", "e", "--dim", "2"],
         '{"q": 2, "name": "J", "basis": "e", "dim": 2, "entries": '
-        "[[[0, 0], [0, 0.25000000000000011]], [[0, -0.25000000000000011], [0, 0]]]}\n",
+        "[[[0, 0], [0, 0.25000000000000006]], [[0, -0.25000000000000006], [0, 0]]]}\n",
     ),
     "matrix-csv": (
         ["matrix", "J", "e", "--dim", "2", "--format", "csv"],
-        "j\\n,0,1\n0,0+0i,0+0.25000000000000011i\n1,0-0.25000000000000011i,0+0i\n",
+        "j\\n,0,1\n0,0+0i,0+0.25000000000000006i\n1,0-0.25000000000000006i,0+0i\n",
     ),
     "spectrum": (
         ["spectrum", "--dim", "3"],

@@ -161,6 +161,20 @@ def test_integral_pole_guard_at_alpha_one(q, delta):
     assert max_shell_difference(exact, near) / scale <= 1e-9
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([2, 3, 7]), orders=st.sampled_from([(0.5, 0.5), (0.5, 1.0), (1.0, 1.0), (0.7, 1.3), (2.0, 0.5)]),
+       tail=st.sampled_from([0j, 0.75 - 0.5j]), seed=st.integers(0, 2**32 - 1))
+def test_integrals_compose_as_a_semigroup_on_the_ball(q, orders, tail, seed):
+    # I^alpha I^beta = I^(alpha+beta) on the ball, both sides through apply_I_alpha on a
+    # random window of 30 shells: within 1e-14 of the largest output value (6.1e-16 measured)
+    (alpha, beta), rng = orders, np.random.default_rng(seed)
+    vals = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    inner = apply_I_alpha(KRadialFunction(FieldParams(q, beta), -29, 0, vals, tail))
+    twice = apply_I_alpha(KRadialFunction(FieldParams(q, alpha), -29, 0, inner.values, inner.inner_tail))
+    once = apply_I_alpha(KRadialFunction(FieldParams(q, alpha + beta), -29, 0, vals, tail))
+    assert max_shell_difference(twice, once) <= 1e-14 * np.abs(once.values).max()
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_right_inverse_composition(q, alpha):
@@ -376,10 +390,11 @@ def pairing_matrix(params, name, basis, dim):
 def test_operator_matrix_matches_pairings(q, basis, name):
     got = operator_matrix(FieldParams(q), name, basis, 40).entries
     want = pairing_matrix(FieldParams(q), name, basis, 40)
-    if name == "resolvent" and basis == "e":
+    if name in ("resolvent", "J") and basis == "e":
         # past their first columns the pairings are the cancellation noise of the
         # diagonal entries q^-n, so they are held to the terms they sum (3.3e-7 of a
-        # column at q = 3)
+        # column at q = 3); J's are the noise of int_O e_N, exactly 0 (1.03 eps of the
+        # term mass measured, 1.04e-14 of a column at q = 3)
         assert np.all(np.abs(got - want) <= 8 * EPS * loop_term_mass(FieldParams(q), name, basis, 40))
     else:  # column by column: the entries of the D1O e-matrix span twelve decades
         assert np.all(np.abs(got - want).max(axis=0) <= 1e-14 * np.abs(want).max(axis=0))
@@ -408,17 +423,23 @@ def oracle_operator_matrix(params, name, basis, dim):
 
 
 def loop_term_mass(params, name, basis, dim):
-    """The term mass of each entry of the ``I1``, ``I01`` or resolvent matrix: per shell
-    the magnitudes its image value sums (``I01`` of ``|b_n|`` sums terms of one sign,
-    ``I1`` adds the diagonal term, the resolvent its constant's), paired with ``|b_j|``."""
+    """The term mass of each entry of the ``I1``, ``I01``, resolvent or ``J`` matrix: per
+    shell the magnitudes its image value sums (``I01`` of ``|b_n|`` sums terms of one sign,
+    ``I1`` adds the diagonal term, the resolvent its constant's), paired with ``|b_j|``;
+    for ``J``, ``|kappa| (L_j M_n + M_j L_n)`` with ``M`` and ``L`` the integrals of ``|b|``
+    and ``|b log|x|||`` that its entry ``kappa (logs_j ones_n - ones_j logs_n)`` pairs."""
     p = replace(params, alpha=1.0)
     q, lo = float(p.q), 1 - dim
     members = [make_basis(p, basis, n) for n in range(dim)]
+    absolute = [KRadialFunction(p, b.n_lo, 0, np.abs(b.values_on(b.n_lo, 0)), abs(b.inner_tail)) for b in members]
+    if name == "J":
+        ones = np.array([o_integral(a).real for a in absolute])
+        logs = -np.array([o_log_integral(a).real for a in absolute])
+        return (q - 1.0) / (2.0 * q * p.ln_q) * (np.outer(logs, ones) + np.outer(ones, logs))
     s = np.abs([b.values[0] for b in members])  # e_j is s_j on the shells <= -j, f_j on -j
     mu = (1.0 - 1.0 / q) * q ** -np.arange(float(dim))  # the shells 0, -1, .., lo
     out = np.empty((dim, dim))
-    for n, b in enumerate(members):
-        a = KRadialFunction(p, b.n_lo, 0, np.abs(b.values_on(b.n_lo, 0)), abs(b.inner_tail))
+    for n, a in enumerate(absolute):
         mass = -apply_I01(a).values.real + (name != "I01") * q ** np.arange(a.n_lo - 1.0, 0.0) * a.values.real
         c = o_integral(a).real / q - apply_I_alpha(a, out_hi=1).value_at(1).real if name == "resolvent" else 0.0
         w = KRadialFunction(p, a.n_lo, 0, mass + c, c).values_on(lo, 0).real[::-1] * mu
@@ -431,14 +452,15 @@ def loop_term_mass(params, name, basis, dim):
 
 
 def assert_is_the_column_loop(got, want, name, basis, params):
-    """``J`` is the column loop's bits, and so is the ``I1`` e-matrix at q = 2, where the
-    closed-form images are the loop's images bit for bit.  Elsewhere a matrix read off
-    its eigenvalues, written in closed form or from its exact kernel is rounded
-    differently: ``D1O`` and the f-family ``I1``, ``I01`` within 8 eps of their column's
-    largest entry (at most 4.2 eps measured), the rest, whose columns cancel in the
-    loop, within a few eps of each entry's term mass (at most 3.3 eps measured in the
-    e-family, for the closed-form ``I01``; 6.0 for the f resolvent)."""
-    if name == "J" or (basis == "e" and name == "I1" and params.q == 2):
+    """The ``I1`` e-matrix at q = 2 is the column loop's bits: there the closed-form images
+    are the loop's images bit for bit.  Elsewhere a matrix read off its eigenvalues,
+    written in closed form or from its exact kernel is rounded differently: ``D1O`` and
+    the f-family ``I1``, ``I01`` and ``J`` within 8 eps of their column's largest entry (at
+    most 4.8 eps measured), the rest, whose columns cancel in the loop, within a few eps
+    of each entry's term mass (at most 3.3 eps measured in the e-family, for the
+    closed-form ``I01``, where the loop's own ``J`` row 0 is up to 294 eps of its column
+    off; 6.0 for the f resolvent)."""
+    if basis == "e" and name == "I1" and params.q == 2:
         assert np.array_equal(got, want)
     elif name == "D1O" or basis == "f" and name != "resolvent":
         assert np.all(np.abs(got - want) <= 8 * EPS * np.abs(want).max(axis=0))
@@ -460,7 +482,6 @@ def test_operator_matrix_is_the_column_loop(name, basis, q, dim):
 @pytest.mark.parametrize("name, basis", [("I1", "e"), ("I01", "e"), ("I1", "f"), ("I01", "f"),
                                          ("D1O", "f"), ("resolvent", "f"), ("J", "f")])
 def test_operator_matrix_is_the_column_loop_at_dim_640(name, basis):
-    # J reads each element's two shells
     got = operator_matrix(P2, name, basis, 640).entries
     assert_is_the_column_loop(got, oracle_operator_matrix(P2, name, basis, 640), name, basis, P2)
 
@@ -468,14 +489,26 @@ def test_operator_matrix_is_the_column_loop_at_dim_640(name, basis):
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 9, 101])
 @pytest.mark.parametrize("basis", ["e", "f"])
 def test_element_integrals_are_those_of_make_basis(q, basis):
-    # the integrals J and the resolvent read from two shells per element are
-    # o_integral and o_log_integral of the basis elements, bit for bit
-    p, dim = FieldParams(q), 60
-    shells, t, n_lo = padicradial.field._family_shells(float(q), basis, dim)
-    ones, logs = padicradial.field._element_integrals(float(q), shells, t, n_lo)
-    members = [make_basis(p, basis, n) for n in range(dim)]
-    assert np.array_equal(ones, [o_integral(b) for b in members])
-    assert np.array_equal(logs * p.ln_q, [o_log_integral(b) for b in members])
+    # the closed-form integrals the J matrices pair are o_integral and o_log_integral
+    # of the basis elements, to 4 eps of the terms those sum (3.0 measured): with u = 1-1/q,
+    # int f_n = r_n = sqrt(u q^-n) and int f_n log|x| = -n log q r_n; int e_0 = 1,
+    # int e_0 log|x| = -log q/(q-1), and for N >= 1 int e_N = 0 (where o_integral
+    # leaves its cancellation noise) and int e_N log|x| = -log q sqrt(u) q^(-N/2) q/(q-1)
+    p, dim, q_ = FieldParams(q), 60, float(q)
+    n, u = np.arange(float(dim)), 1.0 - 1.0 / q_
+    if basis == "f":
+        ones = np.sqrt(u * q_**-n)
+        logs = -n * p.ln_q * ones
+    else:
+        ones = np.eye(1, dim)[0]
+        logs = -p.ln_q * np.sqrt(u) * q_ ** (-n / 2.0) * q_ / (q_ - 1.0)
+        logs[0] = -p.ln_q / (q_ - 1.0)
+    members = [make_basis(p, basis, k) for k in range(dim)]
+    absolute = [KRadialFunction(p, b.n_lo, 0, np.abs(b.values_on(b.n_lo, 0)), abs(b.inner_tail)) for b in members]
+    for got, want, terms in (([o_integral(b) for b in members], ones, [o_integral(a).real for a in absolute]),
+                             ([o_log_integral(b) for b in members], logs,
+                              [-o_log_integral(a).real for a in absolute])):
+        assert np.all(np.abs(np.array(got) - want) <= 4 * EPS * np.array(terms))
 
 
 @pytest.mark.parametrize("basis", ["e", "f"])
@@ -587,16 +620,16 @@ def test_operator_matrix_beyond_the_double_range_raises():
 
 def test_matrices_that_can_only_underflow_run_past_the_unit_factor_limit():
     # at q = 7 the unit factor 7^(N/2) of e_N and f_N overflows from N = 730; the
-    # e-family resolvent and I01 and the f-family I1, I01 and resolvent form none,
-    # and their entries only underflow
+    # e-family resolvent, I01 and J and the f-family I1, I01, resolvent and J form
+    # none, and their entries only underflow
     p = FieldParams(7)
-    for name, basis in (("resolvent", "e"), ("I01", "e"), ("I1", "f"), ("I01", "f"), ("resolvent", "f")):
+    for name, basis in (("resolvent", "e"), ("I01", "e"), ("J", "e"), ("I1", "f"), ("I01", "f"),
+                        ("resolvent", "f"), ("J", "f")):
         assert np.all(np.isfinite(operator_matrix(p, name, basis, 800).entries))
-    for name, basis in (("J", "e"), ("J", "f"), ("I1", "e")):
-        match = (rf"the {name} matrix in the {basis}-family at q=7, dim=800 leaves the double range: "
-                 rf"the unit factor q\^\(N/2\) = 7\^\(799/2\) of {basis}_799 at q=7 overflows")
-        with pytest.raises(ValueError, match=match):
-            operator_matrix(p, name, basis, 800)
+    match = (r"the I1 matrix in the e-family at q=7, dim=800 leaves the double range: "
+             r"the unit factor q\^\(N/2\) = 7\^\(799/2\) of e_799 at q=7 overflows")
+    with pytest.raises(ValueError, match=match):
+        operator_matrix(p, "I1", "e", 800)
 
 
 @pytest.mark.parametrize("q", [2, 3, 7])
@@ -651,20 +684,30 @@ def test_range_limits_name_the_element_and_its_power():
     # report only an errno tuple
     cases = [(lambda: make_basis(FieldParams(7), "e", 1280), r"q\^\(N/2\) = 7\^\(1280/2\) of e_1280 at q=7"),
              (lambda: make_basis(FieldParams(2), "f", 2100), r"q\^\(N/2\) = 2\^\(2100/2\) of f_2100 at q=2"),
+             (lambda: make_basis(FieldParams(7), "f", 1279), r"q\^\(N/2\) = 7\^\(1279/2\) of f_1279 at q=7"),
              (lambda: operator_matrix(P2, "D1O", "e", 1025),
               r"D1O matrix in the e-family at q=2, dim=1025 leaves the double range: "
               r"the eigenvalue q\^N = 2\^1024 of e_1024 overflows"),
              (lambda: operator_matrix(P2, "D1O", "f", 1025),
               r"D1O matrix in the f-family at q=2, dim=1025 leaves the double range: "
               r"the diagonal factor q\^N = 2\^1024 of f_1024 overflows")]
-    for name, basis in (("I1", "e"), ("J", "f")):
-        cases.append((lambda name=name, basis=basis: operator_matrix(FieldParams(7), name, basis, 1280),
-                      rf"{name} matrix in the {basis}-family at q=7, dim=1280 leaves the double range: "
-                      rf"the unit factor q\^\(N/2\) = 7\^\(1279/2\) of {basis}_1279 at q=7 overflows"))
+    cases.append((lambda: operator_matrix(FieldParams(7), "I1", "e", 1280),
+                  r"I1 matrix in the e-family at q=7, dim=1280 leaves the double range: "
+                  r"the unit factor q\^\(N/2\) = 7\^\(1279/2\) of e_1279 at q=7 overflows"))
     for make, match in cases:
         with pytest.raises(ValueError, match=match) as info:
             make()
         assert "(34," not in str(info.value)
+
+
+@pytest.mark.parametrize("q, dim", [(3, 647), (5, 442)])
+def test_d1o_f_matrix_refusal_names_the_entry(q, dim):
+    # the first entry beyond the double range is the last diagonal one, of order q^N
+    with pytest.raises(ValueError) as info:
+        operator_matrix(FieldParams(q), "D1O", "f", dim)
+    assert str(info.value) == (f"the D1O matrix in the f-family at q={q}, dim={dim} leaves the double range: "
+                               f"the entry ({dim - 1}, {dim - 1}) is not finite")
+    assert "(34," not in str(info.value)
 
 
 @pytest.mark.parametrize("q, dim", [(2, 1024), (3, 646)])
@@ -741,6 +784,48 @@ def test_i01_e_matrix_against_100_digit_sums(q, dim):
 def test_f_matrices_against_100_digit_sums(name, q, dim):
     # the exact kernels hold every entry to the same 8 ulp (4 measured)
     assert_is_the_100_digit_matrix(q, name, "f", dim)
+
+
+def mp_j_matrix(q, basis, dim, dps=100):
+    """The imaginary parts of the ``J`` matrix in ``dps`` digits, as floats.  The entry
+    ``(j, n)`` is ``kappa log q (B_j A_n - A_j B_n)`` times the unit factors of ``b_j`` and
+    ``b_n``, ``kappa log q = i (q-1)/(2q)``, where ``A`` and ``B`` are the integrals of the
+    element over its unit factor without and with ``log|x| / log q``: sums over its shells
+    and the ball below them in rationals, so ``int_O v_N`` is exactly 0 (mpmath's rounded
+    ``1/q`` would leave about 1e-60 of it)."""
+    unit = 1 - Fraction(1, q)
+
+    def integrals(n):
+        if basis == "f":
+            shells, t = {-n: 1}, 0
+        else:
+            shells, t = ({0: 1} if n == 0 else {-n: 1, 1 - n: Fraction(-1, q - 1)}), 1
+        lo = min(shells)
+        ball = t * Fraction(q) ** (lo - 1)  # below lo; with log, sum_{k < lo} k mu_k = q^(lo-1) (lo - 1 - 1/(q-1))
+        ones = sum(v * unit * Fraction(q) ** k for k, v in shells.items()) + ball
+        logs = sum(k * v * unit * Fraction(q) ** k for k, v in shells.items()) + ball * (lo - 1 - Fraction(1, q - 1))
+        return ones, logs
+
+    A, B = zip(*map(integrals, range(dim)))
+    with mpmath.workdps(dps):
+        qm, s = mpmath.mpf(q), mpmath.sqrt(1 - 1 / mpmath.mpf(q))
+        scale = [qm ** (mpmath.mpf(n) / 2) * (1 / s if basis == "f" else s if n else 1) for n in range(dim)]
+        rational = lambda x: mpmath.mpf(x.numerator) / x.denominator  # noqa: E731
+        return np.array([[float(rational(Fraction(q - 1, 2 * q) * (B[j] * A[n] - A[j] * B[n])) * scale[j] * scale[n])
+                          for n in range(dim)] for j in range(dim)])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 24, 40])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("basis", ["e", "f"])
+def test_j_matrices_against_100_digit_sums(basis, q, dim):
+    # both closed forms hold every entry to 8 ulp of itself (1 measured in the
+    # e-family, 4 in the f-family), are purely imaginary, and have the exact zeros
+    # of int_O e_N = 0 and of the f-family's diagonal
+    mat = operator_matrix(FieldParams(q), "J", basis, dim).entries
+    exact = mp_j_matrix(q, basis, dim)
+    assert np.all(mat.real == 0.0) and np.array_equal(mat.imag == 0.0, exact == 0.0)
+    assert np.all(np.abs(mat.imag - exact) <= 8 * np.spacing(np.abs(exact)))
 
 
 @pytest.mark.xfail(strict=True, reason="the I1 e-matrix is expanded per column, "
