@@ -23,10 +23,13 @@ Layers (``--layer``):
   ``1 - W .. 0`` (nonzero tails) at W in {100, 400, 1600}.
 - ``apply``: for q in {3, 7} and W in {100, 400, 1600}, a seeded random
   function on the shells ``1 - W .. 0`` with a nonzero tail, as in the
-  ``shell-sweep`` benchmark: ``apply_I_alpha`` and ``apply_D_alpha_O`` at
-  the order ``ORDERS[q]``, ``apply_I01``, ``laplace_transform`` over
+  ``shell-sweep`` benchmark: ``apply_I_alpha``, ``apply_D_alpha`` and
+  ``apply_D_alpha_O`` at the order ``ORDERS[q]``, ``apply_I01`` and
+  ``apply_resolvent_D1O`` at order 1, ``laplace_transform`` over
   ``(lo, m + 1)``, ``m = W - 1``, where ``lo = 1 - m`` as in ``shell-sweep``
-  is raised to the first start whose ``q^(-lo)`` is a double, and the
+  is raised to the first start whose ``q^(-lo)`` is a double,
+  ``laplace_invert`` of that transform with ``m_max = min(m, -lo)`` (its
+  weights ``q^m_max`` stay doubles), and the
   shell scale of ``apply_I_alpha`` on its own: ``_scaled`` of the shell
   values by ``q^(alpha n)``, cold (its memo of shell scales emptied
   before each call, so the scales are formed) and warm.  Deep windows
@@ -42,11 +45,11 @@ Layers (``--layer``):
   ``matrix-spectra`` benchmark, which runs them at T = 200.
 
 Each call is repeated for at least ``--seconds`` per size (and at least
-three times); the record keeps the median and the minimum per call, and for
-each the exponent ``b`` of the least-squares fit ``time ~ size^b``.  A size
-the library refuses (an entry beyond the double range) is recorded with its
-error and left out of the fit.  BLAS runs on one thread, and the process on
-one CPU.  The machine-speed kernel of ``perfbench/calibrate.py`` is timed
+three times; with ``--ab``, 20 pairs); the record keeps the median and the
+minimum per call, and for each the exponent ``b`` of the least-squares fit
+``time ~ size^b``.  A size the library refuses (an entry beyond the double
+range) is recorded with its error and left out of the fit.  BLAS runs on one
+thread, and the process on one CPU.  The machine-speed kernel of ``perfbench/calibrate.py`` is timed
 between the calls, and every time in the record is the measured time times
 its ``factor()``, the run's ``speed_factor``: the time at the kernel's
 reference speed, so records taken at different speed states compare.  Run it
@@ -62,8 +65,10 @@ package (``OTHER_SRC/padicradial``) is imported under another name, the
 layer runs against both trees in lockstep, and each call and size
 alternates between the two, so a change of machine speed falls on both
 alike.  Every timing then carries ``"other"``, the second tree's timing of
-the same call, and the record carries ``"other"`` with that tree's source,
-revision and scaling exponents:
+the same call, and ``"ratio"``, the first tree's time over the second's pair
+by pair (median and quartiles) with ``"won"``, the share of pairs the first
+tree was faster in, and the record carries ``"other"`` with that tree's
+source, revision and scaling exponents:
 
     PYTHONPATH=src python benchmarks/scaling.py --layer operator_matrix --ab ../parent/src
 """
@@ -105,10 +110,16 @@ def _load_calibrate():
     return module
 
 
-def _timed(fns, seconds: float, cal) -> list[dict]:
+PAIRS = 20  # the fewest timed pairs of calls per size with ``--ab``
+
+
+def _timed(fns, seconds: float, cal, least: int = 3) -> list[dict]:
     """Raw per-call times in ms of each version of one call, or the reason
     the library refused it.  The versions run alternately, each at least
-    three times and for at least ``seconds``."""
+    ``least`` times and for at least ``seconds``.  Of two versions, the
+    first one's timing carries ``"ratio"``: the median and quartiles of its
+    time over the second's, pair by pair, and ``"won"``, the share of pairs
+    in which it was faster."""
     out, live = [], []
     for fn in fns:
         try:
@@ -119,19 +130,26 @@ def _timed(fns, seconds: float, cal) -> list[dict]:
         out.append([])
         live.append((fn, out[-1]))
     deadline = time.perf_counter() + len(fns) * seconds
-    while live and (min(len(times) for _, times in live) < 3 or time.perf_counter() < deadline):
+    while live and (min(len(times) for _, times in live) < least or time.perf_counter() < deadline):
         for fn, times in live:
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)
             cal.tick()
-    return [t if isinstance(t, dict) else
-            {"median": 1e3 * statistics.median(t), "min": 1e3 * min(t), "calls": len(t)} for t in out]
+    timings = [t if isinstance(t, dict) else
+               {"median": 1e3 * statistics.median(t), "min": 1e3 * min(t), "calls": len(t)} for t in out]
+    if len(live) == 2:
+        ratios = [a / b for a, b in zip(live[0][1], live[1][1])]
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
+        timings[0]["ratio"] = {"median": median, "q1": q1, "q3": q3,
+                               "won": sum(r < 1.0 for r in ratios) / len(ratios)}
+    return timings
 
 
 def _lockstep(layers, seconds: float, cal) -> dict:
     """Run one layer of two copies of this module, one thread each, pairing
-    their calls: each pair is timed by ``_timed`` while both threads wait.
+    their calls: each pair is timed by ``_timed``, at least ``PAIRS`` times,
+    while both threads wait.
     The first copy's record is returned, each timing with the second's as
     ``"other"``, and the second's exponents under ``"other"``."""
     calls, answers = queue.Queue(), (queue.Queue(), queue.Queue())
@@ -154,7 +172,7 @@ def _lockstep(layers, seconds: float, cal) -> dict:
             raise item
         (pending if callable(item) else records)[side] = item
         if len(pending) == 2:
-            this, other = _timed((pending[0], pending[1]), seconds, cal)
+            this, other = _timed((pending[0], pending[1]), seconds, cal, PAIRS)
             answers[0].put({**this, "other": other})
             answers[1].put(other)
             pending = {}
@@ -287,7 +305,8 @@ def expand_layer(timed) -> dict:
 # the order of apply_I_alpha and apply_D_alpha_O at each q: a head that is
 # not a float32 (0.9), and an exact one
 ORDERS = {3: 0.9, 7: 2.0}
-APPLY = ("_scaled cold", "_scaled warm", "apply_I_alpha", "apply_I01", "apply_D_alpha_O", "laplace_transform")
+APPLY = ("_scaled cold", "_scaled warm", "apply_I_alpha", "apply_I01", "apply_D_alpha", "apply_D_alpha_O",
+         "apply_resolvent_D1O", "laplace_transform", "laplace_invert")
 
 
 def _forget_scales(tree_field) -> None:
@@ -311,6 +330,7 @@ def apply_layer(timed) -> dict:
             m = W - 1
             lo = max(1 - m, -int(1023 / math.log2(q)))  # q^(-lo) must be a double
             ns = np.arange(1.0 - W, 1.0)
+            tilde = laplace.laplace_transform(u1, (lo, m + 1))
             cells.append({
                 "q": q, "W": W,
                 "_scaled cold": timed(lambda: (_forget_scales(field),
@@ -318,8 +338,11 @@ def apply_layer(timed) -> dict:
                 "_scaled warm": timed(lambda: operators._scaled(vals, float(q), alpha, ns)),
                 "apply_I_alpha": timed(lambda: operators.apply_I_alpha(u)),
                 "apply_I01": timed(lambda: operators.apply_I01(u1)),
+                "apply_D_alpha": timed(lambda: operators.apply_D_alpha(u)),
                 "apply_D_alpha_O": timed(lambda: operators.apply_D_alpha_O(u)),
+                "apply_resolvent_D1O": timed(lambda: operators.apply_resolvent_D1O(u1)),
                 "laplace_transform": timed(lambda: laplace.laplace_transform(u1, (lo, m + 1))),
+                "laplace_invert": timed(lambda: laplace.laplace_invert(tilde, u1.value_at(0), min(m, -lo))),
             })
         rows += cells
         exponents.update({f"{name} q={q}": fit for name, fit in _exponents(widths, cells, APPLY).items()})
@@ -327,9 +350,10 @@ def apply_layer(timed) -> dict:
         "orders": {str(q): alpha for q, alpha in ORDERS.items()},
         "shapes": "shells 1 - W .. 0, nonzero tail; _scaled of the values by q^(alpha n), "
                   "cold (its shell-scale memo emptied before each call) and warm, "
-                  "apply_I_alpha and apply_D_alpha_O at the order of q, apply_I01, and "
-                  "laplace_transform over (lo, m + 1), m = W - 1, lo = max(1 - m, -floor(1023 / log2 q)), "
-                  "at order 1",
+                  "apply_I_alpha, apply_D_alpha and apply_D_alpha_O at the order of q, apply_I01, "
+                  "apply_resolvent_D1O and laplace_transform over (lo, m + 1), m = W - 1, "
+                  "lo = max(1 - m, -floor(1023 / log2 q)), at order 1, and laplace_invert of that "
+                  "transform with m_max = min(m, -lo)",
         "per_call": rows,
         "scaling_exponent": exponents,
     }

@@ -305,13 +305,12 @@ class KRadialFunction:
     def __post_init__(self):
         if self.n_lo > self.n_hi:
             raise ValueError(f"empty window [{self.n_lo}, {self.n_hi}]")
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.array(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size != self.n_hi - self.n_lo + 1:
             raise ValueError(
                 f"values must have length {self.n_hi - self.n_lo + 1}, got shape {vals.shape}"
             )
-        vals = vals.copy()
-        vals.flags.writeable = False
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "inner_tail", complex(self.inner_tail))
 

@@ -14,11 +14,13 @@ the value at radius one is supplied.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FieldParams, KRadialFunction, _pow, _scan
+from .field import FieldParams, KRadialFunction, _scan
 from .operators import _scaled, apply_D_alpha
 
 __all__ = [
@@ -40,13 +42,12 @@ class TransformSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.array(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size != self.n_hi - self.n_lo + 1:
             raise ValueError(
                 f"values must have length {self.n_hi - self.n_lo + 1}, got shape {vals.shape}"
             )
-        vals = vals.copy()
-        vals.flags.writeable = False
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def value_at(self, n: int) -> complex:
@@ -91,7 +92,7 @@ def laplace_transform(phi: KRadialFunction, n_range: tuple[int, int]) -> Transfo
     bracket = (1.0 - 1.0 / q) * ball[run] - w[1:][run]
     clipped = (hi - lo + 1) - (top - bottom + 1)  # the n whose k is above top
     out = np.empty(hi - lo + 1, dtype=complex)
-    out[clipped:] = _scaled(bracket, q, 1.0, np.arange(float(bottom), top + 1.0))[::-1]
+    out[clipped:] = _scaled(bracket, q, 1.0, range(bottom, top + 1))[::-1]
     out[:clipped] = out[clipped]
     return TransformSequence(phi.params, lo, hi, out)
 
@@ -135,20 +136,19 @@ def laplace_invert(
         )
     q = float(tilde.params.q)
     T, i0 = tilde.values, -tilde.n_lo  # T[i0 + n] is the value at q^n
-    ms = np.arange(1, m_max + 1)
-    try:
-        down_w = _pow(q, ms)  # q^m
-    except OverflowError:
+    powers, reciprocals = _weights(q)  # q^m weighs T(m) - T(m+1), q^(1-m) T(2-m) - T(1-m)
+    if m_max >= len(powers):
         raise ValueError(
             f"weight q^m_max = {q:g}^{m_max} of 'phi_down' is beyond the double range "
             f"(q={q:g}, m_max={m_max})"
-        ) from None
-    up_w = _pow(q, 1 - ms)  # q^(1-m)
+        )
     anchor = [complex(phi_at_1)]
     with np.errstate(over="ignore", invalid="ignore"):
+        down = powers[1 : m_max + 1] * (T[i0 + 1 : i0 + m_max + 1] - T[i0 + 2 : i0 + m_max + 2])
+        up = reciprocals[:m_max] * (T[i0 + 2 - m_max : i0 + 2] - T[i0 + 1 - m_max : i0 + 1])[::-1]
         sums = {
-            "phi_down": np.cumsum(np.concatenate((anchor, down_w * (T[i0 + ms] - T[i0 + ms + 1])))),
-            "phi_up": np.cumsum(np.concatenate((anchor, up_w * (T[i0 + 2 - ms] - T[i0 + 1 - ms])))),
+            "phi_down": np.cumsum(np.concatenate((anchor, down))),
+            "phi_up": np.cumsum(np.concatenate((anchor, up))),
         }
     for name, acc in sums.items():
         if not np.isfinite(acc).all():
@@ -157,6 +157,20 @@ def laplace_invert(
                 f"transform differences is not finite (q={q:g}, m_max={m_max})"
             )
     return sums["phi_down"][1:], sums["phi_up"][1:]
+
+
+@functools.lru_cache(maxsize=32)
+def _weights(q: float) -> tuple[np.ndarray, np.ndarray]:
+    """``q^m`` and ``q^-m`` by Python's pow (``field._pow``'s bits), m = 0, 1, .. short of the first
+    overflowing ``q^m``: formed once per ``q`` (the last 32 kept), read-only, at most 1024 doubles each."""
+    up = []
+    with contextlib.suppress(OverflowError):
+        while True:
+            up.append(q ** len(up))
+    tables = np.array(up), np.array([q**-m for m in range(len(up))])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def symbol_identity_residual(phi: KRadialFunction, alpha: float, n_range: tuple[int, int]) -> float:

@@ -46,9 +46,9 @@ __all__ = [
 OPERATOR_NAMES = ("D1O", "I1", "I01", "J", "resolvent")
 
 
-def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarray:
+def _scaled(bracket: np.ndarray, q: float, a: float, ns: range | np.ndarray) -> np.ndarray:
     """``bracket * q^(a n)`` on the shells ``ns``, a nonempty ascending run of
-    consecutive shells.
+    consecutive shells (a ``range``; only its ends and length are read).
 
     The scale is ``field._scales_on``'s: per shell one factor where
     ``q^(a n)`` is a normal double, two half-powers elsewhere.  It is read
@@ -60,7 +60,8 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
     rounded once, also where the value is subnormal.  ``OverflowError`` is
     raised when a value itself overflows, and when a subnormal bracket
     would be scaled up to a normal value (its lost bits would show as a
-    wrong result).  Neither can happen on a run where no factor exceeds 1
+    wrong result; looked for only where the least ``|bracket|`` is not
+    normal).  Neither can happen on a run where no factor exceeds 1
     (``a n <= 0`` on every shell), which is returned unchecked.
     """
     first, second, (p0, p1) = _run_scales(q, a, int(ns[0]), int(ns[-1]))
@@ -75,8 +76,8 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: np.ndarray) -> np.ndarr
             raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
         # a subnormal bracket has lost its low bits; scaled up to a normal
         # value it would pass them off as an accurate result
-        small = np.abs(bracket) < _TINY
-        if small.any() and (np.abs(out[small]) >= _TINY).any():
+        size = np.abs(bracket)
+        if not size.min() >= _TINY and (np.abs(out[size < _TINY]) >= _TINY).any():
             raise OverflowError(f"operator value lost to underflow (scale q^({a!r} n), q={q:g})")
     return out
 
@@ -119,17 +120,23 @@ def apply_D_alpha(
     # the recurrence starts at the lowest shell whose value differs from the
     # tail: below it the input is constant, so the output is the constant
     # ``out[0]`` there, however far the input or output window reaches
-    moved = np.flatnonzero(u.values != t)
-    first = u.n_lo + (int(moved[0]) if moved.size else len(u.values) - 1)
+    moved = [0] if u.values[0] != t else np.flatnonzero(u.values != t)  # most inputs move at once
+    first = u.n_lo + (int(moved[0]) if len(moved) else len(u.values) - 1)
     m, top = first - 1, max(hi, first)
-    # the deviation is 0 on the shell ``m``, where the downward sums start at
-    # exactly 0, and -t above the window
-    dev = u.values_on(m, max(top, u.n_hi)) - t
+    # the deviation ``values_on(m, ..) - t`` in one buffer: 0 on the shell ``m``, where
+    # the downward sums start at exactly 0, and -t above the window
+    below, above = max(u.n_lo - m, 0), u.n_hi - m + 1  # the slots of the window: [below, above)
+    dev = np.empty(max(top, u.n_hi) - m + 1, complex)
+    np.subtract(u.values[m + below - u.n_lo :], t, out=dev[below:above])
+    if below:  # the shell m lies below the window
+        dev[0] = t - t
+    if above < len(dev):
+        dev[above:] = 0j - t
     qa = q**a
     down_up = _scan(dev, q) + _scan(dev, qa, -t / (qa - 1.0), upward=True)
     diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
     bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
-    out = _scaled(bracket[: top - m + 1], q, -a, np.arange(m, top + 1.0))
+    out = _scaled(bracket[: top - m + 1], q, -a, range(m, top + 1))
     image = KRadialFunction(p, first, top, out[1:], out[0])
     return image if (lo, hi) == (first, top) else KRadialFunction(p, lo, hi, image.values_on(lo, hi), out[0])
 
@@ -159,7 +166,7 @@ def _volterra_sums(vals: np.ndarray, t, q: float, qa: float) -> np.ndarray:
     return s + _scan(s, qa, tail_s / (qa - 1.0))
 
 
-def _integral(vals: np.ndarray, t, p: FieldParams, ns: np.ndarray) -> np.ndarray:
+def _integral(vals: np.ndarray, t, p: FieldParams, ns: range) -> np.ndarray:
     """``I^alpha`` of the values ``vals`` with tail ``t`` on the shells ``ns``."""
     q, a = float(p.q), p.alpha
     qa = q**a
@@ -186,7 +193,7 @@ def apply_I_alpha(u: KRadialFunction, out_hi: int = 0) -> KRadialFunction:
     if out_hi < 0:
         raise ValueError("out_hi must be >= 0")
     vals = u.values_on(u.n_lo, out_hi)
-    out = _integral(vals, u.inner_tail, u.params, np.arange(u.n_lo, out_hi + 1.0))
+    out = _integral(vals, u.inner_tail, u.params, range(u.n_lo, out_hi + 1))
     return KRadialFunction(u.params, u.n_lo, out_hi, out)
 
 
@@ -205,7 +212,7 @@ def apply_I01(u: KRadialFunction) -> KRadialFunction:
     _require_o(u, "apply_I01")
     q = float(u.params.q)
     sums = _volterra_sums(u.values_on(u.n_lo, 0), u.inner_tail, q, q)
-    out = _scaled(-((1.0 - 1.0 / q) ** 2) * sums, q, 1.0, np.arange(u.n_lo, 1.0))
+    out = _scaled(-((1.0 - 1.0 / q) ** 2) * sums, q, 1.0, range(u.n_lo, 1))
     return KRadialFunction(u.params, u.n_lo, 0, out)
 
 
@@ -224,7 +231,7 @@ def apply_resolvent_D1O(u: KRadialFunction) -> KRadialFunction:
     """
     _require_o(u, "apply_resolvent_D1O")
     p, q = u.params, float(u.params.q)
-    image = _integral(u.values_on(u.n_lo, 1), u.inner_tail, p, np.arange(u.n_lo, 2.0))
+    image = _integral(u.values_on(u.n_lo, 1), u.inner_tail, p, range(u.n_lo, 2))
     c = (1.0 - q**-p.alpha) * o_integral(u) / (q - 1.0) - image[-1]
     return KRadialFunction(p, u.n_lo, 0, image[:-1] + c, c)
 

@@ -70,6 +70,7 @@ DEFAULT_TOLERANCES = {
     "resolvent_inverse_block": 1e-8,
     "charfn_oracle": 1e-10,
     "charfn_order": 0.1,
+    "charfn_j_unitary": 1e-12,
     "laplace_constant": 1e-14,
     "laplace_difference": 1e-12,
     "laplace_roundtrip": 1e-12,
@@ -382,6 +383,17 @@ def check_characteristic_function(p: FieldParams) -> CheckResult:
     oracle_gap = float(np.abs(series.g[:, :, :9] - oracle).max())
 
     w0_exact = bool(np.array_equal(series.evaluate(0.0), np.eye(2, dtype=complex)))
+    # the colligation's sign: W* S W = S and det W = 1 on the real axis, and W* S W - S
+    # definite with the sign of Im z off it (W = E + i z S G misses both)
+    tol_unitary, swap = DEFAULT_TOLERANCES["charfn_j_unitary"], np.array([[0.0, 1.0], [1.0, 0.0]])
+    unitary_gap, signed = 0.0, True
+    for z in (-2.0, -0.5, 1.0, 3.0, 0.5 + 0.5j, -2.0 + 1.0j, 0.3 - 0.7j, -1.0 - 1.0j):
+        w = series.evaluate(z)
+        form = w.conj().T @ swap @ w - swap
+        if z.imag:
+            signed &= bool(np.all(np.sign(np.linalg.eigvalsh(form)) == np.sign(z.imag)))
+        else:
+            unitary_gap = max(unitary_gap, float(np.abs(form).max()), abs(np.linalg.det(w) - 1.0))
     series2 = characteristic_function(FieldParams(2), 25)
     coeffs = series2.w_coefficients()
     certs = [order_certificate(FieldParams(2), coeffs[a, b]) for a in range(2) for b in range(2)]
@@ -392,13 +404,16 @@ def check_characteristic_function(p: FieldParams) -> CheckResult:
         and w0_exact
         and math.isfinite(max_c)
         and max_rho <= tol_rho
+        and unitary_gap <= tol_unitary
+        and signed
     )
     return CheckResult(
-        "characteristic function: closed form = grid oracle, Gaussian envelope, zero order",
+        "characteristic function: closed form = grid oracle, Gaussian envelope, zero order, J-unitary",
         passed,
-        max(oracle_gap, max_rho),
-        max(tol, tol_rho),
-        f"W(0)=E exact: {w0_exact}, fitted C <= {max_c:.3f}, order estimate {max_rho:.3f}",
+        max(oracle_gap, max_rho, unitary_gap),
+        max(tol, tol_rho, tol_unitary),
+        f"W(0)=E exact: {w0_exact}, fitted C <= {max_c:.3f}, order estimate {max_rho:.3f}, "
+        f"J-unitary gap {unitary_gap:.2e} <= {tol_unitary:.0e}, W* S W - S signed as Im z: {signed}",
     )
 
 

@@ -4,10 +4,12 @@ Runs the same checks as ``padicradial verify`` and prints one line per
 criterion (visible with ``pytest -s`` or on failure).
 """
 
+import numpy as np
 import pytest
 
 from padicradial.field import FieldParams
-from padicradial.verify import CHECKS, build_checks, run_verification
+from padicradial.spectral import MatrixPowerSeries
+from padicradial.verify import CHECKS, build_checks, check_characteristic_function, run_verification
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,22 @@ def test_generic_parameters_q11_fail_only_the_transform_suite(alpha):
     if others:
         pytest.fail(f"checks other than the transform suite fail: {others}")
     assert ok, [r.line() for r in results if not r.passed]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_characteristic_function_check_fails_the_old_sign(monkeypatch, q):
+    # W = E + i z S G, the sign before the colligation's, is neither J-unitary on
+    # the real axis nor signed off it, though W(0) = E and the pairings hold
+    def old_sign(self, z):
+        G = np.tensordot(self.g, np.power(complex(z), np.arange(self.order + 1)), axes=([2], [0]))
+        return np.eye(2, dtype=complex) + 1j * z * (np.array([[0.0, 1.0], [1.0, 0.0]]) @ G)
+
+    res = check_characteristic_function(FieldParams(q))
+    assert res.passed and "J-unitary gap" in res.detail and res.measured <= 1e-14, res.line()
+    monkeypatch.setattr(MatrixPowerSeries, "evaluate", old_sign)
+    res = check_characteristic_function(FieldParams(q))
+    assert not res.passed and res.detail.endswith("signed as Im z: False"), res.line()
+    assert res.measured > 1.0, res.line()
 
 
 def test_config_validation():

@@ -105,6 +105,67 @@ def test_derivative_raises_where_a_shell_sum_underflows():
         apply_D_alpha(u)
 
 
+def derivative_reference(u, out_window=None):
+    """``apply_D_alpha`` with its set-up as it was: the first moved shell from
+    ``np.flatnonzero``, the deviation as ``values_on(..) - t`` and the shells
+    of ``_scaled`` as an ``np.arange``.  The set-up must keep its bits."""
+    p = u.params
+    if out_window is None:
+        out_window = (u.n_lo, u.n_hi)
+    lo, hi = out_window
+    if lo > hi:
+        raise ValueError(f"empty output window {out_window}")
+    if lo > u.n_lo:
+        raise ValueError(f"output window must start at or below the input window ({lo} > {u.n_lo})")
+    t, q, a = u.inner_tail, float(p.q), p.alpha
+    moved = np.flatnonzero(u.values != t)
+    first = u.n_lo + (int(moved[0]) if moved.size else len(u.values) - 1)
+    m, top = first - 1, max(hi, first)
+    dev = u.values_on(m, max(top, u.n_hi)) - t
+    qa = q**a
+    down_up = padicradial.field._scan(dev, q) + padicradial.field._scan(dev, qa, -t / (qa - 1.0), upward=True)
+    diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
+    bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
+    out = padicradial.operators._scaled(bracket[: top - m + 1], q, -a, np.arange(m, top + 1.0))
+    image = KRadialFunction(p, first, top, out[1:], out[0])
+    return image if (lo, hi) == (first, top) else KRadialFunction(p, lo, hi, image.values_on(lo, hi), out[0])
+
+
+def outcome(fn, *args):
+    """A function's window, value and tail bytes, or the type and message of its
+    refusal (non-finite input may warn on the way)."""
+    try:
+        with np.errstate(all="ignore"):
+            f = fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return f.n_lo, f.n_hi, f.values.tobytes(), np.complex128(f.inner_tail).tobytes()
+
+
+DERIVATIVE_TAILS = [0j, complex(-0.0, 0.0), complex(0.7, -1.3), complex(math.inf, 0.0),
+                    complex(math.nan, 1.0), complex(-math.inf, math.inf)]
+
+
+@pytest.mark.parametrize("q, alpha", [(2, 1.0), (3, 0.9), (7, 2.0)])
+@pytest.mark.parametrize("tail", DERIVATIVE_TAILS)
+def test_derivative_set_up_is_the_reference_bit_for_bit(q, alpha, tail):
+    # the lowest k shells equal to the tail, k in {0, 1, W-1, W} (one of them
+    # a zero of the other sign), on output windows that start below the input
+    # window, end above it, or both, and on refused ones; deep windows (W = 700)
+    # where q^(-alpha n) leaves the double range at q = 7 are refused alike
+    rng = np.random.default_rng(q)
+    for W in (12, 700):
+        for k in (0, 1, W - 1, W):
+            vals = rng.standard_normal(W) + 1j * rng.standard_normal(W)
+            vals[:k] = tail
+            if k and tail == 0:
+                vals[k - 1] = complex(-tail.real, -0.0)
+            u = KRadialFunction(FieldParams(q, alpha), -W, -1, vals, tail)
+            for window in (None, (-W - 3, -1), (-W, 2), (-W - 2, 3), (-W - 4, -W + 3),
+                           (-W - 6, -W - 2), (-W + 1, 0), (3, 1)):
+                assert outcome(apply_D_alpha, u, window) == outcome(derivative_reference, u, window)
+
+
 def test_derivative_rejects_window_above_input():
     with pytest.raises(ValueError):
         apply_D_alpha(make_basis(P2, "f", 3), (-1, 0))

@@ -39,14 +39,16 @@ def test_apply_layer_covers_both_fields_and_every_width(tmp_path):
                            "revision", "numpy", "python", "machine"}
     assert [(row["q"], row["W"]) for row in record["per_call"]] == [
         (q, W) for q in (3, 7) for W in (100, 400, 1600)]
-    names = ("_scaled cold", "_scaled warm", "apply_I_alpha", "apply_I01", "apply_D_alpha_O", "laplace_transform")
+    names = ("_scaled cold", "_scaled warm", "apply_I_alpha", "apply_I01", "apply_D_alpha", "apply_D_alpha_O",
+             "apply_resolvent_D1O", "laplace_transform", "laplace_invert")
     for row in record["per_call"]:
         for name in names:
             # a timed call, or the library's refusal of it
             assert ("median" in row[name]) != ("refused" in row[name]), (row["q"], row["W"], name)
     exponents = record["scaling_exponent"]
     assert {f"{name} q={q}" for name in names for q in (3, 7)} >= set(exponents)
-    assert "apply_I_alpha q=3" in exponents
+    assert {"apply_I_alpha q=3", "apply_D_alpha q=3", "apply_resolvent_D1O q=3", "laplace_invert q=3",
+            "laplace_invert q=7"} <= set(exponents)
     assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())
 
 
@@ -79,7 +81,9 @@ def test_charfn_layer_times_both_calls_at_every_order(tmp_path):
 
 
 def test_ab_mode_times_both_trees_for_every_call(tmp_path):
-    # the second tree is this one, imported again under another name
+    # the second tree is this one, imported again under another name; each
+    # call runs at least 20 pairs, and its timing carries the spread of the
+    # per-pair ratio and the share of pairs the first tree won
     dst = tmp_path / "bench.json"
     src = SCRIPT.parents[1] / "src"
     assert load_scaling().main(["--layer", "charfn", "--seconds", "0", "--ab", str(src), "--into", str(dst)]) == 0
@@ -89,8 +93,12 @@ def test_ab_mode_times_both_trees_for_every_call(tmp_path):
     for row in record["per_call"]:
         for name in ("characteristic_function", "order_certificate"):
             this, other = row[name], row[name]["other"]
-            assert this["calls"] >= 3 and other["calls"] >= 3
+            assert this["calls"] == other["calls"] >= 20
             assert 0 < this["min"] <= this["median"] and 0 < other["min"] <= other["median"]
+            ratio = this["ratio"]
+            assert set(ratio) == {"median", "q1", "q3", "won"}
+            assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"] and 0 <= ratio["won"] <= 1
+            assert "ratio" not in other
     fits = (record["scaling_exponent"], record["other"]["scaling_exponent"])
     assert set(fits[0]) == set(fits[1]) == {f"{name} q={q}" for name in CHARFN for q in (2, 3)}
     assert all(math.isfinite(b) for fit in fits for series in fit.values() for b in series.values())
