@@ -12,6 +12,7 @@ inner products and basis expansions carry no truncation error.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -212,14 +213,50 @@ def _ball_root(q: float, n_lo: int) -> float:
 
 
 def _pow(x, k):
-    """``x ** k`` by Python's pow, element by element where the base ``x`` or
-    the exponent ``k`` is an array, so each element has the bits of its own
-    scalar call: ``np.power`` is an ulp off Python's pow on some exponents."""
+    """``x ** k`` by Python's pow, element by element where the base ``x`` or the exponent ``k``
+    is an array, so each element has the bits of its own scalar call: ``np.power`` is an ulp
+    off Python's pow on some exponents.  Runs of ``q^(k/2)`` read its memo, ``_half_powers``."""
     if isinstance(x, np.ndarray):
         return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(k)), float, x.size).reshape(x.shape)
     if isinstance(k, np.ndarray):
         return np.fromiter(map(pow, itertools.repeat(x), k.ravel().tolist()), float, k.size).reshape(k.shape)
     return x**k
+
+
+def _half_powers(q: float, k0: int, step: int, count: int) -> np.ndarray:
+    """``q^((k0 + step i) / 2)``, i < count, step != 0, as Python's pow: a read-only slice of
+    ``_half_power_table``, or past underflow a read-only copy that is exactly 0 there.
+    ``OverflowError`` where a power overflows, as pow raises."""
+    if step < 0:  # the same run read backwards
+        return _half_powers(q, k0 + step * (count - 1), -step, count)[::-1]
+    table, first = _half_power_table(q)
+    zeros = min(max(-((k0 - first) // step), 0), count)  # the powers below the table
+    run = table[k0 - first + step * zeros : k0 - first + step * count : step]
+    if zeros + len(run) < count:
+        raise OverflowError(f"{q:g}^({k0 + step * (count - 1)}/2) is beyond the double range")
+    if zeros:  # a copy, made read-only as the slices of the table are
+        run = np.concatenate((np.zeros(zeros), run))
+        run.flags.writeable = False
+    return run
+
+
+@functools.lru_cache(maxsize=32)
+def _half_power_table(q: float) -> tuple[np.ndarray, int]:
+    """Python's pow ``q^(k/2)`` at each integer ``k`` from the first nonzero value to the last finite
+    one, and that first ``k``; once per ``q`` (the last 32 kept), read-only, at most 33 KB (q = 2)."""
+    below = math.floor(-2150.0 / math.log2(q))  # q^(below/2) <= 2^-1075: pow gives 0
+    first = next(k for k in itertools.count(below) if q ** (k / 2) > 0.0)
+    table = np.fromiter(_half_powers_from(q, first), float)
+    table.flags.writeable = False
+    return table, first
+
+
+def _half_powers_from(q: float, k: int):
+    """``q^(k/2)``, ``q^((k+1)/2)``, .. by Python's pow, up to the last finite one."""
+    with contextlib.suppress(OverflowError):
+        while True:
+            yield q ** (k / 2)
+            k += 1
 
 
 def _decay(w: np.ndarray, base: float, seed=0j, upward: bool = False) -> np.ndarray:
@@ -497,11 +534,11 @@ def make_basis(
 
 
 def _unit_scale(q: float, family: str, N):
-    """The factor that makes ``v_N`` (N >= 1) the unit ``e_N``, or the
-    shell indicator of ``q^-N`` the unit ``f_N``; one per ``N`` of an array."""
+    """The factor that makes ``v_N`` (N >= 1) the unit ``e_N``, or the shell
+    indicator of ``q^-N`` the unit ``f_N``; one per ``N`` of a ``range``."""
     unit = math.sqrt(1.0 - 1.0 / q) if family == "e" else (1.0 - 1.0 / q) ** -0.5
     try:
-        return unit * _pow(q, N / 2.0)
+        return unit * (_half_powers(q, N.start, N.step, len(N)) if isinstance(N, range) else _pow(q, N / 2.0))
     except OverflowError:
         n = int(np.max(N))
         raise ValueError(f"the unit factor q^(N/2) = {q:g}^({n}/2) of {family}_{n} at q={q:g} overflows") from None

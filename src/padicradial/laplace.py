@@ -14,13 +14,11 @@ the value at radius one is supplied.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FieldParams, KRadialFunction, _scan
+from .field import FieldParams, KRadialFunction, _half_powers, _scan
 from .operators import _scaled, apply_D_alpha
 
 __all__ = [
@@ -119,9 +117,9 @@ def laplace_invert(
     ``up[m-1] = phi(q^m)`` for ``m = 1 .. m_max``.  The cumulative sums
     anchor at the supplied ``phi_at_1`` (the transform alone determines
     ``phi`` only up to an additive constant).  The outward recursion needs
-    transform values on ``[1 - m_max, 1]`` and the inward one on
-    ``[1, m_max + 1]``.  A weight ``q^m_max`` or a sum that leaves the
-    double range raises ``ValueError`` naming ``'phi_down'`` or ``'phi_up'``.
+    transform values on ``[1 - m_max, 1]`` and the inward one on ``[1, m_max + 1]``,
+    weighted by slices of the memo ``field._half_powers``.  A weight ``q^m_max`` or a
+    sum that leaves the double range raises ``ValueError`` naming ``'phi_down'`` or ``'phi_up'``.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -136,16 +134,17 @@ def laplace_invert(
         )
     q = float(tilde.params.q)
     T, i0 = tilde.values, -tilde.n_lo  # T[i0 + n] is the value at q^n
-    powers, reciprocals = _weights(q)  # q^m weighs T(m) - T(m+1), q^(1-m) T(2-m) - T(1-m)
-    if m_max >= len(powers):
+    try:  # q^(1-m_max) .. q^m_max: q^m weighs T(m) - T(m+1), q^(1-m) T(2-m) - T(1-m)
+        weights = _half_powers(q, 2 - 2 * m_max, 2, 2 * m_max)
+    except OverflowError:
         raise ValueError(
             f"weight q^m_max = {q:g}^{m_max} of 'phi_down' is beyond the double range "
             f"(q={q:g}, m_max={m_max})"
-        )
+        ) from None
     anchor = [complex(phi_at_1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        down = powers[1 : m_max + 1] * (T[i0 + 1 : i0 + m_max + 1] - T[i0 + 2 : i0 + m_max + 2])
-        up = reciprocals[:m_max] * (T[i0 + 2 - m_max : i0 + 2] - T[i0 + 1 - m_max : i0 + 1])[::-1]
+        down = weights[m_max:] * (T[i0 + 1 : i0 + m_max + 1] - T[i0 + 2 : i0 + m_max + 2])
+        up = weights[m_max - 1 :: -1] * (T[i0 + 2 - m_max : i0 + 2] - T[i0 + 1 - m_max : i0 + 1])[::-1]
         sums = {
             "phi_down": np.cumsum(np.concatenate((anchor, down))),
             "phi_up": np.cumsum(np.concatenate((anchor, up))),
@@ -157,20 +156,6 @@ def laplace_invert(
                 f"transform differences is not finite (q={q:g}, m_max={m_max})"
             )
     return sums["phi_down"][1:], sums["phi_up"][1:]
-
-
-@functools.lru_cache(maxsize=32)
-def _weights(q: float) -> tuple[np.ndarray, np.ndarray]:
-    """``q^m`` and ``q^-m`` by Python's pow (``field._pow``'s bits), m = 0, 1, .. short of the first
-    overflowing ``q^m``: formed once per ``q`` (the last 32 kept), read-only, at most 1024 doubles each."""
-    up = []
-    with contextlib.suppress(OverflowError):
-        while True:
-            up.append(q ** len(up))
-    tables = np.array(up), np.array([q**-m for m in range(len(up))])
-    for table in tables:
-        table.setflags(write=False)
-    return tables
 
 
 def symbol_identity_residual(phi: KRadialFunction, alpha: float, n_range: tuple[int, int]) -> float:

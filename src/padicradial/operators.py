@@ -20,6 +20,7 @@ from .field import (
     KRadialFunction,
     _pow,
     _TINY,
+    _half_powers,
     _require_o,
     _run_scales,
     _scan,
@@ -264,11 +265,11 @@ def _toeplitz(d: np.ndarray, below: np.ndarray | None = None) -> np.ndarray:
     return np.ndarray((len(d), len(d)), float, np.append(lower, d), (len(d) - 1) * 8, (-8, 8))
 
 
-def _powers(q: float, sign: float, dim: int, what: str = "", basis: str = "") -> np.ndarray:
-    """``q^(sign N)`` for N = 0 .. dim-1.  An overflowing ``q^N`` is named as the ``what`` of the
-    deepest element of the family ``basis``, where Python's pow reports an errno tuple."""
+def _powers(q: float, sign: int, dim: int, what: str = "", basis: str = "") -> np.ndarray:
+    """``q^(sign N)`` for N = 0 .. dim-1, read-only from ``field._half_powers``.  An overflowing
+    ``q^N`` is named as the ``what`` of the deepest element of the family ``basis``."""
     try:
-        return _pow(q, sign * np.arange(dim, dtype=float))
+        return _half_powers(q, 0, 2 * sign, dim)
     except OverflowError:
         raise OverflowError(f"the {what} q^N = {q:g}^{dim - 1} of {basis}_{dim - 1} overflows") from None
 
@@ -284,11 +285,11 @@ def _e_volterra(q: float, dim: int) -> np.ndarray:
     ``e_N = s q^(N/2) v_N``, ``u = 1-1/q = s^2``, ``kappa = 1-u/q``, row 0 is ``-u/q``, then
     ``s (kappa q^(-3N/2) - q^(-N/2))``; (1, 0) is ``s q^(-3/2)``; (j, n), 1 <= j <= n, is ``u kappa
     q^-j q^(-3(n-j)/2)``; (n+1, n), n >= 1, is ``u q^(-n-3/2)``; all else is 0 (none overflows)."""
-    u, n = (q - 1.0) / q, np.arange(float(dim))
-    kappa, s, deep = 1.0 - u / q, math.sqrt(u), _pow(q, -1.5 * n)
-    out = _toeplitz(deep) * (u * kappa * _pow(q, -n))[:, None]
-    out[0], out[:2, 0] = s * (kappa * deep - _pow(q, -0.5 * n)), (-u / q, s * deep[1])
-    np.fill_diagonal(out[2:, 1:], u * _pow(q, -1.5 - n[1:-1]))
+    u = (q - 1.0) / q
+    kappa, s, deep = 1.0 - u / q, math.sqrt(u), _half_powers(q, 0, -3, dim)
+    out = _toeplitz(deep) * (u * kappa * _half_powers(q, 0, -2, dim))[:, None]
+    out[0], out[:2, 0] = s * (kappa * deep - _half_powers(q, 0, -1, dim)), (-u / q, s * deep[1])
+    np.fill_diagonal(out[2:, 1:], u * _half_powers(q, -5, -2, dim - 2))
     return out
 
 
@@ -300,7 +301,7 @@ def _e_imaginary(q: float, dim: int) -> np.ndarray:
     sqrt(1-1/q)``.  So ``J[0, N] = (i/2) s q^(-N/2) = -J[N, 0]`` (N >= 1), and every other entry is
     0; none overflows."""
     out = np.zeros((dim, dim), complex)
-    out.imag[0, 1:] = 0.5 * math.sqrt(1.0 - 1.0 / q) * _pow(q, -0.5 * np.arange(1.0, dim))
+    out.imag[0, 1:] = 0.5 * math.sqrt(1.0 - 1.0 / q) * _half_powers(q, -1, -1, dim - 1)
     out.imag[1:, 0] = -out.imag[0, 1:]
     return out
 
@@ -308,9 +309,9 @@ def _e_imaginary(q: float, dim: int) -> np.ndarray:
 def _e_eigenvalues(q: float, name: str, dim: int) -> np.ndarray:
     """The ``D1O`` or resolvent e-matrix: ``D1O e_N = q^N e_N`` (N >= 1) and
     ``D1O e_0 = lambda_1 e_0``, ``lambda_1 = q/(q+1)``; the resolvent inverts both."""
-    eigenvalues = _powers(q, 1.0 if name == "D1O" else -1.0, dim, "eigenvalue", "e")
-    eigenvalues[0] = q / (q + 1.0) if name == "D1O" else (q + 1.0) / q
-    return np.diag(eigenvalues)
+    out = np.diag(_powers(q, 1 if name == "D1O" else -1, dim, "eigenvalue", "e"))
+    out[0, 0] = q / (q + 1.0) if name == "D1O" else (q + 1.0) / q
+    return out
 
 
 def _e_i1(p: FieldParams, dim: int) -> np.ndarray:
@@ -319,9 +320,9 @@ def _e_i1(p: FieldParams, dim: int) -> np.ndarray:
     diagonal term ``q^(n-1) v_N``: ``-q^-N (0, q/(q-1), 1, .., 1)`` on the shells
     ``-N .. 0``, and 0 below, where ``v_N`` is constant.  ``t_N q^-N`` is formed in two
     halves ``q^(-N/2)``: ``q^-N`` alone turns subnormal while ``t_N`` is still a double."""
-    q, n = float(p.q), np.arange(dim)
-    half = _pow(q, -n / 2.0)
-    scale = _unit_scale(q, "e", n) * half * half
+    q = float(p.q)
+    half = _half_powers(q, 0, -1, dim)
+    scale = _unit_scale(q, "e", range(dim)) * half * half
     shape = np.append([0.0, -q / (q - 1.0)], -np.ones(dim - 2))
     out = np.empty((dim, dim), complex)
     for N in range(dim):  # e_0's column: 0 on the shell 0
@@ -354,7 +355,7 @@ def _f_kernel(q: float, name: str, dim: int) -> np.ndarray:
     """
     u, k = 1.0 - 1.0 / q, np.arange(float(dim))
     if name in ("resolvent", "J"):
-        roots = u * _pow(q, -np.arange(2.0 * dim - 1.0) / 2.0)  # r_j r_n at j + n
+        roots = u * _half_powers(q, 0, -1, 2 * dim - 1)  # r_j r_n at j + n
         if name == "J":  # (i u/2) (n - j) r_j r_n, written into the imaginary part
             roots *= 0.5 * u
         at_sum = np.ndarray((dim, dim), float, roots, 0, (8, 8))  # roots[j + n], as a view
@@ -363,15 +364,15 @@ def _f_kernel(q: float, name: str, dim: int) -> np.ndarray:
         out = np.zeros((dim, dim), complex)
         np.multiply(k - k[:, None], at_sum, out=out.imag)
         return out
-    half = _pow(q, -k / 2.0)
+    half = _half_powers(q, 0, -1, dim)
     if name == "D1O":
         d = (1.0 - q) / (1.0 - q**-2.0) * u * half  # theta_1 u q^(-k/2)
         d[0] = (2.0 * q - 2.0) / (1.0 - q**-2.0) / q
-        power = _powers(q, 1.0, dim, "diagonal factor", "f")
+        power = _powers(q, 1, dim, "diagonal factor", "f")
         return _toeplitz(d, d[1:]) * np.minimum.outer(power, power)  # q^min(j, n) = min(q^j, q^n)
     d = -u * u * k * half
     d[0] = 0.0 if name == "I01" else 1.0 / q
-    return _toeplitz(d) * _powers(q, -1.0, dim)[:, None]
+    return _toeplitz(d) * _powers(q, -1, dim)[:, None]
 
 
 def _entries(p: FieldParams, name: str, basis: str, dim: int) -> np.ndarray:
@@ -398,7 +399,8 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
     Each entry is rounded otherwise than by the column loop (one operator
     application and one ``expand`` per column), to the same order of its
     term mass; at q = 2 the ``I1`` e-matrix is its bits.  The matrix is
-    formed at ``alpha = 1`` whatever the ``alpha`` of ``params``.
+    formed at ``alpha = 1`` whatever the ``alpha`` of ``params``, and its
+    powers of ``q`` are slices of the memo ``field._half_powers``.
     ``ValueError`` names the operator, family, ``q`` and ``dim`` where an
     entry (named by its row and column), the power ``q^N`` of a ``D1O``
     diagonal or a unit factor ``q^(N/2)`` leaves the double range: the
@@ -412,7 +414,7 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
         raise ValueError(f"basis must be 'e' or 'f', got {basis!r}")
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    p1 = replace(params, alpha=1.0)
+    p1 = params if params.alpha == 1.0 else replace(params, alpha=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             entries = _entries(p1, name, basis, dim)

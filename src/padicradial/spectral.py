@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FieldParams, KRadialFunction, _pow, o_integral, o_log_integral
+from .field import FieldParams, KRadialFunction, _half_powers, o_integral, o_log_integral
 from .operators import (
     d_constant,
     moment_b,
@@ -72,20 +72,20 @@ def i1_eigenpairs(params: FieldParams, dim: int) -> I1Spectrum:
     0 in row and column ``N`` but for ``M[0, N]``, and ``v = e_0 + d_N e_N`` solves
     ``(M - q^-N) v = 0`` when row 0 does, ``-q^-N + M[0, N] d_N = 0``:
     ``d_N = -(1 - 1/q)^(-1/2) q^(-N/2)``; column 0 is 0, so ``e_0`` spans the kernel.
-    The eigenvalues ``q^-N`` are Python's pow, one rounding each, then 0; the vectors
-    are ``(e_0 + d_N e_N) / sqrt(1 + d_N^2)`` and ``e_0``.  Below ``2^-1022`` (from
-    N = 1023 at q = 2) an eigenvalue is subnormal or 0, as the matrix's own diagonal is.
+    The eigenvalues ``q^-N`` are Python's pow (slices of the memo ``field._half_powers``),
+    then 0; the vectors are ``(e_0 + d_N e_N) / sqrt(1 + d_N^2)`` and ``e_0``.  Below
+    ``2^-1022`` (from N = 1023 at q = 2) an eigenvalue is subnormal or 0, as the matrix's own diagonal is.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    p1 = replace(params, alpha=1.0)
-    q, N = float(p1.q), np.arange(1.0, dim)
-    d = -_pow(q, -N / 2.0) / math.sqrt(1.0 - 1.0 / q)
+    p1 = params if params.alpha == 1.0 else replace(params, alpha=1.0)
+    q = float(p1.q)
+    d = -_half_powers(q, -1, -1, dim - 1) / math.sqrt(1.0 - 1.0 / q)
     h = np.hypot(1.0, d)
     vec = np.eye(dim, k=dim - 1, dtype=complex)  # e_0 in the last column
     vec[0, :-1] = 1.0 / h
     np.fill_diagonal(vec[1:], d / h)  # e_N in column N - 1
-    return I1Spectrum(p1, dim, np.append(_pow(q, -N), 0.0).astype(complex), vec)
+    return I1Spectrum(p1, dim, np.append(_half_powers(q, -2, -2, dim - 1), 0.0).astype(complex), vec)
 
 
 def volterra_check(params: FieldParams, dim: int) -> dict:
@@ -201,7 +201,7 @@ def characteristic_function(params: FieldParams, T: int) -> MatrixPowerSeries:
     n = np.arange(T + 1)
     d, b, m0 = d_constant(params, n), moment_b(params, n), moment_m0(params, n)
     P = np.cumprod(np.concatenate(([1.0], params.c_volterra * d[:-1])))
-    y = _pow(q, -np.arange(1.0, T + 1.0))
+    y = _half_powers(q, -2, -2, T)
     E = np.cumsum(np.concatenate(([0.0], params.ln_q * (1.0 + y) / (1.0 - y))))
     g = np.array([
         [abs(kap1) ** 2 * P * m0, kap1 * P * d],

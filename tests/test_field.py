@@ -668,3 +668,55 @@ def test_max_shell_difference_sees_tails():
     assert max_shell_difference(u, v) == 0.0
     w = KRadialFunction(P2, u.n_lo, u.n_hi, u.values, 0.5)
     assert max_shell_difference(u, w) == pytest.approx(0.5)
+
+
+MEMO_QS = [2, 3, 4, 5, 7, 8, 9, 11, 27, 101, 128, 4096, 65536]
+
+
+def pow_run(q: float, k0: int, step: int, count: int) -> np.ndarray:
+    """Reference: Python's pow ``q^((k0 + step i) / 2)`` one exponent at a time."""
+    return np.array([q ** ((k0 + step * i) / 2) for i in range(count)], dtype=float)
+
+
+@pytest.mark.parametrize("q", MEMO_QS)
+def test_half_power_memo_is_pow_from_edge_to_edge(q):
+    # every entry has pow's bytes; below the first entry pow gives 0, past the last it overflows
+    q = float(q)
+    table, first = padicradial.field._half_power_table(q)
+    last = first + len(table) - 1
+    assert table.tobytes() == pow_run(q, first, 1, len(table)).tobytes()
+    assert q ** ((first - 1) / 2) == 0.0 < table[0] and table[-1] < math.inf
+    with pytest.raises(OverflowError):
+        q ** ((last + 1) / 2)
+    run = padicradial.field._half_powers
+    assert run(q, first - 1, 1, 1).tobytes() == np.zeros(1).tobytes()  # the first exact zero
+    assert run(q, last, 1, 1)[0] == table[-1]
+    with pytest.raises(OverflowError, match=rf"\^\({last + 1}/2\) is beyond the double range"):
+        run(q, last + 1, 1, 1)  # one step past the last entry
+    with pytest.raises(OverflowError, match=rf"\^\({last + 1}/2\) is beyond the double range"):
+        run(q, last + 1, -1, 3)  # read backwards: the same run, named by its largest exponent
+
+
+@pytest.mark.parametrize("q", MEMO_QS)
+@pytest.mark.parametrize("step", [-3, -2, -1, 1, 2])
+def test_half_power_runs_match_pow_across_both_edges(q, step):
+    # runs inside the table are read-only views of it; runs past underflow are exactly 0 there
+    # (a read-only copy); a run that reaches past the last entry raises, as pow does
+    q = float(q)
+    table, first = padicradial.field._half_power_table(q)
+    last = first + len(table) - 1
+    starts = {first - 7, first - 1, first, first + 2, 0, -1, 1, last - 4, last - 1, last, last + 1, last + 5}
+    for k0 in sorted(starts):
+        for count in (0, 1, 2, 5, 9, len(table) // 3, len(table) + 4):
+            ks = [k0 + step * i for i in range(count)]
+            if ks and max(ks) > last:
+                with pytest.raises(OverflowError):
+                    padicradial.field._half_powers(q, k0, step, count)
+                continue
+            got = padicradial.field._half_powers(q, k0, step, count)
+            assert got.tobytes() == pow_run(q, k0, step, count).tobytes(), (k0, count)
+            assert not got.flags.writeable
+            if count and min(ks) >= first:
+                assert np.shares_memory(got, table), (k0, count)  # a slice, not a copy
+            with pytest.raises(ValueError, match="read-only"):
+                got[:1] = 1.0

@@ -276,6 +276,46 @@ def test_inversion_round_trip():
             assert up[m - 1] == pytest.approx(phi.value_at(m), abs=1e-12)
 
 
+def check_round_trip_outside_the_ball(q):
+    """Invert the transform of a function reaching the shells 1 .. 9, so every ``q^(1-m)`` weight
+    multiplies a nonzero difference: each value within 2 eps of its term mass of the shell value,
+    and bit for bit the one-index-at-a-time recursions (Python's pow weights)."""
+    rng = np.random.default_rng([q, 29])
+    lo, hi = -12, 9
+    vals = rng.standard_normal(hi - lo + 1) + 1j * rng.standard_normal(hi - lo + 1)
+    phi = KRadialFunction(FieldParams(q), lo, hi, vals, complex(*rng.standard_normal(2)))
+    m_max = hi + 2
+    tilde = laplace_transform(phi, (1 - m_max, m_max + 1))
+    down, up = laplace_invert(tilde, phi.value_at(0), m_max)
+    mass_down = mass_up = abs(phi.value_at(0))
+    for m in range(1, m_max + 1):  # each weight times the term masses of its two transform values
+        mass_up += q ** float(1 - m) * (term_mass(phi, 2 - m) + term_mass(phi, 1 - m))
+        mass_down += q ** float(m) * (term_mass(phi, m) + term_mass(phi, m + 1))
+        assert abs(up[m - 1] - phi.value_at(m)) <= 2 * EPS * mass_up, (q, m)
+        assert abs(down[m - 1] - phi.value_at(-m)) <= 2 * EPS * mass_down, (q, m)
+    want_down, want_up = loop_invert(tilde, phi.value_at(0), m_max)
+    assert up.tobytes() == want_up.tobytes() and down.tobytes() == want_down.tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_inversion_round_trip_outside_the_ball(q):
+    check_round_trip_outside_the_ball(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_inversion_round_trip_sees_one_weight_an_ulp_off(q, monkeypatch):
+    # a memo whose q^-5 (the weight of m = 6 in ``phi_up``) is 1 ulp high fails the round trip
+    import padicradial.field as field
+
+    memo = field._half_power_table
+    table, first = memo(float(q))
+    bad = table.copy()
+    bad[-10 - first] = np.nextafter(bad[-10 - first], np.inf)
+    monkeypatch.setattr(field, "_half_power_table", lambda q_: (bad, first) if q_ == q else memo(q_))
+    with pytest.raises(AssertionError):
+        check_round_trip_outside_the_ball(q)
+
+
 def test_inversion_of_zero_transform_is_constant():
     tilde = laplace_transform(KRadialFunction(P2, 0, 22, np.ones(23), 1.0), (-11, 13))
     assert np.abs(tilde.values).max() < 1e-14

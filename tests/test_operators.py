@@ -761,6 +761,40 @@ def test_range_limits_name_the_element_and_its_power():
         assert "(34," not in str(info.value)
 
 
+def test_refusals_of_powers_read_from_the_memo_keep_their_messages():
+    # the D1O f-diagonal q^N, the I1 e unit factor q^(N/2) and the inversion weight q^m_max
+    # come from ``field._half_powers``; their refusals read as they did from Python's pow
+    from padicradial.laplace import TransformSequence, laplace_invert
+
+    cases = [(lambda: operator_matrix(P2, "D1O", "f", 1025),
+              "the D1O matrix in the f-family at q=2, dim=1025 leaves the double range: "
+              "the diagonal factor q^N = 2^1024 of f_1024 overflows"),
+             (lambda: operator_matrix(FieldParams(7), "I1", "e", 731),
+              "the I1 matrix in the e-family at q=7, dim=731 leaves the double range: "
+              "the unit factor q^(N/2) = 7^(730/2) of e_730 at q=7 overflows"),
+             (lambda: laplace_invert(TransformSequence(P2, -1023, 1025, np.zeros(2049)), 0j, 1024),
+              "weight q^m_max = 2^1024 of 'phi_down' is beyond the double range (q=2, m_max=1024)")]
+    for make, message in cases:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+    assert operator_matrix(FieldParams(7), "I1", "e", 730).dim == 730
+    last = laplace_invert(TransformSequence(P2, -1022, 1024, np.zeros(2047)), 0j, 1023)
+    assert all(np.isfinite(part).all() for part in last)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_matrices_at_another_order_are_the_order_one_matrices(q):
+    # every matrix is formed at alpha = 1; given alpha = 1 the params are used as they are
+    p1 = FieldParams(q)
+    for name in OPERATOR_NAMES:
+        for basis in ("e", "f"):
+            want = operator_matrix(p1, name, basis, 40)
+            got = operator_matrix(FieldParams(q, 0.5), name, basis, 40)
+            assert got.params == p1 and got.params.alpha == 1.0 and want.params is p1
+            assert got.entries.tobytes() == want.entries.tobytes(), (name, basis)
+
+
 @pytest.mark.parametrize("q, dim", [(3, 647), (5, 442)])
 def test_d1o_f_matrix_refusal_names_the_entry(q, dim):
     # the first entry beyond the double range is the last diagonal one, of order q^N

@@ -89,6 +89,16 @@ def test_i1_eigenvectors_match_the_dense_solver(q, dim):
         assert abs(np.vdot(vecs[:, k], spec.eigenvectors[:, N - 1])) == pytest.approx(1.0, abs=1e-11)
 
 
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_i1_eigenpairs_at_another_order_are_the_order_one_pairs(q):
+    p1 = FieldParams(q)
+    for dim in (2, 40, 1500):
+        want, got = i1_eigenpairs(p1, dim), i1_eigenpairs(FieldParams(q, 0.5), dim)
+        assert got.params == p1 and got.params.alpha == 1.0 and want.params is p1
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+
+
 def test_i1_eigenpairs_form_no_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("operator_matrix called")
