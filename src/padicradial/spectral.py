@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FieldParams, KRadialFunction, _half_powers, o_integral, o_log_integral
+from .field import FieldParams, KRadialFunction, _TINY, _half_powers, o_integral, o_log_integral
 from .operators import (
     d_constant,
     moment_b,
@@ -45,7 +45,6 @@ __all__ = [
     "ShortSeriesError",
 ]
 
-_TINY = float(np.finfo(float).tiny)
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 

@@ -9,7 +9,13 @@ import pytest
 
 from padicradial.field import FieldParams
 from padicradial.spectral import MatrixPowerSeries
-from padicradial.verify import CHECKS, build_checks, check_characteristic_function, run_verification
+from padicradial.verify import (
+    CHECKS,
+    DEFAULT_TOLERANCES,
+    build_checks,
+    check_characteristic_function,
+    run_verification,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,21 +42,31 @@ def test_generic_parameters_q5():
     assert ok, [r.name for r in results if not r.passed]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the alpha = 2 symbol gap at q = 11 is 4.09e-10, over its 1e-10 tolerance")
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-def test_generic_parameters_q11_fail_only_the_transform_suite(alpha):
-    """Known defect: ``padicradial verify --q 11`` exits 1 at every order.
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("alpha", [0.25, 1.0, 3.0])
+def test_verification_passes_at_every_prime_power_up_to_8(q, alpha):
+    ok, results = run_verification(FieldParams(q, alpha))
+    assert ok, [r.line() for r in results if not r.passed]
 
-    The transform suite's symbol identity at alpha = 2 measures 4.09e-10
-    against ``laplace_symbol`` = 1e-10, on every shell ``n <= 0`` of its
-    range.  The random 6-shell ``psi`` has ``D^2 psi`` with tail 3.3e12, and
-    the gap is the absolute rounding of that derivative's transform, divided
-    by ``max(1, |left|, |right|)``, where both sides are below 1 for
-    ``n <= 0``.  Every other check passes.  When the residual or its scale is
-    mended, this test passes and its mark goes.
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the alpha = 2 symbol gap is 2.72e-10 at q = 9 and 6.00e-10 at q = 11, "
+                          "over its 1e-10 tolerance")
+@pytest.mark.parametrize("q", [9, 11])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_generic_parameters_q11_fail_only_the_transform_suite(q, alpha):
+    """Known defect: ``padicradial verify`` exits 1 at q = 9 and 11, at every order.
+
+    The transform suite's symbol identity at alpha = 2 measures 2.72e-10
+    (q = 9) and 6.00e-10 (q = 11) against ``laplace_symbol`` = 1e-10, on
+    every shell ``n <= 0`` of its range.  The random 6-shell ``psi`` has
+    ``D^2 psi`` with tail 2.9e11 (q = 9) and 3.3e12 (q = 11), and the gap is
+    the absolute rounding of that derivative's transform, divided by
+    ``max(1, |left|, |right|)``, where both sides are below 1 for ``n <= 0``.
+    Every other check passes.  When the residual or its scale is mended,
+    this test passes and its mark goes.
     """
-    ok, results = run_verification(FieldParams(11, alpha))
+    ok, results = run_verification(FieldParams(q, alpha))
     others = [r.name for r in results if not r.passed and not r.name.startswith("transform suite")]
     if others:
         pytest.fail(f"checks other than the transform suite fail: {others}")
@@ -71,6 +87,38 @@ def test_characteristic_function_check_fails_the_old_sign(monkeypatch, q):
     res = check_characteristic_function(FieldParams(q))
     assert not res.passed and res.detail.endswith("signed as Im z: False"), res.line()
     assert res.measured > 1.0, res.line()
+
+
+def test_each_tolerance_fails_only_the_check_whose_clause_reads_it(monkeypatch):
+    # give every key a distinct tolerance, so each clause's tolerance names
+    # the key it reads; the rank cut is a threshold, not a clause's tolerance
+    tagged = {key: tol * (1.0 + k * 2.0**-30) for k, (key, tol) in enumerate(DEFAULT_TOLERANCES.items(), 1)}
+    owner = {tol: key for key, tol in tagged.items()}
+    for key, tol in tagged.items():
+        monkeypatch.setitem(DEFAULT_TOLERANCES, key, tol)
+    base = {p: build_checks(p) for p in (FieldParams(2), FieldParams(3, 0.5))}
+    wired, read = {}, set()
+    for p, results in base.items():
+        assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+        for index, res in enumerate(results):
+            for _, residual, tol in res.clauses:
+                read.add(owner.get(tol))
+                if tol in owner and residual > 0:
+                    wired.setdefault(owner[tol], (p, index, residual))
+    assert read - {None} == set(DEFAULT_TOLERANCES) - {"imaginary_part_rank_cut"}
+    assert len(wired) >= len(DEFAULT_TOLERANCES) // 2, sorted(wired)
+
+    for key, (p, index, residual) in wired.items():
+        # a time is not repeatable, so its bound leaves room for a faster rerun
+        bound = residual / (4.0 if key == "runtime_seconds" else 2.0)
+        monkeypatch.setitem(DEFAULT_TOLERANCES, key, bound)
+        results = build_checks(p)
+        monkeypatch.setitem(DEFAULT_TOLERANCES, key, tagged[key])
+        assert [r.passed for r in results] == [i != index for i in range(len(results))], key
+        line = results[index].line()
+        assert results[index].tolerance == bound and f"(tolerance {bound:.1e}," in line, (key, line)
+        if key != "runtime_seconds":
+            assert results[index].measured == residual and f"measured {residual:.3e} " in line, (key, line)
 
 
 def test_config_validation():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -378,6 +379,34 @@ def test_cli_verify_corrupted_tolerance_exits_1(monkeypatch, capsys):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "VERIFICATION FAILED" in out
+
+
+# the pattern perfbench/checks.py reads a verify line with
+_VERIFY_LINE = re.compile(r"^(PASS|FAIL)\s+(.*?): measured (\S+) \(tolerance (\S+),")
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_cli_verify_lines_parse_as_their_tightest_clause(monkeypatch, capsys, q):
+    seen = []
+
+    def recording(p):
+        ok, results = verify.run_verification(p)
+        seen.extend(results)
+        return ok, results
+
+    monkeypatch.setattr(cli, "run_verification", recording)
+    assert main(["verify", "--q", str(q)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(seen) + 1 and lines[-1].startswith("ALL CHECKS PASSED")
+    for line, res in zip(lines, seen):
+        assert all(isinstance(x, float) for x in (res.seconds, res.measured, res.tolerance)), line
+        m = _VERIFY_LINE.match(line)
+        assert m and m[1] == "PASS" and m[2] == res.name, line
+        # least margin log10(tol / residual) = largest share of the tolerance
+        shares = [residual / tol if tol else 0.0 for _, residual, tol in res.clauses]
+        label, residual, tol = res.clauses[shares.index(max(shares))]
+        assert (m[3], m[4]) == (f"{residual:.3e}", f"{tol:.1e}"), line
+        assert all(f"{clause[0]}: " in line for clause in res.clauses), line
 
 
 def test_cli_verify_unknown_tolerance_exits_2(capsys):
