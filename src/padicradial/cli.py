@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .field import FieldParams, KRadialFunction
+from .field import FieldParams, KRadialFunction, _half_powers
 from .laplace import laplace_invert, laplace_transform
 from .operators import (
     OPERATOR_NAMES,
@@ -85,7 +85,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_spectrum(args) -> int:
     ev = i1_eigenpairs(FieldParams(args.q), args.dim).eigenvalues
-    analytic = np.array([float(args.q) ** -m for m in range(1, args.dim)])
+    analytic = _half_powers(float(args.q), -2, -2, args.dim - 1)  # q^-m, m = 1 .. dim - 1
     worst = float(np.abs(ev[:, None] - analytic).min(axis=0).max())  # nearest eigenvalue, worst m
     doc = {"q": args.q, "dim": args.dim, "eigenvalues": ev, "max_gap_to_analytic": worst}
     _write(dump(doc), args.out)

@@ -213,13 +213,11 @@ def _ball_root(q: float, n_lo: int) -> float:
 
 
 def _pow(x, k):
-    """``x ** k`` by Python's pow, element by element where the base ``x`` or the exponent ``k``
-    is an array, so each element has the bits of its own scalar call: ``np.power`` is an ulp
-    off Python's pow on some exponents.  Runs of ``q^(k/2)`` read its memo, ``_half_powers``."""
+    """``x ** k`` by Python's pow, element by element where the base ``x`` is an array, so each
+    element has the bits of its own scalar call: ``np.power`` is an ulp off Python's pow on some
+    exponents.  Runs of ``q^(k/2)`` read its memo, ``_half_powers``."""
     if isinstance(x, np.ndarray):
         return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(k)), float, x.size).reshape(x.shape)
-    if isinstance(k, np.ndarray):
-        return np.fromiter(map(pow, itertools.repeat(x), k.ravel().tolist()), float, k.size).reshape(k.shape)
     return x**k
 
 

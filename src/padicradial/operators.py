@@ -20,6 +20,7 @@ from .field import (
     KRadialFunction,
     _pow,
     _TINY,
+    _half_power_table,
     _half_powers,
     _require_o,
     _run_scales,
@@ -362,7 +363,8 @@ def _f_kernel(q: float, name: str, dim: int) -> np.ndarray:
         if name == "resolvent":
             return at_sum * (1.0 + u * np.minimum.outer(k, k) + np.eye(dim) / (q - 1.0))
         out = np.zeros((dim, dim), complex)
-        np.multiply(k - k[:, None], at_sum, out=out.imag)
+        np.subtract(k, k[:, None], out=out.imag)
+        out.imag *= at_sum
         return out
     half = _half_powers(q, 0, -1, dim)
     if name == "D1O":
@@ -431,11 +433,18 @@ def operator_matrix(params: FieldParams, name: str, basis: str, dim: int) -> Ope
 
 
 def _y(params: FieldParams, n, name: str) -> tuple[float, float | np.ndarray]:
-    """``q`` and ``y = q^-(n+1)`` for an order ``n >= 0`` or an integer array of orders."""
+    """``q`` and ``y = q^-(n+1)`` for an order ``n >= 0`` or an integer array of orders, as Python's
+    pow: an array gathers ``q^(k/2)``, ``k = -2(n+1)``, from the memo, and reads 0 below it."""
     if np.min(n, initial=0) < 0:
         raise ValueError(f"{name} must be >= 0")
     q = float(params.q)
-    return q, _pow(q, -(n + 1.0))
+    if not isinstance(n, np.ndarray):
+        return q, q ** -(n + 1.0)
+    if n.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an order or an integer array of orders, got a {n.dtype} array")
+    table, first = _half_power_table(q)
+    at = -2.0 * n - (2 + first)  # the memo's index of q^-(n+1), in floats so that no order wraps around
+    return q, np.where(at >= 0, table[np.maximum(at, 0).astype(np.intp)], 0.0)
 
 
 def d_constant(params: FieldParams, m: int | np.ndarray) -> float | np.ndarray:
@@ -443,7 +452,7 @@ def d_constant(params: FieldParams, m: int | np.ndarray) -> float | np.ndarray:
     against ``|y|^m`` over ``|y| < |x|`` gives ``d_m |x|^(m+1)``.  This and
     the moments below take an order or an integer array of orders."""
     q, y = _y(params, m, "m")
-    return (1.0 - 1.0 / q) * params.ln_q * y / _pow(1.0 - y, 2)
+    return (1.0 - 1.0 / q) * params.ln_q * y / ((1.0 - y) * (1.0 - y))  # the bits of pow(1 - y, 2)
 
 
 def moment_a(params: FieldParams, n: int | np.ndarray) -> float | np.ndarray:

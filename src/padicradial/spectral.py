@@ -190,8 +190,9 @@ def characteristic_function(params: FieldParams, T: int) -> MatrixPowerSeries:
     pairing is a closed-form moment.  The increment ``b_k / d_k`` is formed
     as ``log q (1 + y) / (1 - y)``, ``y = q^-(k+1)``, because ``d_k`` itself
     underflows for deep ``k``.  A coefficient below the smallest normal
-    double has lost precision (none is exactly zero) and sets the
-    ``underflowed`` flag.
+    double, subnormal or exactly 0 (at q = 2 and T = 200, 626 of the 804 are 0,
+    from n = 44 on), has lost precision and sets the ``underflowed`` flag;
+    ``order_certificate`` skips both kinds.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -219,9 +220,10 @@ def order_certificate(params: FieldParams, series) -> dict:
 
     ``fitted_C`` is the smallest constant with
     ``|coef_n| <= C^n q^(-n^2/2)`` over the coefficients of normal
-    magnitude (subnormal ones have lost their precision).  The order
-    estimate uses ``n log n / log(1/|coef_n|)``: when the per-index decay
-    rate ``log|coef_n| / n`` has a clearly negative trend the decay is
+    magnitude (subnormal and zero ones have lost their precision).  The order
+    estimate uses ``n log n / log(1/|coef_n|)``: when the least-squares slope
+    of the per-index decay rate ``log|coef_n| / n`` against ``n`` (in closed
+    form) is below -0.01, the trend is clearly negative, the decay is
     super-exponential and the implied order is reported as 0; otherwise the
     largest ratio over ``n >= 5`` is reported, which flags geometric
     sequences (radius-limited, order at least 1 behavior).  A coefficient
@@ -232,21 +234,23 @@ def order_certificate(params: FieldParams, series) -> dict:
     bad = np.flatnonzero(~np.isfinite(mags))
     if bad.size:
         raise ValueError(f"coefficient {bad[0]} is not finite: {coefs[bad[0]]}")
-    nz = [(n, m) for n, m in enumerate(mags.tolist()) if n >= 1 and m >= _TINY]
     if np.all(mags == 0):
         raise ValueError("all-zero coefficient sequence")
-    if len(nz) < 10:
+    ns = np.flatnonzero(mags[1:] >= _TINY) + 1
+    if len(ns) < 10:
         raise ShortSeriesError("need at least 10 normal (not underflowed) coefficients")
 
-    lnq = params.ln_q
-    fitted_C = math.exp(max((math.log(m) + 0.5 * n * n * lnq) / n for n, m in nz))
+    m = mags[ns]
+    logs = np.fromiter(map(math.log, m.tolist()), float, len(ns))
+    n = ns.astype(float)
+    fitted_C = math.exp(np.max((logs + 0.5 * n * n * params.ln_q) / n))
 
-    ns = np.array([n for n, _ in nz], dtype=float)
-    rates = np.array([math.log(m) / n for n, m in nz])
-    slope = np.polyfit(ns, rates, 1)[0]
-    if slope < -0.01:
+    rates = logs / n
+    spread = n - n.mean()
+    if spread @ rates / (spread @ spread) < -0.01:  # the least-squares slope of the rates against n
         rho = 0.0
     else:
-        pts = [n * math.log(n) / -math.log(m) for n, m in nz if n >= 5 and m < 1.0]
-        rho = max(pts) if pts else math.inf
+        at = (n >= 5) & (m < 1.0)
+        pts = n[at] * np.fromiter(map(math.log, ns[at].tolist()), float, np.count_nonzero(at)) / -logs[at]
+        rho = float(pts.max()) if pts.size else math.inf
     return {"fitted_C": fitted_C, "max_order_estimate": rho}

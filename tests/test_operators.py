@@ -1011,11 +1011,30 @@ def test_moment_closed_forms_vs_series(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 101])
 def test_array_moments_equal_the_scalar_moments(q):
-    p, n = FieldParams(q), np.arange(401)
+    # up to the first order where y = q^-(n+1) is exactly 0 (n = 1074 at q = 2), so the array
+    # orders' reads of the power memo are held to pow through the subnormals and below the memo
+    last = next(n for n in range(5000) if float(q) ** -(n + 1.0) == 0.0)
+    p, n = FieldParams(q), np.arange(last + 1)
+    assert float(q) ** -float(last) > 0.0
     for moment in (d_constant, moment_a, moment_b, moment_m0):
-        assert np.array_equal(moment(p, n), [moment(p, k) for k in range(401)]), moment.__name__
+        assert np.array_equal(moment(p, n), [moment(p, k) for k in range(last + 1)]), moment.__name__
+        assert np.array_equal(moment(p, n.astype(np.uint16)), moment(p, n)), moment.__name__
+        assert np.array_equal(moment(p, np.arange(256, dtype=np.uint8)), moment(p, np.arange(256))), moment.__name__
+        deep = np.array([last, 2**62, 2**63 - 1], np.int64)  # -2(n+1) would wrap around in int64
+        assert np.array_equal(moment(p, deep), [moment(p, int(k)) for k in deep]), moment.__name__
+        assert np.array_equal(moment(p, np.array([2**64 - 1], np.uint64)), [moment(p, 2**64 - 1)])
         with pytest.raises(ValueError, match="must be >= 0"):
             moment(p, np.array([3, -1]))
+        with pytest.raises(ValueError, match="integer array of orders, got a float64 array"):
+            moment(p, np.arange(3.0))
+
+
+def test_the_square_of_one_minus_y_as_a_product_has_the_bits_of_pow():
+    # d_constant squares 1 - y, y = q^-(n+1), by one product
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 101, 1024):
+        for n in range(2000):
+            x = 1.0 - float(q) ** -(n + 1.0)
+            assert x * x == x**2, (q, n)
 
 
 def test_moment_values():

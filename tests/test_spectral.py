@@ -497,6 +497,76 @@ def test_order_certificate_ignores_subnormal_coefficients():
         order_certificate(P2, np.append(2.0 ** -np.arange(10), np.full(20, 5e-324)))
 
 
+def reference_order_certificate(params, series):
+    """``order_certificate`` as list comprehensions and ``np.polyfit``, the oracle of its array form."""
+    coefs = np.asarray(series, dtype=complex).ravel()
+    mags = np.abs(coefs)
+    bad = np.flatnonzero(~np.isfinite(mags))
+    if bad.size:
+        raise ValueError(f"coefficient {bad[0]} is not finite: {coefs[bad[0]]}")
+    nz = [(n, m) for n, m in enumerate(mags.tolist()) if n >= 1 and m >= np.finfo(float).tiny]
+    if np.all(mags == 0):
+        raise ValueError("all-zero coefficient sequence")
+    if len(nz) < 10:
+        raise spectral.ShortSeriesError("need at least 10 normal (not underflowed) coefficients")
+    lnq = params.ln_q
+    fitted_C = math.exp(max((math.log(m) + 0.5 * n * n * lnq) / n for n, m in nz))
+    ns = np.array([n for n, _ in nz], dtype=float)
+    rates = np.array([math.log(m) / n for n, m in nz])
+    if np.polyfit(ns, rates, 1)[0] < -0.01:
+        rho = 0.0
+    else:
+        pts = [n * math.log(n) / -math.log(m) for n, m in nz if n >= 5 and m < 1.0]
+        rho = max(pts) if pts else math.inf
+    return {"fitted_C": fitted_C, "max_order_estimate": rho}
+
+
+def certificate_outcome(certify, params, series):
+    """The certificate, or the type and message of the error it raised."""
+    try:
+        return certify(params, series)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 101])
+@pytest.mark.parametrize("T", [25, 60, 200, 800])
+def test_order_certificate_equals_the_reference_on_the_characteristic_function(q, T):
+    params = FieldParams(q)
+    series = characteristic_function(params, T)
+    for coeffs in (series.w_coefficients(), series.g):
+        for a in range(2):
+            for b in range(2):
+                got = certificate_outcome(order_certificate, params, coeffs[a, b])
+                assert got == certificate_outcome(reference_order_certificate, params, coeffs[a, b]), (a, b)
+
+
+def test_order_certificate_equals_the_reference_near_its_slope_cut():
+    # the closed-form slope of the rates decides the order as polyfit's does where it lies near -0.01
+    rng = np.random.default_rng(28)
+    branches = set()
+    for trial in range(400):
+        n = np.arange(int(rng.integers(12, 150)))
+        slope = rng.uniform(-0.012, -0.008)
+        noise = np.exp(rng.normal(0.0, 1e-3, n.size))
+        if trial % 2:  # Gaussian: the rates log|c_n| / n are slope * n
+            coefs = np.exp(slope * n * n) * noise
+        else:  # geometric r^n times A: the rates log A / n + log r, whose slope is log A times that of 1/n
+            k = n[1:].astype(float)
+            spread = k - k.mean()
+            coefs = np.exp(slope / (spread @ (1.0 / k) / (spread @ spread)) + rng.uniform(-0.5, 0.0) * n) * noise
+        coefs = coefs * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n.size))
+        got = certificate_outcome(order_certificate, P2, coefs)
+        assert got == certificate_outcome(reference_order_certificate, P2, coefs), trial
+        branches.add(got["max_order_estimate"] == 0.0)
+    assert branches == {True, False}
+    refused = (np.zeros(20), np.array([1.0, 0.5, 0.25]), np.append(2.0 ** -np.arange(10), np.full(20, 5e-324)),
+               np.array([1.0, np.nan, np.inf]), np.array([]))
+    for coefs in refused:
+        got = certificate_outcome(order_certificate, P2, coefs)
+        assert isinstance(got, tuple) and got == certificate_outcome(reference_order_certificate, P2, coefs)
+
+
 def test_characteristic_function_underflow_is_flagged():
     assert not characteristic_function(P2, 25).underflowed
     # coefficients sink below the double floor near n = 47
