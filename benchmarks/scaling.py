@@ -59,6 +59,9 @@ against the library on ``PYTHONPATH``:
 
 ``--into`` adds the record under ``--label`` to the JSON file (created if
 missing), so the same file can hold a ``before`` and an ``after`` record.
+Next to its git revision a record carries ``"source_sha256"``, a hash of the
+tree's ``padicradial/*.py`` sources, which names the code measured also
+where the revision reads ``unknown`` (a copy made by ``git archive``).
 
 ``--ab OTHER_SRC`` times a second source tree in the same process: its
 package (``OTHER_SRC/padicradial``) is imported under another name, the
@@ -68,7 +71,8 @@ alike.  Every timing then carries ``"other"``, the second tree's timing of
 the same call, and ``"ratio"``, the first tree's time over the second's pair
 by pair (median and quartiles) with ``"won"``, the share of pairs the first
 tree was faster in, and the record carries ``"other"`` with that tree's
-source, revision and scaling exponents:
+source (relative to the repository root, or ``null`` for a tree outside
+it), revision, source hash and scaling exponents:
 
     PYTHONPATH=src python benchmarks/scaling.py --layer operator_matrix --ab ../parent/src
 """
@@ -81,6 +85,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # before numpy loads its BLAS
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import math
@@ -100,7 +105,8 @@ from padicradial.field import FieldParams, KRadialFunction, expand, inner_produc
 from padicradial.operators import operator_matrix
 
 Q = 2
-CALIBRATE = Path(__file__).resolve().parents[1] / "perfbench" / "calibrate.py"
+ROOT = Path(__file__).resolve().parents[1]
+CALIBRATE = ROOT / "perfbench" / "calibrate.py"
 
 
 def _load_calibrate():
@@ -416,6 +422,22 @@ def _revision() -> str:
     return rev + ("+local changes" if dirty else "")
 
 
+def _source_hash(package: Path) -> str:
+    """sha256 over the ``*.py`` files of ``package`` in name order, each its name, a NUL and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def _in_repo(src: Path) -> str | None:
+    """``src`` relative to the repository root, or None outside it: a record names no machine path."""
+    try:
+        return str(src.resolve().relative_to(ROOT))
+    except ValueError:
+        return None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--layer", choices=sorted(LAYERS), required=True)
@@ -429,7 +451,8 @@ def main(argv=None) -> int:
     if args.ab:
         twin = _other_tree(args.ab.resolve())
         layer = _lockstep((LAYERS[args.layer], twin.LAYERS[args.layer]), args.seconds, cal)
-        layer["other"] |= {"src": str(args.ab), "revision": twin._revision()}
+        layer["other"] |= {"src": _in_repo(args.ab), "revision": twin._revision(),
+                           "source_sha256": _source_hash(args.ab / "padicradial")}
     else:
         layer = LAYERS[args.layer](lambda fn: _timed([fn], args.seconds, cal)[0])
     factor = cal.factor()
@@ -439,6 +462,7 @@ def main(argv=None) -> int:
         **layer,
         "speed_factor": round(factor, 4),
         "revision": _revision(),
+        "source_sha256": _source_hash(Path(laplace.__file__).parent),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": platform.processor() or platform.machine(),

@@ -2,7 +2,8 @@
 
 Subcommands: ``apply``, ``matrix``, ``spectrum``, ``charfn``, ``laplace``,
 ``laplace-invert``, ``verify``.  Exit codes: 0 success, 1 verification
-failure, 2 document/parse error, 3 operator precondition violation.
+failure, 2 an unreadable, unparsable or non-finite document or an
+unwritable ``--out``, 3 operator precondition violation.
 """
 
 from __future__ import annotations
@@ -52,18 +53,21 @@ EXIT_PRECONDITION = 3
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {out}: {exc}") from exc
 
 
 def _read(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 

@@ -113,21 +113,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _root_measure(q: float, lo: int) -> tuple[np.ndarray, float]:
-    """Square roots of the measures of the shells ``lo..0`` and of the ball below.
-
-    The shell ``q^j`` has measure ``(1 - 1/q) q^j`` and the ball
-    ``|x| <= q^(lo-1)`` has measure ``q^(lo-1)``.  Every pairing over the
-    unit ball weights each factor by one root, so a deep basis element
-    (whose values grow like ``q^(N/2)``) is scaled back before it is
-    squared, and nothing overflows.  The shell roots are computed once per
-    ``(q, lo)`` (the last 16 pairs are kept) and shared read-only.
-    """
-    return _shell_roots(q, lo), _ball_root(q, lo)
-
-
 @functools.lru_cache(maxsize=16)
 def _shell_roots(q: float, lo: int) -> np.ndarray:
+    """Square roots of the measures ``(1 - 1/q) q^j`` of the shells ``lo..0``.
+
+    Every pairing over the unit ball weights each factor by one root (the
+    ball ``|x| <= q^(lo-1)`` below by ``_ball_root``), so a deep basis
+    element (whose values grow like ``q^(N/2)``) is scaled back before it
+    is squared, and nothing overflows.  The roots are computed once per
+    ``(q, lo)`` (the last 16 pairs are kept) and shared read-only.
+    """
     r = math.sqrt(1.0 - 1.0 / q) * np.power(q, np.arange(lo, 1.0) / 2.0)
     r.flags.writeable = False
     return r
@@ -135,24 +130,6 @@ def _shell_roots(q: float, lo: int) -> np.ndarray:
 
 _REACH = 2048  # a memoized shell scale covers the shells -_REACH .. _REACH
 _TINY = np.finfo(float).tiny  # the smallest normal double
-
-
-def _run_scales(q: float, a: float, lo: int, hi: int):
-    """``_scales_on(q, a, lo, hi)``, read from the memo where ``lo .. hi``
-    lies within its shells and formed otherwise; the bits are the same.
-
-    The scales of ``(q, -a)`` are those of ``(q, a)`` read backwards, bit
-    for bit: ``-a`` and its head negate exactly, so shell ``n`` forms
-    every exponent of shell ``-n``.  Both signs share one entry.
-    """
-    if not -_REACH <= lo <= hi <= _REACH:
-        return _scales_on(q, a, lo, hi)
-    first, second, (i0, i1) = _shell_scales(q, abs(a))
-    if a < 0:
-        first, second, (i0, i1) = first[::-1], second[::-1], (len(first) - i1, len(first) - i0)
-    i, n = lo + _REACH, hi - lo + 1
-    p0 = min(max(i0 - i, 0), n)
-    return first[i : i + n], second[i : i + n], (p0, min(max(i1 - i, p0), n))
 
 
 @functools.lru_cache(maxsize=32)
@@ -187,12 +164,13 @@ def _scales_on(q: float, a: float, lo: int, hi: int):
         first = np.where(e2 < 0.0, 0.0, np.inf)
         live = np.abs(e2 + 52.0) < 2102.0
         first[live] = np.power(q, head * ns[live] / 2.0)
+        near = np.flatnonzero(np.abs(e2 - 1.0) < 1024.0)  # 2^e2 in (2^-1023, 2^1025): may be normal
+        factor = np.power(q, head * ns[near])
         second = first  # read on the half-power shells only
-        if a != head:  # the remainder enters once, with the second half
+        if a != head:  # the remainder enters once: with the second half, and with the factor
             second = first.copy()
             second[live] *= np.power(q, (a - head) * ns[live])
-        near = np.flatnonzero(np.abs(e2 - 1.0) < 1024.0)  # 2^e2 in (2^-1023, 2^1025): may be normal
-        factor = _power(q, head, a, ns[near])
+            factor *= np.power(q, (a - head) * ns[near])
     ok = (factor >= _TINY) & (factor < np.inf)
     normal = near[ok]
     first[normal] = factor[ok]
@@ -200,15 +178,54 @@ def _scales_on(q: float, a: float, lo: int, hi: int):
     return first, second, (int(normal[0]), int(normal[-1]) + 1) if normal.size else (0, 0)
 
 
-def _power(q: float, head: float, a: float, ns: np.ndarray) -> np.ndarray:
-    """``q^(a n)`` on the shells ``ns`` as ``q^(head n) q^((a - head) n)``;
-    the second factor is exactly 1 when ``a`` is its own head."""
-    power = np.power(q, head * ns)
-    return power if a == head else power * np.power(q, (a - head) * ns)
+def _scaled(bracket: np.ndarray, q: float, a: float, ns: range | np.ndarray) -> np.ndarray:
+    """``bracket * q^(a n)`` on the shells ``ns``, a nonempty ascending run of
+    consecutive shells (a ``range``; only its ends and length are read).
+
+    The scale is ``_scales_on``'s, one factor where ``q^(a n)`` is a normal
+    double and two half-powers elsewhere (a subnormal factor would keep only
+    some of its bits).  A run within the shells ``-_REACH .. _REACH`` reads
+    it by slices from the memo ``_shell_scales`` of ``(q, |a|)``, backwards
+    for ``a < 0`` (``-a`` and its head negate exactly, so shell ``n`` forms
+    every exponent of shell ``-n``); a run beyond forms its own, with the
+    same bits.  The half-powers scale the two ends of the run's normal
+    shells, and a normal factor enters in one product, rounded once, also
+    where the value is subnormal.  ``OverflowError`` is raised when a value
+    itself overflows, and when a subnormal bracket would be scaled up to a
+    normal value (its lost bits would show as a wrong result; looked for
+    only where the least ``|bracket|`` is not normal).  Neither can happen
+    on a run where no factor exceeds 1 (``a n <= 0`` on every shell), which
+    is returned unchecked.
+    """
+    lo, hi, n = int(ns[0]), int(ns[-1]), len(ns)
+    if -_REACH <= lo <= hi <= _REACH:
+        first, second, (i0, i1) = _shell_scales(q, abs(a))
+        if a < 0:
+            first, second, (i0, i1) = first[::-1], second[::-1], (len(first) - i1, len(first) - i0)
+        i = lo + _REACH
+        first, second, p0 = first[i : i + n], second[i : i + n], min(max(i0 - i, 0), n)
+        p1 = min(max(i1 - i, p0), n)
+    else:
+        first, second, (p0, p1) = _scales_on(q, a, lo, hi)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        out = bracket * first
+        for end in (slice(0, p0), slice(p1, n)):  # the shells off the normal run
+            if end.start < end.stop:
+                out[end] *= second[end]
+        if a * ns[0] <= 0.0 and a * ns[-1] <= 0.0:
+            return out
+        if not np.isfinite(out).all() and (~np.isfinite(out) & np.isfinite(bracket)).any():
+            raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
+        # a subnormal bracket has lost its low bits; scaled up to a normal
+        # value it would pass them off as an accurate result
+        size = np.abs(bracket)
+        if not size.min() >= _TINY and (np.abs(out[size < _TINY]) >= _TINY).any():
+            raise OverflowError(f"operator value lost to underflow (scale q^({a!r} n), q={q:g})")
+    return out
 
 
 def _ball_root(q: float, n_lo: int) -> float:
-    """``q^((n_lo-1)/2)``."""
+    """``q^((n_lo-1)/2)``, the square root of the measure of the ball ``|x| <= q^(n_lo-1)``."""
     return _pow(q, (n_lo - 1.0) / 2.0)
 
 
@@ -421,7 +438,8 @@ def inner_product(u: KRadialFunction, v: KRadialFunction) -> complex:
     _require_o(u, "inner_product")
     _require_o(v, "inner_product")
     lo = min(u.n_lo, v.n_lo)
-    r, h = _root_measure(float(u.params.q), lo)
+    q = float(u.params.q)
+    r, h = _shell_roots(q, lo), _ball_root(q, lo)
     window = np.sum(u.values_on(lo, 0) * r * np.conj(v.values_on(lo, 0) * r))
     return complex(window + u.inner_tail * h * np.conj(v.inner_tail * h))
 
@@ -437,7 +455,7 @@ def _ball_integral(vals: np.ndarray, t, q: float, n_lo: int, log: bool = False):
     window, ``sum_{j <= J} j (1 - 1/q) q^j = q^J (J - 1/(q-1))`` with
     ``J = n_lo - 1``.
     """
-    r, h = _root_measure(q, n_lo)
+    r, h = _shell_roots(q, n_lo), _ball_root(q, n_lo)
     terms = vals * r * r
     tail = t * h * h
     if log:

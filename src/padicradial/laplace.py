@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FieldParams, KRadialFunction, _half_powers, _scan
-from .operators import _scaled, apply_D_alpha
+from .field import FieldParams, KRadialFunction, _half_powers, _scaled, _scan
+from .operators import apply_D_alpha
 
 __all__ = [
     "TransformSequence",

@@ -19,11 +19,10 @@ from .field import (
     FieldParams,
     KRadialFunction,
     _pow,
-    _TINY,
     _half_power_table,
     _half_powers,
     _require_o,
-    _run_scales,
+    _scaled,
     _scan,
     _unit_scale,
     expand,
@@ -46,42 +45,6 @@ __all__ = [
 ]
 
 OPERATOR_NAMES = ("D1O", "I1", "I01", "J", "resolvent")
-
-
-def _scaled(bracket: np.ndarray, q: float, a: float, ns: range | np.ndarray) -> np.ndarray:
-    """``bracket * q^(a n)`` on the shells ``ns``, a nonempty ascending run of
-    consecutive shells (a ``range``; only its ends and length are read).
-
-    The scale is ``field._scales_on``'s: per shell one factor where
-    ``q^(a n)`` is a normal double, two half-powers elsewhere.  It is read
-    from the memo ``field._shell_scales`` (keyed by ``(q, |a|)``, at most
-    32 pairs, 2.1 MB) on runs within its shells, and formed for the run
-    otherwise (``field._run_scales``); the bits are the same.  The normal
-    shells of a run are one run, so the half-powers scale its two ends.  (A subnormal factor would
-    keep only some of its bits.)  A normal factor enters in one product,
-    rounded once, also where the value is subnormal.  ``OverflowError`` is
-    raised when a value itself overflows, and when a subnormal bracket
-    would be scaled up to a normal value (its lost bits would show as a
-    wrong result; looked for only where the least ``|bracket|`` is not
-    normal).  Neither can happen on a run where no factor exceeds 1
-    (``a n <= 0`` on every shell), which is returned unchecked.
-    """
-    first, second, (p0, p1) = _run_scales(q, a, int(ns[0]), int(ns[-1]))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        out = bracket * first
-        for end in (slice(0, p0), slice(p1, len(ns))):  # the shells off the normal run
-            if end.start < end.stop:
-                out[end] *= second[end]
-        if a * ns[0] <= 0.0 and a * ns[-1] <= 0.0:
-            return out
-        if not np.isfinite(out).all() and (~np.isfinite(out) & np.isfinite(bracket)).any():
-            raise OverflowError(f"operator value beyond the double range (scale q^({a!r} n), q={q:g})")
-        # a subnormal bracket has lost its low bits; scaled up to a normal
-        # value it would pass them off as an accurate result
-        size = np.abs(bracket)
-        if not size.min() >= _TINY and (np.abs(out[size < _TINY]) >= _TINY).any():
-            raise OverflowError(f"operator value lost to underflow (scale q^({a!r} n), q={q:g})")
-    return out
 
 
 def apply_D_alpha(

@@ -4,7 +4,8 @@ Every JSON document goes through one writer, :func:`dump`: a fixed key order
 and floats printed to 17 significant digits, so a parse/serialize round trip
 of a canonical document is byte identical.  Complex numbers travel as
 ``[re, im]`` pairs in JSON and as ``re+imi`` in CSV cells.  A non-finite
-number has no JSON form; the writer refuses it, naming the field.
+number has no JSON form; the writer refuses it, naming the field, and so
+does the loader (``NaN``, ``Infinity``, ``1e400``, a 400-digit integer).
 """
 
 from __future__ import annotations
@@ -91,13 +92,16 @@ def _complex_pair(raw, name: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
     ):
         raise SchemaError(f"field {name!r} must be a [re, im] pair")
-    return complex(raw[0], raw[1])
+    try:
+        return complex(raw[0], raw[1])
+    except OverflowError:  # an integer beyond the double range
+        raise SchemaError(f"field {name!r} holds a number that is not a finite double") from None
 
 
 def _parse_common(text: str, want_tail: bool):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, or too deeply nested
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
@@ -115,11 +119,18 @@ def _parse_common(text: str, want_tail: bool):
         )
     try:
         params = FieldParams(q, float(alpha))
+    except OverflowError:  # an integer beyond the double range
+        raise SchemaError("field 'alpha' holds a number that is not a finite double") from None
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     tail = 0j
     if want_tail:
         tail = _complex_pair(_field(doc, "inner_tail", list), "inner_tail")
+    finite = np.isfinite(np.append(values, tail))  # one pass over the values and the tail
+    if not finite.all():
+        i = int(np.argmin(finite))
+        name = "inner_tail" if i == values.size else f"values[{i}]"
+        raise SchemaError(f"field {name!r} holds a number that is not a finite double")
     return params, n_lo, n_hi, values, tail
 
 

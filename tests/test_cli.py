@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,3 +474,116 @@ def test_cli_commands_are_deterministic(tmp_path):
         assert main(["matrix", "J", "e", "--dim", "8", "--format", "csv", "--out", str(dst)]) == 0
         mats.append(dst.read_bytes())
     assert mats[0] == mats[1]
+
+
+# Refusals of every subcommand: exit 2 for a document or file error, 3 for an
+# operator precondition, each with one ``error:`` line and no traceback.  A
+# broken document is GOLDEN_INPUT (or GOLDEN_TRANSFORM) with one field spoiled;
+# the error line names what is wrong.
+FIRST_VALUE = r'"values": \[\[[^,]+'
+BROKEN = {
+    "unparsable": (lambda text: text[: len(text) // 2], "not valid JSON"),
+    "nan": (lambda text: re.sub(FIRST_VALUE, '"values": [[NaN', text), "'values[0]'"),
+    "infinity": (lambda text: re.sub(FIRST_VALUE, '"values": [[-Infinity', text), "'values[0]'"),
+    "1e400": (lambda text: re.sub(FIRST_VALUE, '"values": [[1e400', text), "'values[0]'"),
+    "400-digit integer": (lambda text: re.sub(FIRST_VALUE, '"values": [[1' + "0" * 400, text), "'values[0]'"),
+    "400-digit alpha": (lambda text: text.replace('"alpha": 1', '"alpha": 1' + "0" * 400), "'alpha'"),
+    "5000-digit integer": (lambda text: re.sub(r'"n_lo": -?\d+', '"n_lo": -' + "1" * 5000, text),
+                           "not valid JSON"),
+    "not utf-8": (lambda text: "\udcff" + text, "cannot read"),
+    "nested 100000 deep": (lambda text: "[" * 100000 + text, "not valid JSON"),
+}
+READERS = {  # a subcommand that reads a document, and the document it reads
+    "apply": (["apply", "I01", "{doc}"], GOLDEN_INPUT),
+    "laplace": (["laplace", "{doc}", "--range", "-3", "4"], GOLDEN_INPUT),
+    "laplace-invert": (["laplace-invert", "{doc}", "--phi1", "0", "0"], GOLDEN_TRANSFORM),
+}
+WRITERS = {  # every subcommand with an --out
+    "apply": ["apply", "I01", "{doc}"],
+    "matrix": ["matrix", "I1", "e", "--dim", "3"],
+    "spectrum": ["spectrum", "--dim", "3"],
+    "charfn": ["charfn", "--terms", "11"],
+    "laplace": ["laplace", "{doc}", "--range", "-3", "4"],
+    "laplace-invert": ["laplace-invert", "{tr}", "--phi1", "0", "0", "--m-max", "2"],
+}
+PRECONDITIONS = {
+    "matrix": ["matrix", "I1", "e", "--dim", "1"],
+    "spectrum": ["spectrum", "--dim", "1"],
+    "charfn": ["charfn", "--terms", "0"],
+    "laplace-invert": ["laplace-invert", "{tr}", "--phi1", "0", "0", "--m-max", "0"],
+    "verify": ["verify", "--q", "6"],
+}
+
+
+def assert_refused(argv, code, capsys) -> str:
+    """Run the CLI on ``argv``: exit ``code`` and one ``error:`` line, which is returned."""
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "Traceback" not in captured.err
+    return lines[0]
+
+
+def documents(tmp_path):
+    files = {"doc": tmp_path / "u.json", "tr": tmp_path / "t.json"}
+    files["doc"].write_text(GOLDEN_INPUT)
+    files["tr"].write_text(GOLDEN_TRANSFORM)
+    return {k: str(v) for k, v in files.items()}
+
+
+@pytest.mark.parametrize("damage", sorted(BROKEN))
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_cli_broken_document_exits_2(tmp_path, capsys, command, damage):
+    (argv, text), (spoil, named) = READERS[command], BROKEN[damage]
+    src = tmp_path / "broken.json"
+    src.write_bytes(spoil(text).encode("utf-8", "surrogateescape"))
+    assert named in assert_refused([a.format(doc=str(src)) for a in argv], 2, capsys)
+
+
+@pytest.mark.parametrize("tail", ["[NaN, 0]", "[0.75, 1e999]", "[0.75, -1" + "0" * 400 + "]"],
+                         ids=["nan", "1e999", "400-digit integer"])
+@pytest.mark.parametrize("command", ["apply", "laplace"])
+def test_cli_non_finite_tail_exits_2(tmp_path, capsys, command, tail):
+    argv, text = READERS[command]
+    src = tmp_path / "tail.json"
+    src.write_text(text.replace('"inner_tail": [0.75, 0]', f'"inner_tail": {tail}'))
+    assert "'inner_tail'" in assert_refused([a.format(doc=str(src)) for a in argv], 2, capsys)
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, command, where):
+    out = tmp_path / "absent" / "x.json" if where == "missing directory" else tmp_path
+    argv = [a.format(**documents(tmp_path)) for a in WRITERS[command]]
+    assert f"cannot write {out}" in assert_refused([*argv, "--out", str(out)], 2, capsys)
+
+
+def test_cli_unwritable_out_exits_2_in_its_own_process(tmp_path):
+    # the process, not only ``main``: exit 2, one error line, no traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = ["matrix", "I1", "e", "--dim", "3", "--out", str(tmp_path / "absent" / "x.json")]
+    run = subprocess.run([sys.executable, "-m", "padicradial.cli", *argv], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: cannot write ") and len(run.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", sorted(PRECONDITIONS))
+def test_cli_precondition_exits_3(tmp_path, capsys, command):
+    assert_refused([a.format(**documents(tmp_path)) for a in PRECONDITIONS[command]], 3, capsys)
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="a deep window takes apply_D_alpha's scale out of the double range, and it "
+                          "raises OverflowError, not ValueError, until ROADMAP item 2's library contract")
+@pytest.mark.parametrize("op", ["Dalpha", "DalphaO"])
+def test_cli_apply_deep_window_exits_without_traceback(tmp_path, capsys, op):
+    # a 1600-shell document at q = 2 with random values and tail, as in the
+    # cli-documents benchmark
+    rng = np.random.default_rng(1600)
+    u = KRadialFunction(P2, -1599, 0, rng.standard_normal(1600) + 1j * rng.standard_normal(1600),
+                        complex(*rng.standard_normal(2)))
+    src, dst = tmp_path / "w1600.json", tmp_path / "out.json"
+    src.write_text(dump_radial(u))
+    assert_refused(["apply", op, str(src), "--out", str(dst)], 3, capsys)

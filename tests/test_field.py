@@ -15,9 +15,10 @@ import padicradial.field
 from padicradial.field import (
     FieldParams,
     KRadialFunction,
+    _ball_root,
     _decay,
-    _root_measure,
     _scan,
+    _shell_roots,
     expand,
     inner_product,
     make_basis,
@@ -129,46 +130,66 @@ def test_values_on_the_stored_window_is_the_stored_read_only_array():
 @pytest.mark.parametrize("q", [2, 3, 7])
 def test_root_measures_are_read_only_and_bounded(q):
     for lo in (0, -1, -40, -1599):
-        r, h = _root_measure(float(q), lo)
+        r, h = _shell_roots(float(q), lo), _ball_root(float(q), lo)
         assert np.array_equal(r, math.sqrt(1.0 - 1.0 / q) * np.power(float(q), np.arange(lo, 1.0) / 2.0))
         assert h == float(q) ** ((lo - 1.0) / 2.0)
         with pytest.raises(ValueError):
             r[0] = 0.0
-        assert _root_measure(float(q), lo)[0] is r  # computed once per (q, lo)
+        assert _shell_roots(float(q), lo) is r  # computed once per (q, lo)
     for lo in range(-100, 0):
-        _root_measure(float(q), lo)
+        _shell_roots(float(q), lo)
     assert padicradial.field._shell_roots.cache_info().currsize <= 16
 
 
 def test_shell_scale_memo_is_read_only_bounded_and_each_runs_own():
     # one entry per (q, |a|), shared read-only; 32 entries of at most two
-    # arrays over the shells -2048 .. 2048 bound it at 2.1 MB; any run of
-    # its shells, for either sign of a, reads the scales formed for that run
-    # alone, bit for bit
-    memo, run_scales = padicradial.field._shell_scales, padicradial.field._run_scales
-    reach = padicradial.field._REACH
+    # arrays over the shells -2048 .. 2048 bound it at 2.1 MB; ``_scaled``
+    # reads it on any run of its shells, for either sign of a, and forms the
+    # scales of a run beyond them; every run is scaled as by the scales
+    # ``_scales_on`` forms for that run alone, bit for bit
+    field = padicradial.field
+    memo, scaled, reach = field._shell_scales, field._scaled, field._REACH
     memo.cache_clear()
-    first, second, _ = run_scales(3.0, 0.9, -reach, reach)
-    assert run_scales(3.0, 0.9, -reach, reach)[0].base is first.base
-    assert run_scales(3.0, -0.9, 0, 5)[0].base is first.base
-    assert memo.cache_info().currsize == 1
+    first, second, _ = memo(3.0, 0.9)
+    assert memo(3.0, 0.9)[0] is first
+    scaled(np.ones(6, complex), 3.0, -0.9, range(0, 6))
+    assert memo.cache_info().currsize == 1 and memo.cache_info().hits == 2  # both signs share one entry
+    scaled(np.ones(2, complex), 3.0, -0.9, range(reach, reach + 2))  # beyond its shells: formed, not read
+    assert memo.cache_info().currsize == 1 and memo.cache_info().hits == 2
     for x in (first, second):
         assert not x.flags.writeable
         with pytest.raises(ValueError):
             x[0] = 1.0
     for k in range(100):
-        run_scales(2.0, 0.5 + k / 64, 0, 0)
+        scaled(np.ones(1, complex), 2.0, 0.5 + k / 64, range(0, 1))
     assert memo.cache_info().maxsize == memo.cache_info().currsize == 32
     assert first.shape == second.shape == (2 * reach + 1,)
     assert 32 * (first.nbytes + second.nbytes) <= 2.1e6
     assert memo(2.0, 1.0)[1] is memo(2.0, 1.0)[0]  # one array where a is its own head
     rng = np.random.default_rng(3)
     for q, a in ((3.0, 0.9), (3.0, -0.9), (2.0, -1.0), (7.0, 2.0), (5.0, -1.0 - 1e-13)):
-        for lo in rng.integers(-reach, reach, 20).tolist():
-            hi = min(lo + int(rng.integers(0, 1500)), reach)
-            got, want = run_scales(q, a, lo, hi), padicradial.field._scales_on(q, a, lo, hi)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert range(*got[2]) == range(*want[2])  # the normal run, or both empty
+        whole, want = memo(q, abs(a)), field._scales_on(q, abs(a), -reach, reach)
+        assert np.array_equal(whole[0], want[0]) and np.array_equal(whole[1], want[1]) and whole[2] == want[2]
+        los = rng.integers(-reach, reach, 20).tolist()
+        runs = [(lo, min(lo + int(rng.integers(0, 1500)), reach)) for lo in los]
+        # and around either end of the normal shells, where a scale is 2^-1022 or 2^1023
+        i0, i1 = field._scales_on(q, a, -reach, reach)[2]
+        ends = (i0 - reach, i1 - 1 - reach)
+        runs += [(n + d, n + d + k) for n in ends for d in (-3, -1, 0, 1) for k in (0, 1, 3)]
+        for lo, hi in runs:
+            for size in (1.0, 2.0**-60):  # 2^-60 keeps the scales up to 2^1083 finite
+                # the output is the run's scales times ``size``, each normal
+                # factor alone and each pair of half-powers as its product
+                bracket, (f, s, (p0, p1)) = np.full(hi - lo + 1, size), field._scales_on(q, a, lo, hi)
+                with np.errstate(over="ignore"):
+                    formed = bracket * f
+                    formed[:p0] *= s[:p0]
+                    formed[p1:] *= s[p1:]
+                if a * lo <= 0.0 and a * hi <= 0.0 or np.isfinite(formed).all():
+                    assert scaled(bracket, q, a, range(lo, hi + 1)).tobytes() == formed.tobytes()
+                else:  # a scale beyond the double range
+                    with pytest.raises(OverflowError, match="beyond the double range"):
+                        scaled(bracket, q, a, range(lo, hi + 1))
 
 
 def test_pairings_do_not_depend_on_the_memo(monkeypatch):
@@ -493,7 +514,7 @@ def expand_reference(u, count):
     up, tail shells included, and their term mass: the same sums over ``|w|``."""
     q = float(u.params.q)
     lo = min(u.n_lo, 1 - count)
-    r, h = _root_measure(q, lo)
+    r, h = _shell_roots(q, lo), _ball_root(q, lo)
     w = u.values_on(lo, 0) * r
 
     def sums(w, t):  # the ball sums B(-N) and the shells w_(-N)

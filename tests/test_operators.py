@@ -1224,9 +1224,9 @@ def test_scaled_against_exact_products(q, alpha, sign, edge, data):
 
 
 def scaled_reference(bracket, q, a, ns):
-    """``_scaled`` with both checks on every run: the products, then the
-    overflow and the underflow refusal."""
-    first, second, (p0, p1) = padicradial.field._run_scales(q, a, int(ns[0]), int(ns[-1]))
+    """``_scaled`` with both checks on every run and the scales formed for the
+    run alone: the products, then the overflow and the underflow refusal."""
+    first, second, (p0, p1) = padicradial.field._scales_on(q, a, int(ns[0]), int(ns[-1]))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         out = bracket * first
         for end in (slice(0, p0), slice(p1, len(ns))):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import shutil
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "scaling.py"
@@ -21,7 +22,7 @@ def test_expand_layer_writes_a_record_with_finite_exponents(tmp_path):
     assert load_scaling().main(["--layer", "expand", "--seconds", "0", "--into", str(dst)]) == 0
     record = json.loads(dst.read_text())["run"]
     assert set(record) == {"layer", "q", "shapes", "per_call", "scaling_exponent", "speed_factor",
-                           "revision", "numpy", "python", "machine"}
+                           "revision", "source_sha256", "numpy", "python", "machine"}
     assert record["speed_factor"] > 0
     assert record["layer"] == "expand"
     sizes = [row.get("dim") or row.get("count") or row.get("W") for row in record["per_call"]]
@@ -36,7 +37,7 @@ def test_apply_layer_covers_both_fields_and_every_width(tmp_path):
     assert load_scaling().main(["--layer", "apply", "--seconds", "0", "--into", str(dst)]) == 0
     record = json.loads(dst.read_text())["run"]
     assert set(record) == {"layer", "orders", "shapes", "per_call", "scaling_exponent", "speed_factor",
-                           "revision", "numpy", "python", "machine"}
+                           "revision", "source_sha256", "numpy", "python", "machine"}
     assert [(row["q"], row["W"]) for row in record["per_call"]] == [
         (q, W) for q in (3, 7) for W in (100, 400, 1600)]
     names = ("_scaled cold", "_scaled warm", "apply_I_alpha", "apply_I01", "apply_D_alpha", "apply_D_alpha_O",
@@ -69,7 +70,7 @@ def test_charfn_layer_times_both_calls_at_every_order(tmp_path):
     assert load_scaling().main(["--layer", "charfn", "--seconds", "0", "--into", str(dst)]) == 0
     record = json.loads(dst.read_text())["run"]
     assert set(record) == {"layer", "shapes", "per_call", "scaling_exponent", "speed_factor",
-                           "revision", "numpy", "python", "machine"}
+                           "revision", "source_sha256", "numpy", "python", "machine"}
     assert [(row["q"], row["T"]) for row in record["per_call"]] == [
         (q, T) for q in (2, 3) for T in (50, 200, 800)]
     assert all("median" in row[name] for row in record["per_call"]
@@ -88,8 +89,9 @@ def test_ab_mode_times_both_trees_for_every_call(tmp_path):
     src = SCRIPT.parents[1] / "src"
     assert load_scaling().main(["--layer", "charfn", "--seconds", "0", "--ab", str(src), "--into", str(dst)]) == 0
     record = json.loads(dst.read_text())["run"]
-    assert record["other"]["src"] == str(src)
-    assert set(record["other"]) == {"src", "revision", "scaling_exponent"}
+    assert record["other"]["src"] == "src"  # relative to the repository root
+    assert set(record["other"]) == {"src", "revision", "source_sha256", "scaling_exponent"}
+    assert record["other"]["source_sha256"] == record["source_sha256"]
     for row in record["per_call"]:
         for name in ("characteristic_function", "order_certificate"):
             this, other = row[name], row[name]["other"]
@@ -102,3 +104,16 @@ def test_ab_mode_times_both_trees_for_every_call(tmp_path):
     fits = (record["scaling_exponent"], record["other"]["scaling_exponent"])
     assert set(fits[0]) == set(fits[1]) == {f"{name} q={q}" for name in CHARFN for q in (2, 3)}
     assert all(math.isfinite(b) for fit in fits for series in fit.values() for b in series.values())
+
+
+def test_a_copy_without_git_has_the_source_hash_of_this_tree(tmp_path):
+    # a copy of src/ outside the repository, as ``git archive`` makes one: its
+    # sources hash as this tree's, and a record names no machine path for it
+    src, copy = SCRIPT.parents[1] / "src", tmp_path / "src"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    scaling = load_scaling()
+    here = scaling._source_hash(src / "padicradial")
+    assert len(here) == 64 and scaling._source_hash(copy / "padicradial") == here
+    assert scaling._in_repo(copy) is None and scaling._in_repo(src) == "src"
+    (copy / "padicradial" / "cli.py").write_text("")  # one file differs: so does the hash
+    assert scaling._source_hash(copy / "padicradial") != here
