@@ -14,11 +14,12 @@ the value at radius one is supplied.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FieldParams, KRadialFunction, _half_powers, _scaled, _scan
+from .field import FieldParams, KRadialFunction, _abs, _half_powers, _scaled, _scan
 from .operators import apply_D_alpha
 
 __all__ = [
@@ -40,6 +41,8 @@ class TransformSequence:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.n_lo > self.n_hi:
+            raise ValueError(f"empty window [{self.n_lo}, {self.n_hi}]")
         vals = np.array(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size != self.n_hi - self.n_lo + 1:
             raise ValueError(
@@ -96,16 +99,17 @@ def laplace_transform(phi: KRadialFunction, n_range: tuple[int, int]) -> Transfo
 
 
 def difference_identity_residual(phi: KRadialFunction, n_range: tuple[int, int]) -> float:
-    """Largest violation of the two-term difference identity on the range."""
+    """Largest violation of the two-term difference identity on the range.
+
+    The gaps ``T(n) - T(n+1) - q^-n (phi(q^-n) - phi(q^(-n+1)))`` form one
+    array over ``n``, with ``q^-n`` from the memo ``field._half_powers``; its
+    maximum is NaN where any gap is.
+    """
     lo, hi = n_range
-    tilde = laplace_transform(phi, (lo, hi + 1))
-    q = float(phi.params.q)
-    worst = 0.0
-    for n in range(lo, hi + 1):
-        lhs = tilde.value_at(n) - tilde.value_at(n + 1)
-        rhs = q ** float(-n) * (phi.value_at(-n) - phi.value_at(-n + 1))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    T = laplace_transform(phi, (lo, hi + 1)).values
+    w = phi.values_on(-hi, 1 - lo)[::-1]  # phi(q^(1-n)) for n = lo .. hi + 1
+    gaps = T[:-1] - T[1:] - _half_powers(float(phi.params.q), -2 * lo, -2, hi - lo + 1) * (w[1:] - w[:-1])
+    return float(np.max(_abs(gaps), initial=0.0))
 
 
 def laplace_invert(
@@ -177,10 +181,8 @@ def symbol_identity_residual(phi: KRadialFunction, alpha: float, n_range: tuple[
     dphi = apply_D_alpha(phi_a, (phi.n_lo, out_hi))
     lhs = laplace_transform(dphi, n_range)
     rhs = laplace_transform(phi_a, n_range)
-    q = float(phi.params.q)
-    worst = 0.0
-    for n in range(lo, hi + 1):
-        left = lhs.value_at(n)
-        right = q ** (float(alpha) * n) * rhs.value_at(n)
-        worst = max(worst, abs(left - right) / max(1.0, abs(left), abs(right)))
-    return worst
+    exponents = (float(alpha) * np.arange(lo, hi + 1)).tolist()
+    symbol = np.fromiter(map(pow, itertools.repeat(float(phi.params.q)), exponents), float)  # pow's bits
+    left, right = lhs.values, symbol * rhs.values
+    gaps = _abs(left - right) / np.maximum(1.0, np.maximum(_abs(left), _abs(right)))
+    return float(np.max(gaps))

@@ -98,7 +98,7 @@ def apply_D_alpha(
     if above < len(dev):
         dev[above:] = 0j - t
     qa = q**a
-    down_up = _scan(dev, q) + _scan(dev, qa, -t / (qa - 1.0), upward=True)
+    down_up = _scan(dev, q) + _scan(dev[::-1], qa, -t / (qa - 1.0))[::-1]  # the upward sum from the top
     diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
     bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
     out = _scaled(bracket[: top - m + 1], q, -a, range(m, top + 1))

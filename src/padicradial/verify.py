@@ -24,6 +24,8 @@ import numpy as np
 from .field import (
     FieldParams,
     KRadialFunction,
+    _abs,
+    _half_powers,
     expand,
     inner_product,
     make_basis,
@@ -137,10 +139,7 @@ class CheckResult:
 
 
 def _relative_gap(u: KRadialFunction, v: KRadialFunction, lo=None, hi=None) -> float:
-    scale = max(
-        1e-300,
-        float(np.max(np.abs(v.values_on(v.n_lo - 1, v.n_hi)))),
-    )
+    scale = float(np.max(np.abs(v.values_on(v.n_lo - 1, v.n_hi)), initial=1e-300))
     return max_shell_difference(u, v, lo, hi) / scale
 
 
@@ -212,20 +211,18 @@ def _random_supported(params: FieldParams, rng, lo: int = -12) -> KRadialFunctio
 
 def check_eigenfunction_identity(p: FieldParams) -> CheckResult:
     start = time.perf_counter()
-    worst = 0.0
+    gaps = []
     for q in (2, 3, 5):
         for alpha in (0.5, 1.0, 2.0):
             pa = FieldParams(q, alpha)
             for N in range(1, 9):
                 v = make_basis(pa, "v", N, window=(-N - 2, -N + 3))
-                image = apply_D_alpha(v)
-                lam = float(q) ** (alpha * N)
-                worst = max(worst, _relative_gap(image, lam * v))
+                gaps.append(_relative_gap(apply_D_alpha(v), float(q) ** (alpha * N) * v))
     elapsed = time.perf_counter() - start
     return CheckResult(
         "eigenfunction identity (step functions, q in {2,3,5}, alpha in {1/2,1,2}, N <= 8)",
         (
-            ("relative gap", worst, DEFAULT_TOLERANCES["eigenfunction_identity"]),
+            ("relative gap", float(np.max(gaps)), DEFAULT_TOLERANCES["eigenfunction_identity"]),
             _flag(f"{elapsed:.3f}s within the 1s budget", elapsed < 1.0),
         ),
     )
@@ -237,7 +234,7 @@ def check_first_eigenvalue_ball(p: FieldParams) -> CheckResult:
         mu0 = (q - 1.0) * float(q) ** alpha / (float(q) ** (alpha + 1.0) - 1.0)
         return max_shell_difference(apply_D_alpha_O(v0), mu0 * v0, -8, 0)
 
-    worst = max(gap(2, 1.0), gap(p.q, p.alpha))  # the eigenvalue is 2/3 at q = 2, alpha = 1
+    worst = float(np.max([gap(2, 1.0), gap(p.q, p.alpha)]))  # the eigenvalue is 2/3 at q = 2, alpha = 1
     return CheckResult(
         "first eigenvalue of the derivative on the ball",
         (("shells at q=2, alpha=1 and the run's", worst, DEFAULT_TOLERANCES["first_eigenvalue_ball"]),),
@@ -245,7 +242,7 @@ def check_first_eigenvalue_ball(p: FieldParams) -> CheckResult:
 
 
 def check_right_inverse(p: FieldParams) -> CheckResult:
-    worst = 0.0
+    gaps = []
     for alpha in (0.5, 1.0, 2.0):
         pa = FieldParams(p.q, alpha)
         hi = _wide_right_inverse_window(alpha, p.q)
@@ -253,11 +250,10 @@ def check_right_inverse(p: FieldParams) -> CheckResult:
         targets += [make_basis(pa, "f", n) for n in range(11)]
         for u in targets:
             w = apply_I_alpha(u, out_hi=hi)
-            back = apply_D_alpha(w, (u.n_lo, 0))
-            worst = max(worst, max_shell_difference(back, u, u.n_lo - 2, 0))
+            gaps.append(max_shell_difference(apply_D_alpha(w, (u.n_lo, 0)), u, u.n_lo - 2, 0))
     return CheckResult(
         "right inverse: derivative of the integral image recovers e_1..e_10, f_0..f_10",
-        (("shells, alpha in {1/2, 1, 2}", worst, DEFAULT_TOLERANCES["right_inverse"]),),
+        (("shells, alpha in {1/2, 1, 2}", float(np.max(gaps)), DEFAULT_TOLERANCES["right_inverse"]),),
     )
 
 
@@ -265,14 +261,11 @@ def check_i1_matrix(p: FieldParams) -> CheckResult:
     q = float(p.q)
     dim = 30
     mat = operator_matrix(p, "I1", "e", dim).entries
-    expected = np.zeros((dim, dim), dtype=complex)
-    for N in range(1, dim):
-        expected[0, N] = -math.sqrt(1.0 - 1.0 / q) * q ** (-N / 2.0)
-        expected[N, N] = q ** (-N)
+    diag = _half_powers(q, -2, -2, dim - 1)  # q^-N, N = 1 .. dim - 1
+    expected = np.diag(np.concatenate(([0.0], diag)))
+    expected[0, 1:] = -math.sqrt(1.0 - 1.0 / q) * _half_powers(q, -1, -1, dim - 1)
     ev = np.linalg.eigvals(mat)
-    eig_gap = max(
-        min(abs(z - q ** float(-m)) for z in ev) for m in range(1, 26)
-    )
+    eig_gap = float(np.max(np.min(_abs(ev[:, None] - diag[:25]), axis=0)))  # nearest eigenvalue, worst q^-m
     return CheckResult(
         "matrix of the order-one integral: first-row/diagonal pattern and eigenvalues q^-m",
         (
@@ -311,13 +304,13 @@ def check_imaginary_part(p: FieldParams) -> CheckResult:
 
     sig, eta = imaginary_part(make_basis(p, "u0"))
     sigma_expected = -((q - 1.0) ** 2) / (2j * q * q * p.ln_q)
-    u0_gap = max(abs(sig - sigma_expected), abs(eta))
+    u0_gap = float(np.max([abs(sig - sigma_expected), abs(eta)]))
 
     trace_e = abs(complex(np.trace(operator_matrix(p, "J", "e", dim).entries)))
     return CheckResult(
         "imaginary part: zero trace, rank 2, skew identity, image of the top shell",
         (
-            ("trace (f and e)", max(trace, trace_e), DEFAULT_TOLERANCES["imaginary_part_trace"]),
+            ("trace (f and e)", float(np.max([trace, trace_e])), DEFAULT_TOLERANCES["imaginary_part_trace"]),
             _flag(f"rank {rank} = 2", rank == 2),
             ("skew identity", ident_gap, DEFAULT_TOLERANCES["imaginary_part_identity"]),
             ("top-shell image", u0_gap, DEFAULT_TOLERANCES["imaginary_part_u0"]),
@@ -326,20 +319,14 @@ def check_imaginary_part(p: FieldParams) -> CheckResult:
 
 
 def check_moments(p: FieldParams) -> CheckResult:
-    worst = 0.0
-    for n in range(21):
-        worst = max(
-            worst,
-            abs(d_constant(p, n) - _oracle_moment_series(p, "d", n)),
-            abs(moment_a(p, n) - _oracle_moment_series(p, "a", n)),
-            abs(moment_b(p, n) - _oracle_moment_series(p, "b", n)),
-            abs(moment_m0(p, n) - _oracle_moment_series(p, "m0", n)),
-        )
+    closed = {"d": d_constant, "a": moment_a, "b": moment_b, "m0": moment_m0}
+    oracle = {kind: [_oracle_moment_series(p, kind, n) for n in range(21)] for kind in closed}
+    gaps = [fn(p, np.arange(21)) - oracle[kind] for kind, fn in closed.items()]
     d0_gap = abs(d_constant(FieldParams(2), 0) - math.log(2.0))
     return CheckResult(
         "moment closed forms against 200-term shell sums; d_0 at q=2 equals log 2",
         (
-            ("shell sums", worst, DEFAULT_TOLERANCES["moment_oracles"]),
+            ("shell sums", float(np.max(np.abs(gaps))), DEFAULT_TOLERANCES["moment_oracles"]),
             ("d_0 gap", d0_gap, DEFAULT_TOLERANCES["moment_d0"]),
         ),
     )
@@ -347,7 +334,7 @@ def check_moments(p: FieldParams) -> CheckResult:
 
 def check_local_representation(p: FieldParams) -> CheckResult:
     q = float(p.q)
-    worst = 0.0
+    gaps = []
     # D^alpha_O (I^alpha u) = u - lambda_1 c(u), c(u) the resolvent's value at
     # the origin; D^alpha_O (R u) = u itself is not checked shell by shell: at
     # alpha = 2 the derivative amplifies the rounding of R f_k by q^(alpha k)
@@ -359,7 +346,7 @@ def check_local_representation(p: FieldParams) -> CheckResult:
                 u = make_basis(pa, family, k)
                 c = apply_resolvent_D1O(u).inner_tail
                 want = u - KRadialFunction(pa, 0, 0, [lam1 * c], lam1 * c)
-                worst = max(worst, max_shell_difference(apply_D_alpha_O(apply_I_alpha(u)), want))
+                gaps.append(max_shell_difference(apply_D_alpha_O(apply_I_alpha(u)), want))
     # R (D1O e_n) = e_n through the apply path, as the e-matrices of both are
     # exact diagonals; the rounding grows like eps * q^(n/2), and the block
     # that keeps it below tolerance scales with 1/log q (35 at q = 2)
@@ -370,7 +357,7 @@ def check_local_representation(p: FieldParams) -> CheckResult:
     return CheckResult(
         "local representation: derivative of the integral = u minus lambda_1 (resolvent at 0)",
         (
-            ("shells, alpha in {1/2, 1, 2}", worst, DEFAULT_TOLERANCES["local_representation"]),
+            ("shells, alpha in {1/2, 1, 2}", float(np.max(gaps)), DEFAULT_TOLERANCES["local_representation"]),
             ("identity block gap", block_gap, DEFAULT_TOLERANCES["resolvent_inverse_block"]),
         ),
     )
@@ -385,19 +372,16 @@ def check_characteristic_function(p: FieldParams) -> CheckResult:
     # the colligation's sign: W* S W = S and det W = 1 on the real axis, and W* S W - S
     # definite with the sign of Im z off it (W = E + i z S G misses both)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    unitary_gap, signed = 0.0, True
-    for z in (-2.0, -0.5, 1.0, 3.0, 0.5 + 0.5j, -2.0 + 1.0j, 0.3 - 0.7j, -1.0 - 1.0j):
-        w = series.evaluate(z)
-        form = w.conj().T @ swap @ w - swap
-        if z.imag:
-            signed &= bool(np.all(np.sign(np.linalg.eigvalsh(form)) == np.sign(z.imag)))
-        else:
-            unitary_gap = max(unitary_gap, float(np.abs(form).max()), abs(np.linalg.det(w) - 1.0))
+    real, off = (-2.0, -0.5, 1.0, 3.0), (0.5 + 0.5j, -2.0 + 1.0j, 0.3 - 0.7j, -1.0 - 1.0j)
+    w = {z: series.evaluate(z) for z in real + off}
+    form = {z: w[z].conj().T @ swap @ w[z] - swap for z in w}
+    signed = all(np.all(np.sign(np.linalg.eigvalsh(form[z])) == np.sign(z.imag)) for z in off)
+    unitary_gap = float(np.max([[np.abs(form[z]).max(), abs(np.linalg.det(w[z]) - 1.0)] for z in real]))
     series2 = characteristic_function(FieldParams(2), 25)
     coeffs = series2.w_coefficients()
     certs = [order_certificate(FieldParams(2), coeffs[a, b]) for a in range(2) for b in range(2)]
-    max_c = max(c["fitted_C"] for c in certs)
-    max_rho = max(c["max_order_estimate"] for c in certs)
+    max_c = float(np.max([c["fitted_C"] for c in certs]))
+    max_rho = float(np.max([c["max_order_estimate"] for c in certs]))
     return CheckResult(
         "characteristic function: closed form = grid oracle, Gaussian envelope, zero order, J-unitary",
         (
@@ -417,26 +401,19 @@ def check_laplace(p: FieldParams) -> CheckResult:
     # residual relative to the shell mass entering the cancellation at
     # each n (the sums reach |c| q^(1-n); for q = 2 they cancel exactly)
     const = KRadialFunction(p, 0, 14, np.full(15, 2.5), 2.5)
-    tilde_c = laplace_transform(const, (-10, 12))
-    const_gap = max(
-        abs(tilde_c.value_at(n)) / (2.5 * q ** max(1 - n, 1)) for n in range(-10, 13)
-    )
+    mass = 2.5 * _half_powers(q, 2, 2, 11)[np.maximum(-np.arange(-10, 13), 0)]  # 2.5 q^max(1 - n, 1)
+    const_gap = float(np.max(_abs(laplace_transform(const, (-10, 12)).values) / mass))
 
     rng = np.random.default_rng(20260809)
-    diff_gap = 0.0
-    for _ in range(100):
-        phi = _random_supported(p, rng)
-        diff_gap = max(diff_gap, difference_identity_residual(phi, (-12, 12)))
+    diff_gaps = [difference_identity_residual(_random_supported(p, rng), (-12, 12)) for _ in range(100)]
 
-    round_gap = 0.0
+    round_gaps = []
     m_max = 12
     for _ in range(5):
         phi = _random_supported(p, rng, lo=-10)
         tilde = laplace_transform(phi, (1 - m_max, m_max + 1))
         down, up = laplace_invert(tilde, phi.value_at(0), m_max)
-        for m in range(1, m_max + 1):
-            round_gap = max(round_gap, abs(down[m - 1] - phi.value_at(-m)))
-            round_gap = max(round_gap, abs(up[m - 1] - phi.value_at(m)))
+        round_gaps += [_abs(down - phi.values_on(-m_max, -1)[::-1]), _abs(up - phi.values_on(1, m_max))]
 
     # cutting a step function's tail to zero puts a jump at the window
     # floor; the derivative answers with a q^(alpha * depth) constant below
@@ -444,22 +421,22 @@ def check_laplace(p: FieldParams) -> CheckResult:
     # runs on shallow random supports
     phi = make_basis(FieldParams(p.q), "v", 2, window=(-12, 3))
     phi = KRadialFunction(phi.params, -12, 3, phi.values_on(-12, 3), 0j)
-    sym_gap = symbol_identity_residual(phi, 1.0, (-6, 10))
+    sym_gaps = [symbol_identity_residual(phi, 1.0, (-6, 10))]
     for alpha in (0.5, 1.0, 2.0):
         psi = _random_supported(FieldParams(p.q, alpha), rng, lo=-5)
-        sym_gap = max(sym_gap, symbol_identity_residual(psi, alpha, (-6, 10)))
+        sym_gaps.append(symbol_identity_residual(psi, alpha, (-6, 10)))
 
     mono = make_basis(p, "monomial", 1, window=(-12, 0))  # strictly increasing in |x|
-    tilde = laplace_transform(mono, (-8, 10))
-    dphi = np.array([mono.value_at(-n) - mono.value_at(-n + 1) for n in range(-8, 10)])
-    dtil = np.array([tilde.value_at(n) - tilde.value_at(n + 1) for n in range(-8, 10)])
+    T = laplace_transform(mono, (-8, 10)).values
+    w = mono.values_on(-9, 9)[::-1]  # mono(q^(1-n)) for n = -8 .. 10
+    dphi, dtil = w[1:] - w[:-1], T[:-1] - T[1:]
     return CheckResult(
         "transform suite: constants to zero, difference identity, inversion, symbol, monotonicity",
         (
             ("constants", const_gap, DEFAULT_TOLERANCES["laplace_constant"]),
-            ("difference identity", diff_gap, DEFAULT_TOLERANCES["laplace_difference"]),
-            ("inversion", round_gap, DEFAULT_TOLERANCES["laplace_roundtrip"]),
-            ("symbol", sym_gap, DEFAULT_TOLERANCES["laplace_symbol"]),
+            ("difference identity", float(np.max(diff_gaps)), DEFAULT_TOLERANCES["laplace_difference"]),
+            ("inversion", float(np.max(round_gaps)), DEFAULT_TOLERANCES["laplace_roundtrip"]),
+            ("symbol", float(np.max(sym_gaps)), DEFAULT_TOLERANCES["laplace_symbol"]),
             _flag("sign patterns equal", bool(np.array_equal(np.sign(dphi.real), np.sign(dtil.real)))),
         ),
     )

@@ -4,10 +4,16 @@ Runs the same checks as ``padicradial verify`` and prints one line per
 criterion (visible with ``pytest -s`` or on failure).
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from padicradial.field import FieldParams
+from padicradial import verify
+from padicradial.field import FieldParams, KRadialFunction
+from padicradial.laplace import TransformSequence
+from padicradial.operators import OperatorMatrix
 from padicradial.spectral import MatrixPowerSeries
 from padicradial.verify import (
     CHECKS,
@@ -119,6 +125,62 @@ def test_each_tolerance_fails_only_the_check_whose_clause_reads_it(monkeypatch):
         assert results[index].tolerance == bound and f"(tolerance {bound:.1e}," in line, (key, line)
         if key != "runtime_seconds":
             assert results[index].measured == residual and f"measured {residual:.3e} " in line, (key, line)
+
+
+def nan_like(result):
+    """``result`` with NaN in place of its last number, or of every value of a radial function."""
+    if isinstance(result, KRadialFunction):
+        return result * math.nan
+    if isinstance(result, (TransformSequence, OperatorMatrix)):  # the last transform value or entry
+        field = "values" if isinstance(result, TransformSequence) else "entries"
+        return replace(result, **{field: nan_like(getattr(result, field))})
+    if isinstance(result, tuple):
+        return tuple(map(nan_like, result))
+    if isinstance(result, dict):
+        return {key: nan_like(value) for key, value in result.items()}
+    if isinstance(result, np.ndarray):
+        out = result.copy()
+        out.flat[-1] = math.nan
+        return out
+    return math.nan
+
+
+POISONED = {  # check, the call whose n-th result turns NaN, and the clause that must fail
+    "eigenfunction_identity": ("eigenfunction_identity", verify, "apply_D_alpha", 2, "relative gap"),
+    "first_eigenvalue_ball": ("first_eigenvalue_ball", verify, "apply_D_alpha_O", 2,
+                              "shells at q=2, alpha=1 and the run's"),
+    "right_inverse": ("right_inverse", verify, "apply_D_alpha", 2, "shells, alpha in {1/2, 1, 2}"),
+    "i1_matrix": ("i1_matrix", np.linalg, "eigvals", 1, "eigenvalues"),
+    "imaginary_part trace": ("imaginary_part", verify, "operator_matrix", 3, "trace (f and e)"),
+    "imaginary_part u0": ("imaginary_part", verify, "imaginary_part", 1, "top-shell image"),
+    "moments": ("moments", verify, "moment_b", 1, "shell sums"),
+    "local_representation": ("local_representation", verify, "apply_I_alpha", 2, "shells, alpha in {1/2, 1, 2}"),
+    "characteristic_function": ("characteristic_function", verify, "order_certificate", 2, "order estimate"),
+    "laplace constants": ("laplace", verify, "laplace_transform", 1, "constants"),
+    "laplace difference": ("laplace", verify, "difference_identity_residual", 2, "difference identity"),
+    "laplace inversion": ("laplace", verify, "laplace_invert", 2, "inversion"),
+    "laplace symbol": ("laplace", verify, "symbol_identity_residual", 2, "symbol"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POISONED))
+def test_a_nan_residual_fails_its_clause(monkeypatch, case):
+    # each check reduces its residuals once, NaN propagating; a running
+    # ``max(worst, gap)`` kept ``worst`` past a NaN gap after the first, and
+    # the clause passed
+    name, owner, call, nth, label = POISONED[case]
+    real, calls = getattr(owner, call), []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return nan_like(out) if len(calls) == nth else out
+
+    monkeypatch.setattr(owner, call, poisoned)
+    res = getattr(verify, f"check_{name}")(FieldParams(3))
+    assert len(calls) >= nth, (case, len(calls))
+    _, residual, tol = next(c for c in res.clauses if c[0] == label)
+    assert math.isnan(residual) and not res.passed, res.line()
 
 
 def test_config_validation():

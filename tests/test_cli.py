@@ -551,6 +551,18 @@ def test_cli_non_finite_tail_exits_2(tmp_path, capsys, command, tail):
     assert "'inner_tail'" in assert_refused([a.format(doc=str(src)) for a in argv], 2, capsys)
 
 
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_cli_empty_window_exits_2(tmp_path, capsys, command):
+    # a transform document on [5, 4] with no values read as a transform, and
+    # laplace-invert exited 3 for missing indices; a radial one was refused already
+    argv, text = READERS[command]
+    doc = json.loads(text)
+    doc.update(n_lo=5, n_hi=4, values=[])
+    src = tmp_path / "empty.json"
+    src.write_text(json.dumps(doc))
+    assert "empty window [5, 4]" in assert_refused([a.format(doc=str(src)) for a in argv], 2, capsys)
+
+
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 @pytest.mark.parametrize("command", sorted(WRITERS))
 def test_cli_unwritable_out_exits_2(tmp_path, capsys, command, where):

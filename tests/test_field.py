@@ -243,6 +243,19 @@ def test_inner_product_against_grid_oracle():
         assert inner_product(u, v) == pytest.approx(grid_inner_product(u, v), abs=1e-13)
 
 
+@pytest.mark.parametrize("values, tail", [([1e200] * 5, 1e200), ([1e200] * 5, 0.0), ([1.0] * 5, 1e200)],
+                         ids=["values and tail", "values", "tail"])
+def test_inner_product_beyond_the_double_range_names_the_limit(values, tail):
+    # the root-weighted products near 1e400 overflowed, and norm returned inf;
+    # numpy still warns of the overflow before the refusal
+    u = KRadialFunction(P2, -4, 0, values, tail)
+    with pytest.raises(ValueError, match=r"beyond the double range: .* exceeds 1.798e\+308"):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            norm(u)
+    nan = KRadialFunction(P2, -4, 0, [math.nan] * 5)  # not finite to begin with: no limit to name
+    assert math.isnan(norm(nan))
+
+
 @pytest.mark.parametrize("family", ["e", "f"])
 def test_orthonormality_up_to_index_40(family):
     p = FieldParams(3)
@@ -369,6 +382,12 @@ def test_expand_matches_the_pairing_definition(q, family, width, count, tail, se
 BASES = [2.0, 3.0**0.7, 5.0**2.3, math.sqrt(3.0), 1.0, 49.0, 101.0**3]
 
 
+def oriented(kernel, w, base, seed=0j, upward=False):
+    """``kernel``'s sums from below, or ``upward`` from above on the reversed
+    row, as ``apply_D_alpha`` forms its upward sum."""
+    return kernel(w[::-1], base, seed)[::-1] if upward else kernel(w, base, seed)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(base=st.sampled_from(BASES), upward=st.booleans(), shells=st.integers(1, 40), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
@@ -381,9 +400,9 @@ def test_scan_sums_do_not_depend_on_the_window_past_them(base, upward, shells, d
     w = rng.standard_normal(shells) + 1j * rng.standard_normal(shells)
     s0 = complex(*rng.standard_normal(2))
     k = data.draw(st.integers(1, shells))
-    whole = _scan(w, base, s0, upward=upward)
+    whole = oriented(_scan, w, base, s0, upward)
     if upward:
-        assert np.array_equal(_scan(w[shells - k :], base, s0, upward=True), whole[shells - k :])
+        assert np.array_equal(oriented(_scan, w[shells - k :], base, s0, True), whole[shells - k :])
     else:
         assert np.array_equal(_scan(w[:k], base, s0), whole[:k])
 
@@ -407,7 +426,7 @@ def test_decay_and_scan_are_the_geometric_shell_sums(base, upward, shells, seed)
             s, m = (s + x) / b, (m + abs(x)) / b
     want, mass = np.array(want), np.array(mass)
     for kernel in (_decay, _scan):
-        got = kernel(w, base, s0, upward=upward)
+        got = oriented(kernel, w, base, s0, upward)
         got = got[::-1] if upward else got
         assert np.all(np.abs(got - want) <= 1e-14 * mass), kernel.__name__
 
@@ -426,12 +445,12 @@ def test_scan_at_the_lag_thresholds(lag, side, upward):
     rng = np.random.default_rng(lag)
     w = rng.standard_normal(shells) + 1j * rng.standard_normal(shells)
     s0 = complex(*rng.standard_normal(2))
-    whole = _scan(w, base, s0, upward=upward)
-    mass = np.abs(_decay(np.abs(w), base, abs(s0), upward=upward))
-    assert np.all(np.abs(whole - _decay(w, base, s0, upward=upward)) <= 1e-14 * mass)
+    whole = oriented(_scan, w, base, s0, upward)
+    mass = np.abs(oriented(_decay, np.abs(w), base, abs(s0), upward))
+    assert np.all(np.abs(whole - oriented(_decay, w, base, s0, upward)) <= 1e-14 * mass)
     for k in (7, 600):
         part = slice(k, shells) if upward else slice(0, shells - k)
-        assert np.array_equal(_scan(w[part], base, s0, upward=upward), whole[part])
+        assert np.array_equal(oriented(_scan, w[part], base, s0, upward), whole[part])
 
 
 @pytest.mark.parametrize("upward", [False, True])
@@ -443,7 +462,7 @@ def test_scan_lag_powers_stay_normal_under_a_deep_value(base, upward):
     w = np.zeros(400, dtype=complex)
     w[0] = 1e300
     w = w[::-1].copy() if upward else w
-    got, seq = _scan(w, base, upward=upward), _decay(w, base, upward=upward)
+    got, seq = oriented(_scan, w, base, upward=upward), oriented(_decay, w, base, upward=upward)
     got, seq = (got[::-1], seq[::-1]) if upward else (got, seq)
     exact = [Fraction(1e300) / Fraction(base) ** i for i in range(1, 400)]
     normal = [i + 1 for i, x in enumerate(exact) if x >= Fraction(sys.float_info.min)]
@@ -453,10 +472,10 @@ def test_scan_lag_powers_stay_normal_under_a_deep_value(base, upward):
     assert all(abs(Fraction(got[i].real) - exact[i - 1]) <= 4 * eps * exact[i - 1] for i in normal)
 
 
-def scan_reference(w, base, seed=0j, upward=False):
+def scan_reference(w, base, seed=0j):
     """``_scan`` as it was before its plan was memoized: the lag searched and the
     buffer appended on every call.  The kernel must keep its bits."""
-    w, lag = (w[::-1] if upward else w), 512
+    lag = 512
     while base**-lag < 2.0**-1022:
         lag //= 2
     e = np.append(complex(seed), w[:-1])
@@ -468,7 +487,7 @@ def scan_reference(w, base, seed=0j, upward=False):
         d *= 2
     for i in range(lag, n, lag):
         g[i : i + lag] += base**-lag * g[i - lag : min(i, n - lag)]
-    return e[::-1] if upward else e
+    return e
 
 
 THRESHOLD_BASES = [2.0 ** (1022 / lag) * (1.0 + side * 1e-12) for lag in (512, 256, 128) for side in (-1, 1)]
@@ -486,7 +505,7 @@ def test_scan_is_the_reference_kernel_bit_for_bit(base, upward):
     for width in (1, 2, 3, lag - 1, lag, lag + 1, 1200):
         w = rng.standard_normal(width) + 1j * rng.standard_normal(width)
         s0 = complex(*rng.standard_normal(2))
-        assert np.array_equal(_scan(w, base, s0, upward=upward), scan_reference(w, base, s0, upward=upward))
+        assert np.array_equal(oriented(_scan, w, base, s0, upward), oriented(scan_reference, w, base, s0, upward))
 
 
 def test_expand_recurs_over_the_window_only(monkeypatch):

@@ -16,6 +16,7 @@ from padicradial.laplace import (
     laplace_transform,
     symbol_identity_residual,
 )
+from padicradial.operators import apply_D_alpha
 
 P2 = FieldParams(2, 1.0)
 EPS = np.finfo(float).eps
@@ -368,3 +369,70 @@ def test_symbol_identity_random(alpha):
 def test_symbol_identity_requires_zero_tail():
     with pytest.raises(ValueError):
         symbol_identity_residual(make_basis(P2, "v", 1), 1.0, (-2, 2))
+
+
+def loop_difference_residual(phi, n_range):
+    """Reference: the difference identity's gap one n at a time, folded by a running max."""
+    lo, hi = n_range
+    tilde = laplace_transform(phi, (lo, hi + 1))
+    q = float(phi.params.q)
+    worst = 0.0
+    for n in range(lo, hi + 1):
+        lhs = tilde.value_at(n) - tilde.value_at(n + 1)
+        rhs = q ** float(-n) * (phi.value_at(-n) - phi.value_at(-n + 1))
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def loop_symbol_residual(phi, alpha, n_range):
+    """Reference: the symbol identity's relative gap one n at a time."""
+    lo, hi = n_range
+    phi_a = KRadialFunction(FieldParams(phi.params.q, alpha), phi.n_lo, phi.n_hi, phi.values)
+    lhs = laplace_transform(apply_D_alpha(phi_a, (phi.n_lo, max(phi.n_hi, 1 - lo))), n_range)
+    rhs = laplace_transform(phi_a, n_range)
+    q = float(phi.params.q)
+    worst = 0.0
+    for n in range(lo, hi + 1):
+        left, right = lhs.value_at(n), q ** (alpha * n) * rhs.value_at(n)
+        worst = max(worst, abs(left - right) / max(1.0, abs(left), abs(right)))
+    return worst
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_residuals_are_the_per_n_loops_bit_for_bit(q):
+    # the array gaps keep the loops' operands, q^-n and q^(alpha n) as Python's
+    # pow and the moduli as its abs, so the residuals keep every bit
+    rng = np.random.default_rng(q)
+    for _ in range(90):
+        width = int(rng.integers(2, 15))
+        lo = int(rng.integers(-16, 2)) - width
+        vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        tail = complex(*rng.standard_normal(2)) if rng.random() < 0.5 else 0j
+        n_lo = int(rng.integers(-12, 0))
+        n_range = (n_lo, n_lo + int(rng.integers(0, 20)))
+        phi = KRadialFunction(FieldParams(q), lo, lo + width - 1, vals, tail)
+        assert difference_identity_residual(phi, n_range) == loop_difference_residual(phi, n_range)
+        psi = KRadialFunction(FieldParams(q), lo, lo + width - 1, vals)
+        alpha = float(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0]))
+        n_range = (n_range[0] + 6, n_range[1] + 6)
+        assert symbol_identity_residual(psi, alpha, n_range) == loop_symbol_residual(psi, alpha, n_range)
+
+
+def test_residuals_are_nan_where_a_shell_or_the_tail_is():
+    # the loops' running max kept its value past a NaN gap: they read 1.8e-21
+    # and 0.0 for the NaN shell, and 0.0 for the NaN tail
+    p3 = FieldParams(3)
+    vals = np.ones(13, dtype=complex)
+    vals[-7 + 12] = math.nan
+    shell = KRadialFunction(p3, -12, 0, vals)
+    tail = KRadialFunction(p3, -12, 0, np.ones(13), complex(math.nan, 0.0))
+    assert math.isnan(difference_identity_residual(shell, (-12, 12)))
+    assert math.isnan(difference_identity_residual(tail, (-12, 12)))
+    assert math.isnan(symbol_identity_residual(shell, 1.0, (-6, 10)))
+    with pytest.raises(ValueError, match="zero-tail"):  # a NaN tail is not a zero tail
+        symbol_identity_residual(tail, 1.0, (-6, 10))
+
+
+def test_transform_sequence_refuses_an_empty_window():
+    with pytest.raises(ValueError, match=r"empty window \[5, 4\]"):
+        TransformSequence(P2, 5, 4, [])

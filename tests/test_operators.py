@@ -123,7 +123,7 @@ def derivative_reference(u, out_window=None):
     m, top = first - 1, max(hi, first)
     dev = u.values_on(m, max(top, u.n_hi)) - t
     qa = q**a
-    down_up = padicradial.field._scan(dev, q) + padicradial.field._scan(dev, qa, -t / (qa - 1.0), upward=True)
+    down_up = padicradial.field._scan(dev, q) + padicradial.field._scan(dev[::-1], qa, -t / (qa - 1.0))[::-1]
     diag = (qa + q - 2.0) / (1.0 - q ** (-a - 1.0)) / q
     bracket = p.theta_alpha * (1.0 - 1.0 / q) * down_up + diag * dev
     out = padicradial.operators._scaled(bracket[: top - m + 1], q, -a, np.arange(m, top + 1.0))
