@@ -13,7 +13,6 @@ inner products and basis expansions carry no truncation error.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import itertools
 import math
@@ -115,19 +114,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=16)
 def _shell_roots(q: float, lo: int) -> np.ndarray:
-    """Square roots of the measures ``(1 - 1/q) q^j`` of the shells ``lo..0``.
+    """Square roots ``sqrt(1-1/q) q^(j/2)`` of the measures ``(1 - 1/q) q^j`` of the shells ``lo..0``.
 
     Every pairing over the unit ball weights each factor by one root (the
     ball ``|x| <= q^(lo-1)`` below by ``_ball_root``), so a deep basis
     element (whose values grow like ``q^(N/2)``) is scaled back before it
-    is squared, and nothing overflows.  The roots are computed once per
-    ``(q, lo)`` (the last 16 pairs are kept) and shared read-only.
+    is squared, and nothing overflows.  The roots are a read-only slice of
+    ``_root_table``, one per ``q``, with Python's pow in each power.
     """
-    r = math.sqrt(1.0 - 1.0 / q) * np.power(q, np.arange(lo, 1.0) / 2.0)
-    r.flags.writeable = False
-    return r
+    return _half_powers(q, lo, 1, 1 - lo, _root_table)
 
 
 _REACH = 2048  # a memoized shell scale covers the shells -_REACH .. _REACH
@@ -161,21 +157,22 @@ def _scales_on(q: float, a: float, lo: int, hi: int):
     head = float(np.float32(a))
     ns = np.arange(float(lo), hi + 1.0)
     e2 = a * math.log2(q) * ns  # the factor is 2^e2
+    near = np.flatnonzero(np.abs(e2 - 1.0) < 1024.0)  # 2^e2 in (2^-1023, 2^1025): may be normal
+    first = np.where(e2 < 0.0, 0.0, np.inf)  # q^(head n / 2): below 2^-1077 it is 0, from 2^1025 on inf
     with np.errstate(over="ignore", under="ignore"):
-        # q^(head n / 2): below 2^-1077 it is 0, from 2^1025 on inf
-        first = np.where(e2 < 0.0, 0.0, np.inf)
+        factor = _pow(q, head * ns[near])
+        if a != head:  # the remainder enters once: with the factor, and with the second half
+            factor *= _pow(q, (a - head) * ns[near])
+        ok = (factor >= _TINY) & (factor < np.inf)
+        normal = near[ok]
+        first[normal] = factor[ok]
         live = np.abs(e2 + 52.0) < 2102.0
-        first[live] = np.power(q, head * ns[live] / 2.0)
-        near = np.flatnonzero(np.abs(e2 - 1.0) < 1024.0)  # 2^e2 in (2^-1023, 2^1025): may be normal
-        factor = np.power(q, head * ns[near])
+        live[normal] = False  # the half-powers are formed off the normal run only
+        first[live] = _pow(q, head * ns[live] / 2.0)
         second = first  # read on the half-power shells only
-        if a != head:  # the remainder enters once: with the second half, and with the factor
+        if a != head:
             second = first.copy()
-            second[live] *= np.power(q, (a - head) * ns[live])
-            factor *= np.power(q, (a - head) * ns[near])
-    ok = (factor >= _TINY) & (factor < np.inf)
-    normal = near[ok]
-    first[normal] = factor[ok]
+            second[live] *= _pow(q, (a - head) * ns[live])
     first.flags.writeable = second.flags.writeable = False
     return first, second, (int(normal[0]), int(normal[-1]) + 1) if normal.size else (0, 0)
 
@@ -228,16 +225,26 @@ def _scaled(bracket: np.ndarray, q: float, a: float, ns: range | np.ndarray) -> 
 
 def _ball_root(q: float, n_lo: int) -> float:
     """``q^((n_lo-1)/2)``, the square root of the measure of the ball ``|x| <= q^(n_lo-1)``."""
-    return _pow(q, (n_lo - 1.0) / 2.0)
+    return q ** ((n_lo - 1.0) / 2.0)
 
 
 def _pow(x, k):
-    """``x ** k`` by Python's pow, element by element where the base ``x`` is an array, so each
-    element has the bits of its own scalar call: ``np.power`` is an ulp off Python's pow on some
-    exponents.  Runs of ``q^(k/2)`` read its memo, ``_half_powers``."""
+    """``x ** k`` by Python's pow, element by element where ``x`` or ``k`` is an array, so each element
+    has the bits of its scalar call on every CPU, which ``np.power``'s do not.  Over an array of
+    exponents an element beyond the double range is inf, as ``np.power`` gives it; elsewhere pow
+    raises ``OverflowError``.  Runs of ``q^(k/2)`` read its memo, ``_half_powers``."""
+    if isinstance(k, np.ndarray):
+        return np.fromiter(map(_pow_or_inf, itertools.repeat(x), k.ravel().tolist()), float, k.size).reshape(k.shape)
     if isinstance(x, np.ndarray):
         return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(k)), float, x.size).reshape(x.shape)
     return x**k
+
+
+def _pow_or_inf(x: float, k: float) -> float:
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
@@ -246,20 +253,22 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _half_powers(q: float, k0: int, step: int, count: int) -> np.ndarray:
-    """``q^((k0 + step i) / 2)``, i < count, step != 0, as Python's pow: a read-only slice of
-    ``_half_power_table``, or past underflow a read-only copy that is exactly 0 there.
-    ``OverflowError`` where a power overflows, as pow raises."""
+def _half_powers(q: float, k0: int, step: int, count: int, table=None) -> np.ndarray:
+    """``q^((k0 + step i) / 2)``, i < count, step != 0, as Python's pow (times ``sqrt(1 - 1/q)`` with
+    ``table=_root_table``): a read-only slice of the table, or past underflow a read-only copy that
+    is exactly 0 there.  ``OverflowError`` where a power overflows, as pow raises."""
     if step < 0:  # the same run read backwards
-        return _half_powers(q, k0 + step * (count - 1), -step, count)[::-1]
-    table, first = _half_power_table(q)
-    zeros = min(max(-((k0 - first) // step), 0), count)  # the powers below the table
-    run = table[k0 - first + step * zeros : k0 - first + step * count : step]
-    if zeros + len(run) < count:
-        raise OverflowError(f"{q:g}^({k0 + step * (count - 1)}/2) is beyond the double range")
-    if zeros:  # a copy, made read-only as the slices of the table are
-        run = np.concatenate((np.zeros(zeros), run))
+        return _half_powers(q, k0 + step * (count - 1), -step, count, table)[::-1]
+    entries, first = (table or _half_power_table)(q)
+    i = k0 - first
+    if i < 0 < count:  # the powers below the table, then the rest: a copy, read-only as the slices are
+        zeros = min(-(i // step), count)
+        run = np.concatenate((np.zeros(zeros), _half_powers(q, k0 + step * zeros, step, count - zeros, table)))
         run.flags.writeable = False
+        return run
+    run = entries[i : i + step * count : step]
+    if len(run) < count:
+        raise OverflowError(f"{q:g}^({k0 + step * (count - 1)}/2) is beyond the double range")
     return run
 
 
@@ -267,19 +276,21 @@ def _half_powers(q: float, k0: int, step: int, count: int) -> np.ndarray:
 def _half_power_table(q: float) -> tuple[np.ndarray, int]:
     """Python's pow ``q^(k/2)`` at each integer ``k`` from the first nonzero value to the last finite
     one, and that first ``k``; once per ``q`` (the last 32 kept), read-only, at most 33 KB (q = 2)."""
-    below = math.floor(-2150.0 / math.log2(q))  # q^(below/2) <= 2^-1075: pow gives 0
-    first = next(k for k in itertools.count(below) if q ** (k / 2) > 0.0)
-    table = np.fromiter(_half_powers_from(q, first), float)
+    ks = np.arange(math.floor(-2150.0 / math.log2(q)), math.ceil(2050.0 / math.log2(q)) + 1)  # pow: 0 .. inf
+    powers = _pow(q, ks / 2.0)
+    live = np.flatnonzero((powers > 0.0) & (powers < np.inf))
+    table = powers[live[0] : live[-1] + 1]
     table.flags.writeable = False
-    return table, first
+    return table, int(ks[live[0]])
 
 
-def _half_powers_from(q: float, k: int):
-    """``q^(k/2)``, ``q^((k+1)/2)``, .. by Python's pow, up to the last finite one."""
-    with contextlib.suppress(OverflowError):
-        while True:
-            yield q ** (k / 2)
-            k += 1
+@functools.lru_cache(maxsize=32)
+def _root_table(q: float) -> tuple[np.ndarray, int]:
+    """``_half_power_table`` times ``sqrt(1 - 1/q)``: the shell roots, once per ``q`` (32 kept)."""
+    table, first = _half_power_table(q)
+    roots = math.sqrt(1.0 - 1.0 / q) * table
+    roots.flags.writeable = False
+    return roots, first
 
 
 def _decay(w: np.ndarray, base: float, seed=0j) -> np.ndarray:
@@ -507,10 +518,10 @@ def make_basis(
     the logarithm ``h2 = -log|x|`` are windowed samples: the monomial tail is
     cut to zero (norm error below ``q^(n_lo (l + 1/2))``), and the ``h2`` tail
     is frozen at its boundary value, so both should be built with a deep
-    window.  Unless ``q`` is a power of two, the monomial's values
-    ``q^(l j)``, ``j < 0``, are rounded doubles, and an exact computation on
-    them sees that rounding: ``poly_projection_residual`` of the monomial
-    ``l = 2`` at q = 3 is 5.6e-19, where the cut costs 1.4e-73.
+    window.  The monomial's values ``q^(l j)`` are Python's pow (from
+    ``_half_powers``; one that overflows is a ``ValueError``), rounded unless
+    ``q`` is a power of two, and an exact computation on them sees that rounding:
+    ``poly_projection_residual`` of ``l = 2`` at q = 3 is 5.59e-19, where the cut costs 1.4e-73.
     ``h1`` is the imaginary constant ``(q-1)/(i q log q)``.  ``index`` is
     N >= 0 for ``v``/``e``, n >= 0 for ``f``, the exponent l >= 1 for
     ``monomial``, and is ignored for ``u0``, ``h1`` and ``h2``.
@@ -540,8 +551,10 @@ def make_basis(
         out = KRadialFunction(params, 0, 0, [kap], kap)
     elif tag == "monomial":
         lo, hi = window if window is not None else (-60, 0)
-        js = np.arange(lo, hi + 1)
-        return KRadialFunction(params, lo, hi, np.power(q, N * js.astype(float)))
+        try:
+            return KRadialFunction(params, lo, hi, _half_powers(q, 2 * N * lo, 2 * N, max(hi - lo + 1, 0)))
+        except OverflowError:
+            raise ValueError(f"the monomial |x|^l at l={N}, q={q:g} overflows on the shell |x| = q^{hi}") from None
     elif tag == "h2":
         lo, hi = window if window is not None else (-60, 0)
         js = np.arange(lo, hi + 1)
@@ -592,12 +605,11 @@ def expand(u: KRadialFunction, family: str, count: int) -> np.ndarray:
         raise ValueError(f"count must be >= 0, got {count}")
     _require_o(u, "expand")
     q = float(u.params.q)
-    lo = min(u.n_lo, 1 - count)
-    r = _shell_roots(q, lo)
     if family == "f" or count == 0:
-        return (u.values_on(lo, 0) * r)[::-1][:count]  # w_(-n) for n = 0 .. count-1
+        lo = min(u.n_lo, 1 - count)
+        return (u.values_on(lo, 0) * _shell_roots(q, lo))[: -count - 1 : -1]  # w_(-n) for n = 0 .. count-1
     root_q, n = math.sqrt(q), 1 - u.n_lo  # the window's n shells
-    w = u.values_on(u.n_lo, 0) * r[u.n_lo - lo :]
+    w = u.values_on(u.n_lo, 0) * _shell_roots(q, u.n_lo)
     # sum_{j < n_lo} w_j q^((j-n_lo)/2) with w_j = t sqrt(1-1/q) q^(j/2): B(n_lo - 1) / sqrt(q)
     seed = u.inner_tail * _ball_root(q, u.n_lo) / math.sqrt(q - 1.0)
     ball = (w + _decay(w, root_q, seed))[::-1][:count]  # B(-N), N < n
@@ -626,8 +638,8 @@ def poly_projection_residual(target: KRadialFunction, L: int) -> float:
 
     The residual is exact for the shell values as stored.  A sampled
     ``make_basis(.., "monomial", l)`` at q other than a power of two stores
-    rounded ``q^(l j)``, so its residual measures that rounding (5.6e-19 at
-    q = 3, 2.2e-20 at q = 5 for ``l = L = 2``), not the distance of the cut
+    rounded ``q^(l j)``, so its residual measures that rounding (5.59e-19 at
+    q = 3, 2.22e-20 at q = 5 for ``l = L = 2``), not the distance of the cut
     monomial (1.4e-73 and 2.3e-107).
     """
     from fractions import Fraction  # imported here: it adds to the CLI's start-up

@@ -26,6 +26,7 @@ from .field import (
     KRadialFunction,
     _abs,
     _half_powers,
+    _pow,
     expand,
     inner_product,
     make_basis,
@@ -156,8 +157,8 @@ def _oracle_moment_series(params: FieldParams, kind: str, n: int, terms: int = 2
     q = float(params.q)
     lnq = params.ln_q
     ks = np.arange(1, terms + 1, dtype=float)
-    w = (1.0 - 1.0 / q) * np.power(q, -ks)  # shell measures at |t| = q^-k
-    p = np.power(q, -ks * n)
+    w = (1.0 - 1.0 / q) * _pow(q, -ks)  # shell measures at |t| = q^-k
+    p = _pow(q, -ks * n)
     if kind == "d":
         return float(np.sum(ks * lnq * p * w))
     if kind == "a":
@@ -178,7 +179,7 @@ def _grid_neumann_coeffs(params: FieldParams, count: int) -> np.ndarray:
     lnq = params.ln_q
     c = params.c_volterra
     js = np.arange(-80, 1)
-    mu = (1.0 - 1.0 / q) * np.power(q, js.astype(float))
+    mu = (1.0 - 1.0 / q) * _pow(q, js.astype(float))
     kap1 = (q - 1.0) / (1j * q * lnq)
     h1 = np.full(js.shape, kap1, dtype=complex)
     h2 = -(js * lnq).astype(complex)

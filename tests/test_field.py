@@ -129,16 +129,19 @@ def test_values_on_the_stored_window_is_the_stored_read_only_array():
 
 @pytest.mark.parametrize("q", [2, 3, 7])
 def test_root_measures_are_read_only_and_bounded(q):
-    for lo in (0, -1, -40, -1599):
+    # each root is sqrt(1 - 1/q) times Python's pow, bit for bit, read as a slice
+    # of one table per q (the last 32 kept), whatever lo; below the table's first
+    # power (q^(lo/2) underflows to 0) a read-only copy, 0 there
+    table = padicradial.field._root_table(float(q))[0]
+    for lo in (0, -1, -40, -1599, -5000):
         r, h = _shell_roots(float(q), lo), _ball_root(float(q), lo)
-        assert np.array_equal(r, math.sqrt(1.0 - 1.0 / q) * np.power(float(q), np.arange(lo, 1.0) / 2.0))
+        want = np.array([math.sqrt(1.0 - 1.0 / q) * float(q) ** (j / 2) for j in range(lo, 1)])
+        assert r.tobytes() == want.tobytes()
         assert h == float(q) ** ((lo - 1.0) / 2.0)
         with pytest.raises(ValueError):
             r[0] = 0.0
-        assert _shell_roots(float(q), lo) is r  # computed once per (q, lo)
-    for lo in range(-100, 0):
-        _shell_roots(float(q), lo)
-    assert padicradial.field._shell_roots.cache_info().currsize <= 16
+        assert np.shares_memory(r, table) == (want[0] > 0.0)
+    assert padicradial.field._root_table.cache_info().maxsize == 32
 
 
 def test_shell_scale_memo_is_read_only_bounded_and_each_runs_own():
@@ -193,9 +196,9 @@ def test_shell_scale_memo_is_read_only_bounded_and_each_runs_own():
 
 
 def test_pairings_do_not_depend_on_the_memo(monkeypatch):
-    # the same bits without the memo, on a cold one, on a repeated call and
-    # after calls at other (q, lo) have evicted the entries; q = 2 and 3
-    # share every window, so a memo that mixed up fields would show
+    # the same bits without the root table's memo, on a cold one, on a repeated
+    # call and after other q have evicted the entries; q = 2 and 3 share every
+    # window, so a memo that mixed up fields would show
     rng = np.random.default_rng(5)
     cases = []
     for q in (2, 3):
@@ -208,15 +211,14 @@ def test_pairings_do_not_depend_on_the_memo(monkeypatch):
                  inner_product(u, v), inner_product(v, v), o_integral(u), o_integral(v)]
                 for u, v in cases]
 
-    memo = padicradial.field._shell_roots
+    memo = padicradial.field._root_table
     with monkeypatch.context() as m:
-        m.setattr(padicradial.field, "_shell_roots", memo.__wrapped__)
+        m.setattr(padicradial.field, "_root_table", memo.__wrapped__)
         want = results()
     memo.cache_clear()
     runs = [results(), results()]
-    for other in (2, 3, 5, 7):
-        for lo in range(-60, 1, 3):
-            expand(KRadialFunction(FieldParams(other), lo, 0, np.ones(1 - lo), 1.0), "e", 5)
+    for other in range(33):  # 33 other q evict both entries
+        memo(2.5 + other)
     runs.append(results())
     for got in runs:
         for case, want_case in zip(got, want):
@@ -338,6 +340,16 @@ def test_monomial_truncation_norm_bound():
                     float(q) ** (2 * l * j) * (1 - 1 / q) * float(q) ** j for j in range(lo - 300, lo)
                 )
                 assert math.sqrt(err2) <= float(q) ** (lo * (l + 0.5))
+
+
+def test_monomial_is_pow_and_refuses_to_overflow():
+    # each value is Python's pow, and one beyond the double range (2^(3 j) from
+    # j = 342 on) is a ValueError naming l, q and the shell, not a silent inf
+    want = np.array([3.0 ** (2 * j) for j in range(-60, 1)])
+    assert make_basis(FieldParams(3), "monomial", 2).values.real.tobytes() == want.tobytes()
+    assert make_basis(P2, "monomial", 3, window=(-10, 341)).values[-1] == 2.0**1023
+    with pytest.raises(ValueError, match=r"l=3, q=2 overflows on the shell \|x\| = q\^400"):
+        make_basis(P2, "monomial", 3, window=(-10, 400))
 
 
 def test_monomial_pairing_closed_form():

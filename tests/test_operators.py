@@ -574,22 +574,21 @@ def test_element_integrals_are_those_of_make_basis(q, basis):
 
 @pytest.mark.parametrize("basis", ["e", "f"])
 def test_operator_matrix_does_not_depend_on_the_memo(monkeypatch, basis):
-    # without the root-measure memo, on a cold one, repeated, and after
-    # matrices at other (q, dim) have evicted its entries
+    # without the root table's memo, on a cold one, repeated, and after
+    # other q have evicted its entries
     cases = [(FieldParams(q), name, basis, 40) for q in (2, 3) for name in OPERATOR_NAMES]
 
     def matrices():
         return [operator_matrix(*case).entries for case in cases]
 
-    memo = padicradial.field._shell_roots
+    memo = padicradial.field._root_table
     with monkeypatch.context() as m:
-        m.setattr(padicradial.field, "_shell_roots", memo.__wrapped__)
+        m.setattr(padicradial.field, "_root_table", memo.__wrapped__)
         want = matrices()
     memo.cache_clear()
     runs = [matrices(), matrices()]
-    for q in (2, 3, 5, 7):
-        for dim in range(2, 30, 3):
-            operator_matrix(FieldParams(q), "I1", basis, dim)
+    for other in range(33):  # 33 other q evict both entries
+        memo(2.5 + other)
     runs.append(matrices())
     for got in runs:
         for a, b in zip(got, want):
