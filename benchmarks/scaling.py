@@ -43,6 +43,9 @@ Layers (``--layer``):
   ``characteristic_function`` up to order T and ``order_certificate`` of
   its entry g12 (``w_coefficients()[0, 1]``): the spectral calls of the
   ``matrix-spectra`` benchmark, which runs them at T = 200.
+- ``spectral``: for q in {2, 3} and dim in {40, 160, 640}, ``volterra_check``,
+  ``i1_eigenpairs`` and ``j_diagnostics``: the other spectral calls of the
+  ``matrix-spectra`` benchmark, which runs them at dim = 40.
 
 Each call is repeated for at least ``--seconds`` per size (and at least
 three times; with ``--ab``, 20 pairs); the record keeps the median and the
@@ -406,8 +409,24 @@ def charfn_layer(timed) -> dict:
     }
 
 
+def spectral_layer(timed) -> dict:
+    dims = (40, 160, 640)
+    rows, exponents = [], {}
+    for q in (2, 3):
+        p = FieldParams(q)
+        cells = [{"q": q, "dim": dim, **{fn: timed(lambda: getattr(spectral, fn)(p, dim)) for fn in SPECTRAL}}
+                 for dim in dims]
+        rows += cells
+        exponents.update({f"{name} q={q}": fit for name, fit in _exponents(dims, cells, SPECTRAL).items()})
+    return {
+        "shapes": "volterra_check, i1_eigenpairs and j_diagnostics at dim",
+        "per_call": rows,
+        "scaling_exponent": exponents,
+    }
+
+
 LAYERS = {"laplace": laplace_layer, "operator_matrix": operator_matrix_layer, "expand": expand_layer,
-          "apply": apply_layer, "scan": scan_layer, "charfn": charfn_layer}
+          "apply": apply_layer, "scan": scan_layer, "charfn": charfn_layer, "spectral": spectral_layer}
 
 
 def _revision() -> str:

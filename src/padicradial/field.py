@@ -236,7 +236,9 @@ def _pow(x, k):
     if isinstance(k, np.ndarray):
         return np.fromiter(map(_pow_or_inf, itertools.repeat(x), k.ravel().tolist()), float, k.size).reshape(k.shape)
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(pow, x.ravel().tolist(), itertools.repeat(k)), float, x.size).reshape(x.shape)
+        out, live = np.ones(x.shape), x != 1.0  # pow(1.0, k) is exactly 1: pow runs on the other bases
+        out[live] = np.fromiter(map(pow, x[live].tolist(), itertools.repeat(k)), float, np.count_nonzero(live))
+        return out
     return x**k
 
 
@@ -695,9 +697,10 @@ def max_shell_difference(
     lo: int | None = None,
     hi: int | None = None,
 ) -> float:
-    """Largest pointwise gap over a shell range, tails included via ``lo-1``."""
+    """Largest pointwise gap over a shell range, tails included via ``lo-1``; each gap's modulus
+    has the bits of Python's ``abs``."""
     if lo is None:
         lo = min(u.n_lo, v.n_lo) - 1
     if hi is None:
         hi = max(u.n_hi, v.n_hi)
-    return float(np.max(np.abs(u.values_on(lo, hi) - v.values_on(lo, hi))))
+    return float(np.max(_abs(u.values_on(lo, hi) - v.values_on(lo, hi))))

@@ -14,12 +14,11 @@ the value at radius one is supplied.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FieldParams, KRadialFunction, _abs, _half_powers, _scaled, _scan
+from .field import FieldParams, KRadialFunction, _abs, _half_powers, _pow, _scaled, _scan
 from .operators import apply_D_alpha
 
 __all__ = [
@@ -170,19 +169,23 @@ def symbol_identity_residual(phi: KRadialFunction, alpha: float, n_range: tuple[
     ``q^n`` only reads shells ``j <= -n + 1``, which that window covers
     exactly.  Each gap is divided by the larger side once that exceeds 1:
     the symbol reaches ``q^(alpha n)``, so on wide ranges the absolute gap
-    carries that factor on top of rounding.
+    carries that factor on top of rounding.  A symbol beyond the double
+    range raises ``ValueError`` naming ``q``, ``alpha`` and its first ``n``.
     """
     if phi.inner_tail != 0:
         raise ValueError("symbol identity check requires a zero-tail function")
     lo, hi = n_range
+    q, ns = float(phi.params.q), np.arange(lo, hi + 1)
+    symbol = _pow(q, float(alpha) * ns)  # pow's bits, inf beyond the double range
+    if np.isinf(symbol).any():
+        n = int(ns[np.isinf(symbol).argmax()])
+        raise ValueError(f"symbol q^(alpha n) at q={q:g}, alpha={float(alpha):g}, n={n} is beyond the double range")
     p_alpha = replace(phi.params, alpha=float(alpha))
     phi_a = KRadialFunction(p_alpha, phi.n_lo, phi.n_hi, phi.values, 0j)
     out_hi = max(phi.n_hi, 1 - lo)
     dphi = apply_D_alpha(phi_a, (phi.n_lo, out_hi))
     lhs = laplace_transform(dphi, n_range)
     rhs = laplace_transform(phi_a, n_range)
-    exponents = (float(alpha) * np.arange(lo, hi + 1)).tolist()
-    symbol = np.fromiter(map(pow, itertools.repeat(float(phi.params.q)), exponents), float)  # pow's bits
     left, right = lhs.values, symbol * rhs.values
     gaps = _abs(left - right) / np.maximum(1.0, np.maximum(_abs(left), _abs(right)))
     return float(np.max(gaps))

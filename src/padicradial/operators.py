@@ -415,7 +415,7 @@ def d_constant(params: FieldParams, m: int | np.ndarray) -> float | np.ndarray:
     against ``|y|^m`` over ``|y| < |x|`` gives ``d_m |x|^(m+1)``.  This and
     the moments below take an order or an integer array of orders."""
     q, y = _y(params, m, "m")
-    return (1.0 - 1.0 / q) * params.ln_q * y / ((1.0 - y) * (1.0 - y))  # the bits of pow(1 - y, 2)
+    return _d(q, params.ln_q, y, 1.0 - y)
 
 
 def moment_a(params: FieldParams, n: int | np.ndarray) -> float | np.ndarray:
@@ -428,10 +428,23 @@ def moment_a(params: FieldParams, n: int | np.ndarray) -> float | np.ndarray:
 def moment_b(params: FieldParams, n: int | np.ndarray) -> float | np.ndarray:
     """Integral of ``|t|^n log^2|t|`` over ``|t| < 1`` (positive)."""
     q, y = _y(params, n, "n")
-    return (1.0 - 1.0 / q) * params.ln_q**2 * y * (1.0 + y) / _pow(1.0 - y, 3)
+    return _b(q, params.ln_q, y, 1.0 - y)
 
 
 def moment_m0(params: FieldParams, n: int | np.ndarray) -> float | np.ndarray:
     """Integral of ``|t|^n`` over the unit ball."""
     q, y = _y(params, n, "n")
-    return (1.0 - 1.0 / q) / (1.0 - y)
+    return _m0(q, 1.0 - y)
+
+
+# the moments' bodies at y = q^-(n+1) and u = 1 - y, which the characteristic function shares
+def _d(q: float, ln_q: float, y, u):
+    return (1.0 - 1.0 / q) * ln_q * y / (u * u)  # the bits of pow(1 - y, 2)
+
+
+def _b(q: float, ln_q: float, y, u):
+    return (1.0 - 1.0 / q) * ln_q**2 * y * (1.0 + y) / _pow(u, 3)
+
+
+def _m0(q: float, u):
+    return (1.0 - 1.0 / q) / u

@@ -26,12 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .field import FieldParams, KRadialFunction, _TINY, _half_powers, o_integral, o_log_integral
-from .operators import (
-    d_constant,
-    moment_b,
-    moment_m0,
-    operator_matrix,
-)
+from .operators import _b, _d, _m0, operator_matrix
 
 __all__ = [
     "I1Spectrum",
@@ -107,13 +102,13 @@ def volterra_check(params: FieldParams, dim: int) -> dict:
     one-dimensional.)
     """
     A = operator_matrix(params, "I01", "f", dim).entries
-    lower = np.tril(A)
-    max_lower = float(np.abs(lower).max())
-    triangular = not np.tril(lower, -1).any()
+    mags = np.abs(A)
+    below, top = np.tril(mags, -1), mags.diagonal().max()  # the strict lower part, the largest |diagonal|
+    max_lower = float(max(below.max(), top))
     rows = np.flatnonzero(A.diagonal(1) == 0)
-    free = np.count_nonzero((np.abs(A[rows]) >= _TINY).any(axis=1))
+    free = np.count_nonzero((mags[rows] >= _TINY).any(axis=1))
     return {
-        "max_abs_eigenvalue": float(np.abs(A.diagonal()).max()) if triangular else math.inf,
+        "max_abs_eigenvalue": math.inf if below.any() else float(top),
         "strict_triangularity": max_lower <= 1e-14,
         "max_lower_entry": max_lower,
         "kernel_dim": 1 + int(free),
@@ -139,7 +134,7 @@ def j_diagnostics(params: FieldParams, dim: int) -> dict:
     ``kappa (a b^T - b a^T)`` is skew, both nonzero ones are its Frobenius norm over ``sqrt 2``."""
     mat = operator_matrix(params, "J", "e", dim).entries
     sigma = np.linalg.norm(mat) / math.sqrt(2.0)
-    return {"trace": complex(np.trace(mat)), "singular_values": np.pad([sigma, sigma], (0, dim - 2))}
+    return {"trace": complex(mat.trace()), "singular_values": np.repeat([sigma, 0.0], [2, dim - 2])}
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +182,10 @@ def characteristic_function(params: FieldParams, T: int) -> MatrixPowerSeries:
     ``c d_n |x|^(n+1) log|x| - c b_n |x|^(n+1)``, so the n-th iterates are
     ``kap1 P_n |x|^n`` and ``-P_n |x|^n log|x| + P_n E_n |x|^n`` with
     ``P_n = prod_(k<n) c d_k`` and ``E_n = sum_(k<n) b_k / d_k``, and every
-    pairing is a closed-form moment.  The increment ``b_k / d_k`` is formed
-    as ``log q (1 + y) / (1 - y)``, ``y = q^-(k+1)``, because ``d_k`` itself
+    pairing is a closed-form moment.  The moments and the increments share one slice
+    ``y = q^-(k+1)``, k <= T, of the memo ``field._half_powers`` (the moments' own ``y``) and
+    ``1 - y``; ``(1 - y)^3`` calls pow only where ``1 - y != 1`` (53 of 201 orders at q = 2).
+    The increment ``b_k / d_k`` is ``log q (1 + y) / (1 - y)``, as ``d_k`` itself
     underflows for deep ``k``.  A coefficient below the smallest normal
     double, subnormal or exactly 0 (at q = 2 and T = 200, 626 of the 804 are 0,
     from n = 44 on), has lost precision and sets the ``underflowed`` flag;
@@ -196,17 +193,16 @@ def characteristic_function(params: FieldParams, T: int) -> MatrixPowerSeries:
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    q = float(params.q)
-    kap1 = (q - 1.0) / (1j * q * params.ln_q)
-    n = np.arange(T + 1)
-    d, b, m0 = d_constant(params, n), moment_b(params, n), moment_m0(params, n)
+    q, ln_q = float(params.q), params.ln_q
+    kap1 = (q - 1.0) / (1j * q * ln_q)
+    y = _half_powers(q, -2, -2, T + 1)  # q^-(n+1), n = 0 .. T: the moments' y
+    u = 1.0 - y
+    d, b, m0 = _d(q, ln_q, y, u), _b(q, ln_q, y, u), _m0(q, u)
     P = np.cumprod(np.concatenate(([1.0], params.c_volterra * d[:-1])))
-    y = _half_powers(q, -2, -2, T)
-    E = np.cumsum(np.concatenate(([0.0], params.ln_q * (1.0 + y) / (1.0 - y))))
-    g = np.array([
-        [abs(kap1) ** 2 * P * m0, kap1 * P * d],
-        [np.conj(kap1) * P * (d + E * m0), P * (b + E * d)],
-    ])
+    E = np.cumsum(np.concatenate(([0.0], ln_q * (1.0 + y[:-1]) / u[:-1])))
+    g = np.empty((2, 2, T + 1), complex)
+    g[0, 0], g[0, 1] = abs(kap1) ** 2 * P * m0, kap1 * P * d
+    g[1, 0], g[1, 1] = np.conj(kap1) * P * (d + E * m0), P * (b + E * d)
     underflowed = bool(np.any(np.abs(g) < _TINY))
     return MatrixPowerSeries(params, T, g, underflowed)
 

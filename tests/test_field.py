@@ -722,6 +722,17 @@ def test_max_shell_difference_sees_tails():
     assert max_shell_difference(u, w) == pytest.approx(0.5)
 
 
+def test_max_shell_difference_is_a_python_abs_loop():
+    # each gap's modulus is Python's abs, bit for bit; numpy's complex abs differs by up to 2 ulp
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        W = int(rng.integers(1, 30))
+        u, v = (KRadialFunction(P2, -W, 0, rng.standard_normal(W + 1) + 1j * rng.standard_normal(W + 1),
+                                complex(*rng.standard_normal(2))) for _ in range(2))
+        want = max(abs(u.value_at(n) - v.value_at(n)) for n in range(-W - 1, 1))
+        assert max_shell_difference(u, v) == want
+
+
 MEMO_QS = [2, 3, 4, 5, 7, 8, 9, 11, 27, 101, 128, 4096, 65536]
 
 

@@ -366,6 +366,17 @@ def test_symbol_identity_random(alpha):
     assert symbol_identity_residual(phi, alpha, (-6, 10)) < 1e-10
 
 
+def test_symbol_identity_names_an_overflowing_symbol():
+    # q^(alpha n) = 2^1024 is beyond the double range: a ValueError naming q, alpha and n, where
+    # pow raised a bare OverflowError
+    phi = KRadialFunction(P2, -3, 0, [1e-300] * 4, 0j)
+    with pytest.raises(ValueError, match=r"symbol q\^\(alpha n\) at q=2, alpha=1, n=1024 is beyond the double range"):
+        symbol_identity_residual(phi, 1.0, (-6, 1030))
+    with pytest.raises(ValueError, match=r"at q=3, alpha=0.5, n=1293 "):
+        symbol_identity_residual(KRadialFunction(FieldParams(3), -3, 0, [1e-300] * 4, 0j), 0.5, (1290, 1300))
+    assert symbol_identity_residual(phi, 1.0, (-6, 1023)) < 1e-10  # the last symbol that is a double
+
+
 def test_symbol_identity_requires_zero_tail():
     with pytest.raises(ValueError):
         symbol_identity_residual(make_basis(P2, "v", 1), 1.0, (-2, 2))

@@ -1,5 +1,6 @@
 """The fractional derivative, its right inverse, the Volterra part, the resolvent."""
 
+import builtins
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -1026,6 +1027,26 @@ def test_array_moments_equal_the_scalar_moments(q):
             moment(p, np.array([3, -1]))
         with pytest.raises(ValueError, match="integer array of orders, got a float64 array"):
             moment(p, np.arange(3.0))
+
+
+@pytest.mark.parametrize("q", [2, 3, 101])
+def test_moment_b_calls_pow_only_where_one_minus_y_is_not_one(q, monkeypatch):
+    # pow(1.0, 3) is exactly 1, so the cube (1 - y)^3 calls pow only on the orders where
+    # 1 - y != 1 (53 of the orders 0 .. 200 at q = 2), and keeps the scalar moments' bits
+    bases = []
+
+    def spy(x, k):
+        bases.append(x)
+        return builtins.pow(x, k)
+
+    monkeypatch.setattr(padicradial.field, "pow", spy, raising=False)
+    p = FieldParams(q)
+    got = moment_b(p, np.arange(201))
+    u = [1.0 - float(q) ** -(n + 1.0) for n in range(201)]
+    assert bases == [x for x in u if x != 1.0]
+    assert len(bases) == {2: 53, 3: 34, 101: 8}[q]
+    monkeypatch.undo()
+    assert np.array_equal(got, [moment_b(p, n) for n in range(201)])
 
 
 def test_the_square_of_one_minus_y_as_a_product_has_the_bits_of_pow():

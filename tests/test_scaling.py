@@ -8,6 +8,7 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "scaling.py"
 CHARFN = ("characteristic_function", "order_certificate")
+SPECTRAL = ("volterra_check", "i1_eigenpairs", "j_diagnostics")
 
 
 def load_scaling():
@@ -78,6 +79,21 @@ def test_charfn_layer_times_both_calls_at_every_order(tmp_path):
     exponents = record["scaling_exponent"]
     assert set(exponents) == {f"{name} q={q}" for name in ("characteristic_function", "order_certificate")
                               for q in (2, 3)}
+    assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())
+
+
+def test_spectral_layer_times_every_call_at_every_size(tmp_path):
+    dst = tmp_path / "bench.json"
+    assert load_scaling().main(["--layer", "spectral", "--seconds", "0", "--into", str(dst)]) == 0
+    record = json.loads(dst.read_text())["run"]
+    assert set(record) == {"layer", "shapes", "per_call", "scaling_exponent", "speed_factor",
+                           "revision", "source_sha256", "numpy", "python", "machine"}
+    assert record["layer"] == "spectral"
+    assert [(row["q"], row["dim"]) for row in record["per_call"]] == [
+        (q, dim) for q in (2, 3) for dim in (40, 160, 640)]
+    assert all("median" in row[name] for row in record["per_call"] for name in SPECTRAL)
+    exponents = record["scaling_exponent"]
+    assert set(exponents) == {f"{name} q={q}" for name in SPECTRAL for q in (2, 3)}
     assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())
 
 

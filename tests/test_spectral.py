@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import padicradial.operators
 from padicradial import spectral
 from padicradial.field import FieldParams, make_basis, norm
 from padicradial.operators import d_constant, moment_a, moment_b, moment_m0, operator_matrix
@@ -588,20 +589,38 @@ def test_characteristic_function_matches_the_recursion(q, T):
     assert np.all(np.abs(got - want)[full] <= 1e-14 * np.abs(want)[full])
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 101])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 101, 65536])
 def test_characteristic_function_equals_the_scalar_moment_construction(q):
     # the closed form built from one scalar moment call per order
-    params, T = FieldParams(q), 200
-    qf = float(q)
+    params, qf = FieldParams(q), float(q)
     kap1 = (qf - 1.0) / (1j * qf * params.ln_q)
-    d = np.array([d_constant(params, n) for n in range(T + 1)])
-    b = np.array([moment_b(params, n) for n in range(T + 1)])
-    m0 = np.array([moment_m0(params, n) for n in range(T + 1)])
-    P = np.cumprod(np.r_[1.0, params.c_volterra * d[:-1]])
-    y = qf ** -np.arange(1.0, T + 1.0)
-    E = np.cumsum(np.r_[0.0, params.ln_q * (1.0 + y) / (1.0 - y)])
-    want = np.array([
-        [abs(kap1) ** 2 * P * m0, kap1 * P * d],
-        [np.conj(kap1) * P * (d + E * m0), P * (b + E * d)],
-    ])
-    assert np.array_equal(characteristic_function(params, T).g, want)
+    for T in (1, 2, 200, 900):
+        d = np.array([d_constant(params, n) for n in range(T + 1)])
+        b = np.array([moment_b(params, n) for n in range(T + 1)])
+        m0 = np.array([moment_m0(params, n) for n in range(T + 1)])
+        P = np.cumprod(np.r_[1.0, params.c_volterra * d[:-1]])
+        y = qf ** -np.arange(1.0, T + 1.0)
+        E = np.cumsum(np.r_[0.0, params.ln_q * (1.0 + y) / (1.0 - y)])
+        want = np.array([
+            [abs(kap1) ** 2 * P * m0, kap1 * P * d],
+            [np.conj(kap1) * P * (d + E * m0), P * (b + E * d)],
+        ])
+        assert np.array_equal(characteristic_function(params, T).g, want), T
+
+
+def test_characteristic_function_reads_one_power_slice(monkeypatch):
+    # the three moments and E share one run of q^-(n+1) from the memo: no per-moment gather
+    calls = {"_y": 0, "_half_powers": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(padicradial.operators, "_y", counted("_y", padicradial.operators._y))
+    monkeypatch.setattr(spectral, "_half_powers", counted("_half_powers", spectral._half_powers))
+    for q, T in ((2, 200), (3, 1), (101, 900)):
+        calls.update(_y=0, _half_powers=0)
+        characteristic_function(FieldParams(q), T)
+        assert calls == {"_y": 0, "_half_powers": 1}, (q, T)
