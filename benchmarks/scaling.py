@@ -16,7 +16,7 @@ Layers (``--layer``):
 - ``expand``: for q = 2, ``expand`` in the e- and f-family of a seeded
   random function shaped like an ``operator_matrix`` image (the shells
   ``1 - dim .. 0``, a nonzero tail, ``count = dim``) at dim in
-  {40, 160, 640}; ``expand`` of ``e_9`` (its recurrence runs over the ten
+  {40, 160, 640}; ``expand`` of ``e_9`` (its scan runs over the ten
   shells ``-9 .. 0``) into the e-family at count in {40, 160, 640}, the
   short windows below which the tail's closed form does the work; and
   ``inner_product`` of two seeded random functions on the shells
@@ -34,11 +34,11 @@ Layers (``--layer``):
   values by ``q^(alpha n)``, cold (its memo of shell scales emptied
   before each call, so the scales are formed) and warm.  Deep windows
   take that scale out of the double range.
-- ``scan``: the shell-sum kernels at q = 3, on a seeded random function's
-  values on W in {10, 40, 100, 400, 1600} shells with a nonzero seed:
-  ``_decay``, the sequential loop of ``expand``, and ``_scan``, the
-  log-depth scan of the operators and the transform.  W = 10 and 40 are the
-  windows of ``verify``'s basis elements, where a call's set-up counts most.
+- ``scan``: the shell-sum kernel ``_scan`` at q = 3, the log-depth scan of
+  ``expand``, the operators and the transform, on a seeded random function's
+  values on W in {10, 40, 100, 400, 1600} shells with a nonzero seed.  W = 10
+  and 40 are the windows of ``verify``'s basis elements, where a call's
+  set-up counts most.
 - ``charfn``: for q in {2, 3} and T in {50, 200, 800},
   ``characteristic_function`` up to order T and ``order_certificate`` of
   its entry g12 (``w_coefficients()[0, 1]``): the spectral calls of the
@@ -374,13 +374,12 @@ def scan_layer(timed) -> dict:
     rows = []
     for W in widths:
         w, seed = rng.standard_normal(W) + 1j * rng.standard_normal(W), complex(*rng.standard_normal(2))
-        rows.append({"W": W, "_decay": timed(lambda: field._decay(w, q, seed)),
-                     "_scan": timed(lambda: field._scan(w, q, seed))})
+        rows.append({"W": W, "_scan": timed(lambda: field._scan(w, q, seed))})
     return {
         "q": q,
         "shapes": "one row: W shells, nonzero seed",
         "per_call": rows,
-        "scaling_exponent": _exponents(widths, rows, ("_decay", "_scan")),
+        "scaling_exponent": _exponents(widths, rows, ("_scan",)),
     }
 
 

@@ -295,26 +295,6 @@ def _root_table(q: float) -> tuple[np.ndarray, int]:
     return roots, first
 
 
-def _decay(w: np.ndarray, base: float, seed=0j) -> np.ndarray:
-    """Geometric shell sums of ``w`` for every shell of its window.
-
-    ``s[i] = sum_{j<i} w[j] base^(j-i)``, where ``seed`` is the sum over the
-    shells below the window (so ``s[0] = seed``); a caller wanting the sums
-    from above reverses its row.  It runs the first-order recurrence
-    ``s <- (s + w) / base``, so only relative powers of ``q`` are ever
-    formed and nothing overflows however deep the window.  Dividing by
-    ``base`` rather than multiplying by its rounded reciprocal keeps the
-    error of each step at one rounding.  ``expand`` runs it; the operators
-    and the transform use ``_scan``.
-    """
-    out = []
-    s = complex(seed)
-    for x in w.tolist():
-        out.append(s)
-        s = (s + x) / base
-    return np.array(out, dtype=complex)
-
-
 _LAG = 512  # ``_scan``'s longest lag
 
 
@@ -329,9 +309,13 @@ def _scan_plan(base: float):
 
 
 def _scan(w: np.ndarray, base: float, seed=0j) -> np.ndarray:
-    """``_decay``'s sums of one row ``w`` by a log-depth scan.
+    """Geometric shell sums of one row ``w`` for every shell of its window, by a log-depth scan.
 
-    On ``e = [seed, w[:-1] / base]``, passes ``e[d:] += base^-d e[:-d]``,
+    ``s[i] = sum_{j<i} w[j] base^(j-i) + seed base^-i``, where ``seed`` is the
+    sum over the shells below the window (so ``s[0] = seed``); a caller wanting
+    the sums from above reverses its row.  Only powers ``base^-d`` of the base
+    are formed, so nothing overflows however deep the window.  On
+    ``e = [seed, w[:-1] / base]``, passes ``e[d:] += base^-d e[:-d]``,
     d = 1, 2, 4, .. < S, sum runs of S shells and strides ``e[i] += base^-S
     e[i-S]`` chain them.  The lag ``S`` is the longest power of two up to
     512 whose ``base^-S`` is a normal double (a subnormal lag power would
@@ -591,15 +575,15 @@ def expand(u: KRadialFunction, family: str, count: int) -> np.ndarray:
     window carry the tail) the coefficient on ``f_n`` is ``w_(-n)``.  The
     coefficient on ``e_N`` pairs ``u`` with ``v_N``: the ball mass below
     ``q^-N`` minus the shell ``q^(-N+1)``.  With
-    ``B(n) = sum_{j <= n} w_j q^((j-n)/2)``, one downward recurrence in base
+    ``B(n) = sum_{j <= n} w_j q^((j-n)/2)``, one geometric shell sum in base
     ``sqrt(q)`` seeded by the closed-form tail sum, it is
     ``(1-1/q) B(-N) - w_(-N+1) / sqrt(q)``, and ``sqrt(1-1/q) B(0)`` for
     ``e_0``.  Only relative powers of ``q`` are formed, so deep indices stay
-    finite.  The recurrence runs over the window ``n_lo .. 0`` alone: below
+    finite.  The sum runs over the window ``n_lo .. 0`` alone: below
     it ``B`` is the tail's closed form ``t q^(n/2) / sqrt(1-1/q)``, and where
     both shells of ``v_N`` lie below it (N > 1 - n_lo) the coefficient is
-    ``t`` times the integral of ``v_N``, exactly 0.  So the cost is O(W)
-    Python steps and O(count) array work.
+    ``t`` times the integral of ``v_N``, exactly 0.  So the cost is O(W + count)
+    array work: one ``_scan`` of the window, as the operators' shell sums.
     """
     if family not in ("e", "f"):
         raise ValueError(f"family must be 'e' or 'f', got {family!r}")
@@ -614,7 +598,7 @@ def expand(u: KRadialFunction, family: str, count: int) -> np.ndarray:
     w = u.values_on(u.n_lo, 0) * _shell_roots(q, u.n_lo)
     # sum_{j < n_lo} w_j q^((j-n_lo)/2) with w_j = t sqrt(1-1/q) q^(j/2): B(n_lo - 1) / sqrt(q)
     seed = u.inner_tail * _ball_root(q, u.n_lo) / math.sqrt(q - 1.0)
-    ball = (w + _decay(w, root_q, seed))[::-1][:count]  # B(-N), N < n
+    ball = (w + _scan(w, root_q, seed))[::-1][:count]  # B(-N), N < n
     out = np.zeros(count, complex)
     np.multiply(ball, 1.0 - 1.0 / q, out=out[:n])
     out[n : n + 1] = (1.0 - 1.0 / q) * root_q * seed  # with B(n_lo - 1), the tail's

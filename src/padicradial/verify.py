@@ -140,7 +140,7 @@ class CheckResult:
 
 
 def _relative_gap(u: KRadialFunction, v: KRadialFunction, lo=None, hi=None) -> float:
-    scale = float(np.max(np.abs(v.values_on(v.n_lo - 1, v.n_hi)), initial=1e-300))
+    scale = float(np.max(_abs(v.values_on(v.n_lo - 1, v.n_hi)), initial=1e-300))
     return max_shell_difference(u, v, lo, hi) / scale
 
 
@@ -270,7 +270,7 @@ def check_i1_matrix(p: FieldParams) -> CheckResult:
     return CheckResult(
         "matrix of the order-one integral: first-row/diagonal pattern and eigenvalues q^-m",
         (
-            ("pattern", float(np.abs(mat - expected).max()), DEFAULT_TOLERANCES["i1_matrix_pattern"]),
+            ("pattern", float(_abs(mat - expected).max()), DEFAULT_TOLERANCES["i1_matrix_pattern"]),
             ("eigenvalues", eig_gap, DEFAULT_TOLERANCES["i1_matrix_eigenvalues"]),
         ),
     )
@@ -301,7 +301,7 @@ def check_imaginary_part(p: FieldParams) -> CheckResult:
     rank = int(np.sum(svals > DEFAULT_TOLERANCES["imaginary_part_rank_cut"]))
 
     vol = operator_matrix(p, "I01", "f", dim).entries
-    ident_gap = float(np.abs((vol - vol.conj().T) / 1j - 2.0 * jm).max())
+    ident_gap = float(_abs((vol - vol.conj().T) / 1j - 2.0 * jm).max())
 
     sig, eta = imaginary_part(make_basis(p, "u0"))
     sigma_expected = -((q - 1.0) ** 2) / (2j * q * q * p.ln_q)
@@ -327,7 +327,7 @@ def check_moments(p: FieldParams) -> CheckResult:
     return CheckResult(
         "moment closed forms against 200-term shell sums; d_0 at q=2 equals log 2",
         (
-            ("shell sums", float(np.max(np.abs(gaps))), DEFAULT_TOLERANCES["moment_oracles"]),
+            ("shell sums", float(np.max(np.fabs(gaps))), DEFAULT_TOLERANCES["moment_oracles"]),
             ("d_0 gap", d0_gap, DEFAULT_TOLERANCES["moment_d0"]),
         ),
     )
@@ -354,7 +354,7 @@ def check_local_representation(p: FieldParams) -> CheckResult:
     block = max(10, min(35, int(35.0 * math.log(2.0) / math.log(p.q))))
     p1 = replace(p, alpha=1.0)
     images = [apply_resolvent_D1O(apply_D_alpha_O(make_basis(p1, "e", n))) for n in range(block)]
-    block_gap = float(np.abs(np.column_stack([expand(v, "e", block) for v in images]) - np.eye(block)).max())
+    block_gap = float(_abs(np.column_stack([expand(v, "e", block) for v in images]) - np.eye(block)).max())
     return CheckResult(
         "local representation: derivative of the integral = u minus lambda_1 (resolvent at 0)",
         (
@@ -367,7 +367,7 @@ def check_local_representation(p: FieldParams) -> CheckResult:
 def check_characteristic_function(p: FieldParams) -> CheckResult:
     series = characteristic_function(p, 25)
     oracle = _grid_neumann_coeffs(p, 9)
-    oracle_gap = float(np.abs(series.g[:, :, :9] - oracle).max())
+    oracle_gap = float(_abs(series.g[:, :, :9] - oracle).max())
 
     w0_exact = bool(np.array_equal(series.evaluate(0.0), np.eye(2, dtype=complex)))
     # the colligation's sign: W* S W = S and det W = 1 on the real axis, and W* S W - S
@@ -377,7 +377,7 @@ def check_characteristic_function(p: FieldParams) -> CheckResult:
     w = {z: series.evaluate(z) for z in real + off}
     form = {z: w[z].conj().T @ swap @ w[z] - swap for z in w}
     signed = all(np.all(np.sign(np.linalg.eigvalsh(form[z])) == np.sign(z.imag)) for z in off)
-    unitary_gap = float(np.max([[np.abs(form[z]).max(), abs(np.linalg.det(w[z]) - 1.0)] for z in real]))
+    unitary_gap = float(np.max([[_abs(form[z]).max(), abs(np.linalg.det(w[z]) - 1.0)] for z in real]))
     series2 = characteristic_function(FieldParams(2), 25)
     coeffs = series2.w_coefficients()
     certs = [order_certificate(FieldParams(2), coeffs[a, b]) for a in range(2) for b in range(2)]

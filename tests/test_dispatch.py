@@ -102,6 +102,20 @@ def test_no_real_power_by_numpy_in_the_library():
     assert not found
 
 
+def test_no_numpy_complex_modulus_in_verify_or_the_cli():
+    # numpy's complex abs differs from Python's by up to 2 ulp, so a reported residual
+    # would follow numpy's kernels: complex moduli come from ``field._abs`` and real
+    # ones from ``np.fabs``, which refuses a complex array, so no ``np.abs`` is left
+    package = Path(pr.__file__).parent
+    found = []
+    for name in ("verify.py", "cli.py"):
+        for node in ast.walk(ast.parse((package / name).read_text(), name)):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "np.abs", "np.absolute", "numpy.abs", "numpy.absolute"):
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found
+
+
 if __name__ == "__main__":
     from numpy._core._multiarray_umath import __cpu_features__
 

@@ -16,7 +16,6 @@ from padicradial.field import (
     FieldParams,
     KRadialFunction,
     _ball_root,
-    _decay,
     _scan,
     _shell_roots,
     expand,
@@ -394,6 +393,17 @@ def test_expand_matches_the_pairing_definition(q, family, width, count, tail, se
 BASES = [2.0, 3.0**0.7, 5.0**2.3, math.sqrt(3.0), 1.0, 49.0, 101.0**3]
 
 
+def decay(w, base, seed=0j):
+    """The shell sums ``_scan`` forms, by the sequential recurrence ``s <- (s + w) / base``:
+    one rounding per step, the oracle of the kernel and of ``expand``."""
+    out = []
+    s = complex(seed)
+    for x in w.tolist():
+        out.append(s)
+        s = (s + x) / base
+    return np.array(out, dtype=complex)
+
+
 def oriented(kernel, w, base, seed=0j, upward=False):
     """``kernel``'s sums from below, or ``upward`` from above on the reversed
     row, as ``apply_D_alpha`` forms its upward sum."""
@@ -423,7 +433,7 @@ def test_scan_sums_do_not_depend_on_the_window_past_them(base, upward, shells, d
 @given(base=st.sampled_from(BASES), upward=st.booleans(), shells=st.integers(1, 300),
        seed=st.integers(0, 2**32 - 1))
 def test_decay_and_scan_are_the_geometric_shell_sums(base, upward, shells, seed):
-    # the loop of ``expand`` and the transform, and the operators' scan, both
+    # the sequential loop, the oracle of the tests, and the library's scan, both
     # against the sums in 40-digit arithmetic, per shell in units of its term mass
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(shells) + 1j * rng.standard_normal(shells)
@@ -437,7 +447,7 @@ def test_decay_and_scan_are_the_geometric_shell_sums(base, upward, shells, seed)
             mass.append(float(m))
             s, m = (s + x) / b, (m + abs(x)) / b
     want, mass = np.array(want), np.array(mass)
-    for kernel in (_decay, _scan):
+    for kernel in (decay, _scan):
         got = oriented(kernel, w, base, s0, upward)
         got = got[::-1] if upward else got
         assert np.all(np.abs(got - want) <= 1e-14 * mass), kernel.__name__
@@ -458,8 +468,8 @@ def test_scan_at_the_lag_thresholds(lag, side, upward):
     w = rng.standard_normal(shells) + 1j * rng.standard_normal(shells)
     s0 = complex(*rng.standard_normal(2))
     whole = oriented(_scan, w, base, s0, upward)
-    mass = np.abs(oriented(_decay, np.abs(w), base, abs(s0), upward))
-    assert np.all(np.abs(whole - oriented(_decay, w, base, s0, upward)) <= 1e-14 * mass)
+    mass = np.abs(oriented(decay, np.abs(w), base, abs(s0), upward))
+    assert np.all(np.abs(whole - oriented(decay, w, base, s0, upward)) <= 1e-14 * mass)
     for k in (7, 600):
         part = slice(k, shells) if upward else slice(0, shells - k)
         assert np.array_equal(oriented(_scan, w[part], base, s0, upward), whole[part])
@@ -474,7 +484,7 @@ def test_scan_lag_powers_stay_normal_under_a_deep_value(base, upward):
     w = np.zeros(400, dtype=complex)
     w[0] = 1e300
     w = w[::-1].copy() if upward else w
-    got, seq = oriented(_scan, w, base, upward=upward), oriented(_decay, w, base, upward=upward)
+    got, seq = oriented(_scan, w, base, upward=upward), oriented(decay, w, base, upward=upward)
     got, seq = (got[::-1], seq[::-1]) if upward else (got, seq)
     exact = [Fraction(1e300) / Fraction(base) ** i for i in range(1, 400)]
     normal = [i + 1 for i, x in enumerate(exact) if x >= Fraction(sys.float_info.min)]
@@ -521,18 +531,19 @@ def test_scan_is_the_reference_kernel_bit_for_bit(base, upward):
 
 
 def test_expand_recurs_over_the_window_only(monkeypatch):
-    # the I1 e-matrix expands column N on e_N's window -N .. 0, N + 1 steps:
-    # dim (dim + 1) / 2 in all, where a recurrence over every column's shells
-    # 1 - dim .. 0 runs dim^2; a one-shell function at -7 runs the shells -7 .. 0
+    # the I1 e-matrix expands column N on e_N's window -N .. 0, a scan of N + 1
+    # shells: dim (dim + 1) / 2 in all, where a scan over every column's shells
+    # 1 - dim .. 0 runs dim^2; a one-shell function at -7 scans the shells -7 .. 0
+    # (the operators import ``_scan`` themselves, so only ``expand``'s rows count)
     from padicradial.operators import operator_matrix
 
-    lengths, decay = [], padicradial.field._decay
+    lengths, scan = [], padicradial.field._scan
 
     def recorded(w, *args, **kwargs):
         lengths.append(len(w))
-        return decay(w, *args, **kwargs)
+        return scan(w, *args, **kwargs)
 
-    monkeypatch.setattr(padicradial.field, "_decay", recorded)
+    monkeypatch.setattr(padicradial.field, "_scan", recorded)
     operator_matrix(P2, "I1", "e", 40)
     assert len(lengths) == 40 and sum(lengths) == 820
     lengths.clear()
@@ -549,7 +560,7 @@ def expand_reference(u, count):
     w = u.values_on(lo, 0) * r
 
     def sums(w, t):  # the ball sums B(-N) and the shells w_(-N)
-        return (w + _decay(w, math.sqrt(q), t * h / math.sqrt(q - 1.0)))[::-1][:count], w[::-1][:count]
+        return (w + decay(w, math.sqrt(q), t * h / math.sqrt(q - 1.0)))[::-1][:count], w[::-1][:count]
 
     (ball, down), (ball_mass, down_mass) = sums(w, u.inner_tail), sums(np.abs(w), abs(u.inner_tail))
     want, mass = (1.0 - 1.0 / q) * ball, (1.0 - 1.0 / q) * ball_mass.real
@@ -573,6 +584,23 @@ def test_expand_below_the_window_is_the_tail_closed_form(q, width, count):
     assert np.all(np.abs(got - want) <= 4 * sys.float_info.epsilon * mass)
     # both shells of v_N below the window: u is its tail there, and <t, v_N> = 0
     assert np.all(got[width + 1 :] == 0)
+
+
+@pytest.mark.parametrize("tail", [0j, 0.6 - 1.3j])
+@pytest.mark.parametrize("width", [1, 2, 10, 40, 400, 1600])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 101])
+def test_expand_is_the_sequential_loop_within_3_eps(q, width, tail):
+    # ``expand``'s ball sums are a log-depth scan, the loop sums shell by shell:
+    # every coefficient, those of the window and the tail's past it, agrees to
+    # 3 eps of its term mass; where that mass is subnormal (the deepest shells
+    # at W = 1600 from q = 3 on, and at W = 400 for q = 101) a rounding is
+    # absolute, up to an ulp of 0 each
+    rng = np.random.default_rng(width)
+    vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    u = KRadialFunction(FieldParams(q), 1 - width, 0, vals, tail)
+    want, mass = expand_reference(u, width + 2)
+    tol = 3 * sys.float_info.epsilon * mass + 3 * math.ulp(0.0)
+    assert np.all(np.abs(expand(u, "e", width + 2) - want) <= tol)
 
 
 def test_expand_rejects_a_negative_count():

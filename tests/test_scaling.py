@@ -54,7 +54,7 @@ def test_apply_layer_covers_both_fields_and_every_width(tmp_path):
     assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())
 
 
-def test_scan_layer_times_both_kernels_at_every_width(tmp_path):
+def test_scan_layer_times_the_kernel_at_every_width(tmp_path):
     dst = tmp_path / "bench.json"
     assert load_scaling().main(["--layer", "scan", "--seconds", "0", "--into", str(dst)]) == 0
     record = json.loads(dst.read_text())["run"]
@@ -62,7 +62,7 @@ def test_scan_layer_times_both_kernels_at_every_width(tmp_path):
     assert [row["W"] for row in record["per_call"]] == [10, 40, 100, 400, 1600]
     assert all("median" in row[name] for row in record["per_call"] for name in row if name != "W")
     exponents = record["scaling_exponent"]
-    assert set(exponents) == {"_decay", "_scan"}
+    assert set(exponents) == {"_scan"}
     assert all(math.isfinite(b) for fit in exponents.values() for b in fit.values())
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import padicradial.operators
 from padicradial import spectral
-from padicradial.field import FieldParams, make_basis, norm
+from padicradial.field import FieldParams, inner_product, make_basis, norm
 from padicradial.operators import d_constant, moment_a, moment_b, moment_m0, operator_matrix
 from padicradial.spectral import (
     characteristic_function,
@@ -413,6 +413,17 @@ def test_characteristic_function_is_j_unitary_on_the_real_axis(q):
         w = series.evaluate(z)
         assert np.all(np.sign(np.linalg.eigvalsh(w.conj().T @ SWAP @ w - SWAP)) == np.sign(z.imag))
         assert np.abs(np.tensordot(coeffs, z ** np.arange(62), axes=([2], [0])) - w).max() <= 1e-13
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_h1_basis_element_has_the_squared_norm_of_g11_at_order_0(q):
+    # ``make_basis(.., "h1")`` is the constant kap1 = (q-1)/(i q log q) on the ball,
+    # tail included, so <h1, h1> = |kap1|^2, the zeroth coefficient of g11
+    p = FieldParams(q)
+    h1 = make_basis(p, "h1")
+    g11 = characteristic_function(p, 5).g[0, 0, 0]
+    assert abs(inner_product(h1, h1) - g11) <= 4 * EPS * abs(g11)
+    assert h1.values[0] == h1.inner_tail == (q - 1.0) / (1j * q * math.log(q))
 
 
 def test_characteristic_function_matches_grid_neumann():
